@@ -67,13 +67,25 @@ let paper_arg =
 
 let disable_arg =
   Arg.(
-    value & opt_all string []
+    value
+    & opt_all (enum (List.map (fun r -> (r, r)) Options.rule_names)) []
     & info [ "disable"; "d" ] ~docv:"RULE"
         ~doc:"Disable an optimizer rule (repeatable); see $(b,oodb rules).")
 
+(* The options layer rejects counts below 1 with [Invalid_argument];
+   refusing them at parse time makes a bad value a usage error. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "must be at least 1, got %d" n))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let window_arg =
   Arg.(
-    value & opt (some int) None
+    value & opt (some positive_int) None
     & info [ "window"; "w" ] ~docv:"N" ~doc:"Assembly window of open references.")
 
 let no_pruning_arg =
@@ -92,7 +104,7 @@ let limit_arg =
 
 let batch_size_arg =
   Arg.(
-    value & opt (some int) None
+    value & opt (some positive_int) None
     & info [ "batch-size"; "b" ] ~docv:"N"
         ~doc:"Tuples per execution batch (default $(b,OODB_BATCH_SIZE) or 64; 1 = classic \
               tuple-at-a-time Volcano).")
@@ -194,7 +206,7 @@ let optimize_run paper text disabled window no_pruning no_indexes trace timeline
       | None -> ()
       | Some tr ->
         Format.printf "@.search trace: %a" Trace.pp_summary tr;
-        Format.printf "@.%a" Trace.pp_rules tr;
+        Format.printf "@.%a" Trace.pp_rules (Engine.rule_counters outcome.Opt.memo);
         Format.printf "@.per-group activity:@.%a" Trace.pp_groups tr;
         if timeline > 0 then
           Format.printf "@.timeline (last %d events):@.%a" timeline

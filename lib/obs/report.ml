@@ -124,7 +124,9 @@ let to_json t =
           @ plan_fields
           @ [ ( "trace",
                 Trace.to_json
-                  ~prov_dropped:t.outcome.Optimizer.stats.Engine.prov_dropped t.trace )
+                  ~prov_dropped:t.outcome.Optimizer.stats.Engine.prov_dropped
+                  ~rules:(Engine.rule_counters t.outcome.Optimizer.memo)
+                  t.trace )
             ]) );
       ( "execution",
         Json.Obj

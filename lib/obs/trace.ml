@@ -5,8 +5,6 @@ module Physprop = Open_oodb.Physprop
 module Logical = Oodb_algebra.Logical
 module Cost = Oodb_cost.Cost
 
-type rule_cell = { mutable tried : int; mutable fired : int }
-
 type group_cell = {
   mutable c_mexprs : int;
   mutable c_trules_fired : int;
@@ -35,7 +33,6 @@ type totals = {
 
 type t = {
   ring : Engine.event Ring.t;
-  rules : (string, rule_cell) Hashtbl.t;
   groups : (int, group_cell) Hashtbl.t;
   mutable totals : totals;
 }
@@ -56,18 +53,7 @@ let zero_totals =
     memo_hits = 0 }
 
 let create ?(capacity = 4096) () =
-  { ring = Ring.create capacity;
-    rules = Hashtbl.create 32;
-    groups = Hashtbl.create 64;
-    totals = zero_totals }
-
-let rule_cell t name =
-  match Hashtbl.find_opt t.rules name with
-  | Some c -> c
-  | None ->
-    let c = { tried = 0; fired = 0 } in
-    Hashtbl.add t.rules name c;
-    c
+  { ring = Ring.create capacity; groups = Hashtbl.create 64; totals = zero_totals }
 
 let group_cell t g =
   match Hashtbl.find_opt t.groups g with
@@ -96,19 +82,13 @@ let aggregate t (e : Engine.event) =
     c.c_mexprs <- c.c_mexprs + 1;
     t.totals <- { tot with mexprs_added = tot.mexprs_added + 1 }
   | Groups_merged _ -> t.totals <- { tot with merges = tot.merges + 1 }
-  | Trule_tried { rule; _ } ->
-    (rule_cell t rule).tried <- (rule_cell t rule).tried + 1;
-    t.totals <- { tot with trules_tried = tot.trules_tried + 1 }
-  | Trule_fired { rule; group } ->
-    (rule_cell t rule).fired <- (rule_cell t rule).fired + 1;
+  | Trule_tried _ -> t.totals <- { tot with trules_tried = tot.trules_tried + 1 }
+  | Trule_fired { group; _ } ->
     let c = group_cell t group in
     c.c_trules_fired <- c.c_trules_fired + 1;
     t.totals <- { tot with trules_fired = tot.trules_fired + 1 }
-  | Irule_tried { rule; _ } ->
-    (rule_cell t rule).tried <- (rule_cell t rule).tried + 1;
-    t.totals <- { tot with irules_tried = tot.irules_tried + 1 }
-  | Candidate_costed { rule; group; _ } ->
-    (rule_cell t rule).fired <- (rule_cell t rule).fired + 1;
+  | Irule_tried _ -> t.totals <- { tot with irules_tried = tot.irules_tried + 1 }
+  | Candidate_costed { group; _ } ->
     let c = group_cell t group in
     c.c_candidates <- c.c_candidates + 1;
     t.totals <- { tot with candidates = tot.candidates + 1 }
@@ -120,12 +100,8 @@ let aggregate t (e : Engine.event) =
     let c = group_cell t group in
     c.c_subgoal_prunes <- c.c_subgoal_prunes + 1;
     t.totals <- { tot with subgoal_prunes = tot.subgoal_prunes + 1 }
-  | Enforcer_tried { rule; _ } ->
-    (rule_cell t rule).tried <- (rule_cell t rule).tried + 1;
-    t.totals <- { tot with enforcers_tried = tot.enforcers_tried + 1 }
-  | Enforcer_offered { rule; _ } ->
-    (rule_cell t rule).fired <- (rule_cell t rule).fired + 1;
-    t.totals <- { tot with enforcer_offers = tot.enforcer_offers + 1 }
+  | Enforcer_tried _ -> t.totals <- { tot with enforcers_tried = tot.enforcers_tried + 1 }
+  | Enforcer_offered _ -> t.totals <- { tot with enforcer_offers = tot.enforcer_offers + 1 }
   | Enforcer_inserted { group; _ } ->
     let c = group_cell t group in
     c.c_enforcer_inserts <- c.c_enforcer_inserts + 1;
@@ -139,10 +115,6 @@ let sink t e =
   (* Aggregates first: they must stay exact even after the ring wraps. *)
   aggregate t e;
   Ring.push t.ring e
-
-let per_rule t =
-  Hashtbl.fold (fun name c acc -> (name, c.tried, c.fired) :: acc) t.rules []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 type group_stat = {
   g_mexprs : int;
@@ -236,12 +208,12 @@ let pp_timeline ?limit ?(prov_dropped = 0) ppf t =
   if hidden > 0 then Format.fprintf ppf "... %d earlier events not shown@." hidden;
   List.iter (fun (seq, e) -> Format.fprintf ppf "%6d  %a@." seq pp_event e) evs
 
-let pp_rules ppf t =
+let pp_rules ppf rules =
   Format.fprintf ppf "%-30s %6s %6s@." "rule" "tried" "fired";
   List.iter
     (fun (name, tried, fired) ->
       Format.fprintf ppf "%-30s %6d %6d@." name tried fired)
-    (per_rule t)
+    rules
 
 let pp_groups ppf t =
   Format.fprintf ppf "%5s %7s %7s %7s %7s %8s %9s %9s@." "group" "mexprs" "tfired"
@@ -309,7 +281,7 @@ let event_json (e : Engine.event) =
       [ g group;
         ("required", Json.String (Format.asprintf "%a" Physprop.pp required)) ]
 
-let to_json ?(prov_dropped = 0) t =
+let to_json ?(prov_dropped = 0) ~rules t =
   let x = t.totals in
   Json.Obj
     ((* top-level, not buried in "timeline": consumers checking
@@ -354,7 +326,7 @@ let to_json ?(prov_dropped = 0) t =
                  [ ("rule", Json.String name);
                    ("tried", Json.Int tried);
                    ("fired", Json.Int fired) ])
-             (per_rule t)) );
+             rules) );
       ( "groups",
         Json.List
           (List.map

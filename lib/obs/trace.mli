@@ -2,12 +2,11 @@
 
     A recorder is an {!Engine.event} sink (pass {!sink} as the [?trace]
     argument of [Optimizer.optimize] or [Engine.run]). Aggregate tables
-    — per-rule tried/fired counts, per-group activity, search totals —
-    are updated on every event before the event enters the bounded
-    {!Ring}, so they stay exact even when the timeline window has
-    wrapped. The per-rule table reproduces [Engine.rule_counters] (and
-    hence the shape of Tables 2–3 in the paper) from the event stream
-    alone. *)
+    — per-group activity and search totals — are updated on every event
+    before the event enters the bounded {!Ring}, so they stay exact even
+    when the timeline window has wrapped. Per-rule tried/fired counts
+    are not re-derived here: the renderers take the engine's own
+    [Engine.rule_counters] from the caller. *)
 
 module Json = Oodb_util.Json
 module Engine = Open_oodb.Model.Engine
@@ -21,11 +20,6 @@ val sink : t -> Engine.event -> unit
 (** The event callback. Must not be shared across concurrent searches. *)
 
 (** {1 Aggregates} *)
-
-val per_rule : t -> (string * int * int) list
-(** [(rule, tried, fired)] sorted by name — same contract as
-    [Engine.rule_counters]: fired counts transformations that changed
-    the memo, implementation candidates costed, and enforcer offers. *)
 
 type group_stat = {
   g_mexprs : int;  (** multi-expressions added to the group *)
@@ -82,17 +76,19 @@ val pp_timeline : ?limit:int -> ?prov_dropped:int -> Format.formatter -> t -> un
     [stats.prov_dropped]) adds the same warning for truncated
     provenance lineage. *)
 
-val pp_rules : Format.formatter -> t -> unit
-(** Per-rule tried/fired table, the paper's Table 2–3 shape. *)
+val pp_rules : Format.formatter -> (string * int * int) list -> unit
+(** Per-rule tried/fired table, the paper's Table 2–3 shape, from
+    [Engine.rule_counters]. *)
 
 val pp_groups : Format.formatter -> t -> unit
 
 val pp_summary : Format.formatter -> t -> unit
 
-val to_json : ?prov_dropped:int -> t -> Json.t
+val to_json : ?prov_dropped:int -> rules:(string * int * int) list -> t -> Json.t
 (** [{"dropped": n, "prov_dropped": n, "totals": .., "rules": [..],
     "groups": [..], "timeline": {"seen": n, "dropped": n,
-    "events": [..]}}] — the top-level ["dropped"] and ["prov_dropped"]
+    "events": [..]}}] — ["rules"] renders [rules] (the search's
+    [Engine.rule_counters]); the top-level ["dropped"] and ["prov_dropped"]
     (plus human-readable [.._warning] fields when nonzero) flag an
     incomplete timeline or truncated provenance lineage without digging
     into the nesting. *)

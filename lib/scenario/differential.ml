@@ -11,6 +11,7 @@ module Plancache = Oodb_plancache.Plancache
 module Feedback = Oodb_obs.Feedback
 module Profile = Oodb_obs.Profile
 module Json = Oodb_util.Json
+module Cost = Oodb_cost.Cost
 module Ast = Zql.Ast
 
 (* The differential harness: one query, many configurations that must
@@ -51,13 +52,13 @@ let canon_rows rows =
 
 type kind =
   | V_options of Options.t
+  | V_same_cost of Options.t
+      (** a search that changes how fast the winner is found, never
+          which winner (pruning off, guided search): the winner must cost
+          {e exactly} what the default configuration's winner costs, and
+          execute to the same rows *)
   | V_cache  (** cold then warm through a fresh plan cache *)
   | V_feedback  (** re-optimize after harvesting one profiled run *)
-  | V_guided
-      (** promise-ordered, cost-bounded search: the winner must cost
-          {e exactly} what the exhaustive search's winner costs — guided
-          mode changes how fast the winner is found, never which winner —
-          and execute to the same rows *)
 
 (* Only rules with overlapping coverage are toggled: disabling e.g.
    [file-scan] would leave groups with no implementation at all. *)
@@ -69,9 +70,9 @@ let variants () =
   let base = Options.default in
   [ ("batch-1", V_options (Options.with_batch_size 1 base));
     ("batch-64", V_options (Options.with_batch_size 64 base));
-    ("no-pruning", V_options { base with Options.pruning = false });
+    ("no-pruning", V_same_cost { base with Options.pruning = false });
     ("window-1", V_options (Options.with_assembly_window 1 base));
-    ("guided", V_guided);
+    ("guided", V_same_cost (Options.with_guided base));
     ("cache-warm", V_cache);
     ("feedback", V_feedback) ]
   @ List.filter_map
@@ -93,7 +94,7 @@ let compile cat zql =
     Ok (c.Zql.Simplify.c_logical, required)
 
 (* Optimize under [options], statically verify the winner and its memo,
-   execute, canonicalize. *)
+   execute, canonicalize; returns the winner's cost with the rows. *)
 let run_opt_exn db logical required options =
   let cat = Db.catalog db in
   let outcome = Opt.optimize ~options ~required cat logical in
@@ -106,7 +107,8 @@ let run_opt_exn db logical required options =
       match Verify.types cat outcome.Opt.memo with
       | Error (tv :: _) -> Error (Format.asprintf "memo types: %a" Verify.pp_typ_violation tv)
       | Error [] -> Error "memo types: unknown violation"
-      | Ok () -> Ok (canon_rows (Executor.run ~config:options.Options.config db plan))))
+      | Ok () ->
+        Ok (plan.Engine.cost, canon_rows (Executor.run ~config:options.Options.config db plan))))
 
 (* Optimizer or executor exceptions (e.g. an engine [Type_violation])
    are findings, not harness crashes. *)
@@ -119,16 +121,33 @@ let describe_mismatch base rows =
     (List.length rows)
     (if List.length base = List.length rows then " (same count, different contents)" else "")
 
-(* One variant check against an already-computed baseline. Split out so
-   the harness can amortize the baseline across all variants of a query
-   (the optimizer run dominates, not execution). *)
-let check_variant_exn db ~base logical required kind =
+(* One variant check against an already-computed baseline (the default
+   configuration's winner cost and rows). Split out so the harness can
+   amortize the baseline across all variants of a query (the optimizer
+   run dominates, not execution). *)
+let check_variant_exn db ~base:(base_cost, base) logical required kind =
   let cat = Db.catalog db in
   (match kind with
       | V_options options -> (
         match run_opt db logical required options with
         | Error e -> Some e
-        | Ok rows -> if rows = base then None else Some (describe_mismatch base rows))
+        | Ok (_, rows) -> if rows = base then None else Some (describe_mismatch base rows))
+      | V_same_cost options -> (
+        (* Cost parity guards the float-level contract of the bound
+           ([Cost.slack] on discards, the lexicographic tie-break): row
+           parity alone would let a search that silently drops its
+           optimum slip through (many plans produce the same rows). *)
+        match run_opt db logical required options with
+        | Error e -> Some e
+        | Ok (cost, rows) ->
+          if Cost.compare cost base_cost <> 0 then
+            (* full precision: the bugs this catches differ by ulps *)
+            Some
+              (Printf.sprintf
+                 "winner costs io %.17g + cpu %.17g, default winner io %.17g + cpu %.17g"
+                 cost.Cost.io cost.Cost.cpu base_cost.Cost.io base_cost.Cost.cpu)
+          else if rows = base then None
+          else Some (describe_mismatch base rows))
       | V_cache -> (
         let pc = Plancache.create () in
         let exec outcome =
@@ -151,28 +170,6 @@ let check_variant_exn db ~base logical required kind =
             if r1 <> base then Some ("cache-cold: " ^ describe_mismatch base r1)
             else if r2 <> base then Some ("cache-warm: " ^ describe_mismatch base r2)
             else None)
-      | V_guided -> (
-        (* Winner-cost parity is the contract worth a dedicated variant:
-           row parity alone would let a silently suboptimal guided
-           search slip through (many plans produce the same rows). *)
-        let module Cost = Oodb_cost.Cost in
-        let exh = Opt.optimize ~required cat logical in
-        let gui = Opt.optimize ~options:(Options.with_guided Options.default) ~required cat logical in
-        match exh.Opt.plan, gui.Opt.plan with
-        | None, None -> None
-        | Some _, None -> Some "guided search found no plan where exhaustive did"
-        | None, Some _ -> Some "guided search found a plan where exhaustive did not"
-        | Some pe, Some pg -> (
-          if Cost.compare pg.Engine.cost pe.Engine.cost <> 0 then
-            Some
-              (Format.asprintf "guided winner costs %a, exhaustive winner costs %a" Cost.pp
-                 pg.Engine.cost Cost.pp pe.Engine.cost)
-          else
-            match Verify.plan ~required cat pg with
-            | Error vs -> Some (Format.asprintf "plan lint: %a" Verify.pp_violations vs)
-            | Ok () ->
-              let rows = canon_rows (Executor.run db pg) in
-              if rows = base then None else Some (describe_mismatch base rows)))
       | V_feedback -> (
         let outcome = Opt.optimize ~required cat logical in
         match outcome.Opt.plan with
@@ -185,7 +182,7 @@ let check_variant_exn db ~base logical required kind =
           let options = Feedback.install fb Options.default in
           (match run_opt db logical required options with
           | Error e -> Some ("with feedback: " ^ e)
-          | Ok rows -> if rows = base then None else Some (describe_mismatch base rows))))
+          | Ok (_, rows) -> if rows = base then None else Some (describe_mismatch base rows))))
 
 let check_variant db ~base logical required kind =
   try check_variant_exn db ~base logical required kind

@@ -5,8 +5,11 @@
     batch sizes 1 and 64, pruning off, assembly window 1, guided
     (promise-ordered, cost-bounded) search, individual rule toggles, a
     cold-then-warm plan cache, and a feedback-harvesting round trip.
-    The guided variant additionally demands winner-{e cost} equality
-    with the exhaustive search, not just row parity. Every winner passes
+    The pruning-off and guided variants additionally demand plan
+    presence and [Cost.compare]-equal winner {e cost} with the default
+    (branch-and-bound, exhaustive-order) search, not just row parity —
+    the guard on the bound's float-level contract ([Cost.slack],
+    lexicographic [Cost.compare]). Every winner passes
     {!Oodb_verify.Verify.plan}; every memo passes
     {!Oodb_verify.Verify.types}; every variant's row multiset must equal
     the baseline's.
@@ -32,11 +35,12 @@ type report = {
 
 type kind =
   | V_options of Open_oodb.Options.t
+  | V_same_cost of Open_oodb.Options.t
+      (** a search that must not change the winner (pruning off, guided
+          search): a plan exactly when the default finds one, at a
+          [Cost.compare]-equal winner cost, with equal rows *)
   | V_cache
   | V_feedback
-  | V_guided
-      (** promise-ordered, cost-bounded search: winner cost must equal
-          the exhaustive winner's exactly, and rows must match *)
 
 val variants : unit -> (string * kind) list
 

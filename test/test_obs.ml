@@ -3,8 +3,8 @@
 
    The two load-bearing invariants:
    - aggregating a search's event stream reproduces the engine's own
-     rule counters exactly (so [oodb optimize --trace] tables equal the
-     [Verify.rules] report), and
+     search statistics exactly, and its rule counters summed per rule
+     kind, even after the timeline ring wrapped, and
    - per-operator exclusive I/O deltas sum to the whole-query
      [io_report] totals (inclusive measurement telescopes). *)
 
@@ -157,47 +157,59 @@ let test_ring () =
 (* ------------------------------------------------------------------ *)
 (* Trace vs the engine's own counters                                   *)
 
+let traced ?capacity q =
+  let tr = Trace.create ?capacity () in
+  let outcome =
+    Opt.optimize ~trace:(Trace.sink tr)
+      (Oodb_catalog.Open_oodb_catalog.catalog_with_indexes ())
+      q
+  in
+  (tr, outcome)
+
+let check_totals name (s : Engine.stats) (t : Trace.totals) =
+  Alcotest.(check int) (name ^ ": candidates") s.Engine.candidates t.Trace.candidates;
+  Alcotest.(check int) (name ^ ": memo hits") s.Engine.phys_memo_hits t.Trace.memo_hits;
+  Alcotest.(check int) (name ^ ": trules tried") s.Engine.trule_tried t.Trace.trules_tried;
+  Alcotest.(check int) (name ^ ": trules fired") s.Engine.trule_fired t.Trace.trules_fired;
+  Alcotest.(check int)
+    (name ^ ": enforcer uses") s.Engine.enforcer_uses t.Trace.enforcer_inserts
+
+(* The engine emits one event wherever a rule counter increments: per
+   rule kind, tried counts Trule_/Irule_/Enforcer_tried events and fired
+   counts Trule_fired / Candidate_costed / Enforcer_offered events. *)
 let test_trace_matches_rule_counters () =
   List.iter
     (fun (name, q) ->
-      let tr = Trace.create () in
-      let outcome =
-        Opt.optimize ~trace:(Trace.sink tr)
-          (Oodb_catalog.Open_oodb_catalog.catalog_with_indexes ())
-          q
+      let tr, outcome = traced q in
+      let counters = Engine.rule_counters outcome.Opt.memo in
+      let sums names =
+        List.fold_left
+          (fun (tried, fired) (r, t, f) ->
+            if List.mem r names then (tried + t, fired + f) else (tried, fired))
+          (0, 0) counters
       in
-      let from_engine = Engine.rule_counters outcome.Opt.memo in
-      let from_trace = Trace.per_rule tr in
-      Alcotest.(check (list (triple string int int)))
-        (Printf.sprintf "%s: per-rule table from events == rule_counters" name)
-        from_engine from_trace;
-      let s = outcome.Opt.stats and t = Trace.totals tr in
-      Alcotest.(check int)
-        (name ^ ": candidates") s.Engine.candidates t.Trace.candidates;
-      Alcotest.(check int)
-        (name ^ ": memo hits") s.Engine.phys_memo_hits t.Trace.memo_hits;
-      Alcotest.(check int)
-        (name ^ ": trules tried") s.Engine.trule_tried t.Trace.trules_tried;
-      Alcotest.(check int)
-        (name ^ ": trules fired") s.Engine.trule_fired t.Trace.trules_fired;
-      Alcotest.(check int)
-        (name ^ ": enforcer uses") s.Engine.enforcer_uses t.Trace.enforcer_inserts)
+      let t = Trace.totals tr in
+      Alcotest.(check (pair int int))
+        (name ^ ": transformation counters")
+        (t.Trace.trules_tried, t.Trace.trules_fired)
+        (sums Open_oodb.Trules.names);
+      Alcotest.(check (pair int int))
+        (name ^ ": implementation counters")
+        (t.Trace.irules_tried, t.Trace.candidates)
+        (sums Open_oodb.Irules.names);
+      Alcotest.(check (pair int int))
+        (name ^ ": enforcer counters")
+        (t.Trace.enforcers_tried, t.Trace.enforcer_offers)
+        (sums Open_oodb.Enforcers.names);
+      check_totals name outcome.Opt.stats t)
     Q.all
 
 let test_trace_ring_bounded_aggregates_exact () =
   (* A tiny ring forces heavy wrap-around; aggregates must not care. *)
-  let tr = Trace.create ~capacity:16 () in
-  let outcome =
-    Opt.optimize ~trace:(Trace.sink tr)
-      (Oodb_catalog.Open_oodb_catalog.catalog_with_indexes ())
-      Q.q1
-  in
+  let tr, outcome = traced ~capacity:16 Q.q1 in
   Alcotest.(check int) "window is capacity" 16 (List.length (Trace.events tr));
   Alcotest.(check bool) "events were dropped" true (Trace.dropped tr > 0);
-  Alcotest.(check (list (triple string int int)))
-    "aggregates exact despite drops"
-    (Engine.rule_counters outcome.Opt.memo)
-    (Trace.per_rule tr)
+  check_totals "aggregates exact despite drops" outcome.Opt.stats (Trace.totals tr)
 
 (* ------------------------------------------------------------------ *)
 (* Profiling                                                            *)

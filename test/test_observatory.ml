@@ -491,7 +491,7 @@ let test_timeline_drop_warning () =
   Alcotest.(check bool)
     "timeline leads with the drop warning" true
     (String.length rendered >= 8 && String.sub rendered 0 8 = "WARNING:");
-  let j = Trace.to_json tr in
+  let j = Trace.to_json ~rules:[] tr in
   (match Option.bind (Json.member "dropped" j) Json.to_int with
   | Some n -> Alcotest.(check bool) "top-level dropped count" true (n > 0)
   | None -> Alcotest.fail "top-level dropped missing");
@@ -503,7 +503,7 @@ let test_timeline_drop_warning () =
   (* And a ring that kept everything carries no warning. *)
   let quiet = Trace.create () in
   Trace.sink quiet (Engine.Group_created { group = 0 });
-  match Json.member "dropped_warning" (Trace.to_json quiet) with
+  match Json.member "dropped_warning" (Trace.to_json ~rules:[] quiet) with
   | None -> ()
   | Some _ -> Alcotest.fail "dropped_warning present with zero drops"
 

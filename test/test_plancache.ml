@@ -292,6 +292,19 @@ let test_disk_persistence () =
   let pc3 = Plancache.create ~dir () in
   let o = Plancache.optimize pc3 cat Q.q1 in
   Alcotest.(check bool) "corrupt entry re-optimized" false o.Plancache.cached;
+  check_same_plan "and identical to the cold plan" cold.Plancache.plan o.Plancache.plan;
+  (* the format-version gate: the very entry pc1 stored, filed under the
+     same name but tagged with the previous format's magic, is a miss *)
+  let e =
+    match Plancache.entries pc1 with [ e ] -> e | _ -> Alcotest.fail "expected one entry"
+  in
+  let oc = open_out_bin file in
+  Marshal.to_channel oc ("oodb-plancache-v2", e) [];
+  close_out oc;
+  let pc4 = Plancache.create ~dir () in
+  let o = Plancache.optimize pc4 cat Q.q1 in
+  Alcotest.(check bool) "previous-format entry re-optimized" false o.Plancache.cached;
+  Alcotest.(check int) "not served from disk" 0 (Plancache.stats pc4).Plancache.disk_hits;
   check_same_plan "and identical to the cold plan" cold.Plancache.plan o.Plancache.plan
 
 (* The disk tier revalidates entries before serving them (a stale plan

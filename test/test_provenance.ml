@@ -12,7 +12,8 @@
      (and stays pruned — guided refusals are never second-guessed);
    - under exhaustive branch-and-bound a prune is a short-circuited
      cost comparison, so classify escalates it via replay to the true
-     derived-but-lost gap;
+     derived-but-lost gap, and without a replay closure reports the
+     candidate prune with the bound in force;
    - the memo export is deterministic: two separate optimizations of
      the same query render bit-identical JSON;
    - provenance is invisible to everything downstream: plan-cache
@@ -232,14 +233,19 @@ let test_whynot_escalation () =
       true
       (r > 1.0 && r < 10.0)
   | v -> Alcotest.fail ("expected escalated derived-but-lost, got " ^ Provenance.verdict_label v));
-  (* Without the replay closure the same question stays a prune/absence
-     report — classify never re-optimizes on its own. *)
+  (* Without the replay closure the same question stays a prune report,
+     with the bound that cut the merge join off — classify never
+     re-optimizes on its own. *)
   match
     verdict_of "unescalated"
       (Provenance.classify ~options:Options.default outcome (Provenance.Force_join "merge"))
   with
-  | Provenance.Derived_but_lost _ -> Alcotest.fail "escalated without a replay closure"
-  | _ -> ()
+  | Provenance.Pruned_away { limit; mode; _ } ->
+    Alcotest.(check string) "pruned as a candidate" "candidate" mode;
+    Alcotest.(check bool) "a real bound was in force" true (Cost.is_finite limit)
+  | v ->
+    Alcotest.fail
+      ("expected pruned without a replay closure, got " ^ Provenance.verdict_label v)
 
 let test_whynot_chosen () =
   let cat = OC.catalog_with_indexes () in
@@ -311,7 +317,7 @@ let test_cost_delta () =
 let test_trace_prov_dropped () =
   let tr = Trace.create () in
   Trace.sink tr (Engine.Group_created { group = 0 });
-  let j = Trace.to_json ~prov_dropped:3 tr in
+  let j = Trace.to_json ~prov_dropped:3 ~rules:[] tr in
   (match Json.member "prov_dropped" j with
   | Some (Json.Int 3) -> ()
   | _ -> Alcotest.fail "prov_dropped missing from trace JSON");
@@ -319,7 +325,7 @@ let test_trace_prov_dropped () =
   | Some (Json.String _) -> ()
   | _ -> Alcotest.fail "prov_dropped_warning missing");
   (* No warning when nothing was dropped. *)
-  match Json.member "prov_dropped_warning" (Trace.to_json tr) with
+  match Json.member "prov_dropped_warning" (Trace.to_json ~rules:[] tr) with
   | None -> ()
   | Some _ -> Alcotest.fail "warning present with zero drops"
 
