@@ -23,6 +23,10 @@ type t = {
   distinct_tbl : (string * string, int) Hashtbl.t;
   set_size_tbl : (string * string, float) Hashtbl.t;
   mutable epoch : int;
+  mutable digest_at : (int * Digest.t) option;
+      (* the digest and the epoch it was computed at: every mutation
+         bumps the epoch and the schema and records are immutable, so a
+         digest stays exact until the epoch moves *)
 }
 
 let create schema =
@@ -32,7 +36,8 @@ let create schema =
     indexes = [];
     distinct_tbl = Hashtbl.create 32;
     set_size_tbl = Hashtbl.create 8;
-    epoch = 0 }
+    epoch = 0;
+    digest_at = None }
 
 let schema t = t.schema
 
@@ -100,7 +105,7 @@ let find_index t ~coll ~path =
    with their statistics, index definitions, per-attribute statistics, and
    the schema's class layout. Hash-table contents are emitted in sorted
    order so insertion history does not leak into the digest. *)
-let digest t =
+let compute_digest t =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   List.iter
@@ -134,6 +139,14 @@ let digest t =
   sorted_bindings t.set_size_tbl (fun ((cls, field), n) ->
       add "setsize %s.%s=%h;" cls field n);
   Digest.string (Buffer.contents buf)
+
+let digest t =
+  match t.digest_at with
+  | Some (epoch, d) when epoch = t.epoch -> d
+  | _ ->
+    let d = compute_digest t in
+    t.digest_at <- Some (t.epoch, d);
+    d
 
 let kind_name = function Set -> "set" | Extent -> "extent" | Hidden -> "(none)"
 

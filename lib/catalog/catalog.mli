@@ -55,7 +55,8 @@ val digest : t -> Digest.t
     even in different processes — digest equal; any mutation that bumps
     the epoch also changes the digest unless it restored identical
     contents. Used alongside {!epoch} in plan-cache fingerprints so
-    persisted entries survive process restarts safely. *)
+    persisted entries survive process restarts safely. Computed once per
+    epoch: repeated calls between mutations return the cached value. *)
 
 (** {1 Collections} *)
 

@@ -25,18 +25,35 @@ let iter f t =
   | None -> Array.iter f t.data
   | Some s -> Array.iter (fun i -> f t.data.(i)) s
 
-let fold f init t =
+let fold_right f t init =
   match t.sel with
-  | None -> Array.fold_left f init t.data
-  | Some s -> Array.fold_left (fun acc i -> f acc t.data.(i)) init s
+  | None -> Array.fold_right f t.data init
+  | Some s -> Array.fold_right (fun i acc -> f t.data.(i) acc) s init
 
-let to_list t = List.rev (fold (fun acc env -> env :: acc) [] t)
+let to_list t = fold_right List.cons t []
 
-(* Dense output: transformations produce fresh tuples anyway, so there is
-   nothing to share with the input's backing array. *)
+(* The input batch itself when [f] returns every tuple unchanged
+   (physically); otherwise a dense copy, allocated at the first change. *)
 let map f t =
   let n = length t in
-  { data = Array.init n (fun i -> f (get t i)); sel = None }
+  let rec unchanged i =
+    if i = n then t
+    else
+      let env = get t i in
+      let env' = f env in
+      if env' == env then unchanged (i + 1)
+      else begin
+        let data = Array.make n env' in
+        for j = 0 to i - 1 do
+          data.(j) <- get t j
+        done;
+        for j = i + 1 to n - 1 do
+          data.(j) <- f (get t j)
+        done;
+        { data; sel = None }
+      end
+  in
+  unchanged 0
 
 let filter p t =
   let n = length t in
@@ -59,21 +76,6 @@ let filter p t =
     done);
   if !k = n then t else { data = t.data; sel = Some (Array.sub sel 0 !k) }
 
-let filter_map f t =
-  let out = ref [] in
-  let n = ref 0 in
-  iter
-    (fun env ->
-      match f env with
-      | Some env' ->
-        out := env' :: !out;
-        incr n
-      | None -> ())
-    t;
-  let arr = Array.make !n Env.empty in
-  List.iteri (fun i env -> arr.(!n - 1 - i) <- env) !out;
-  { data = arr; sel = None }
-
 let drop t pos =
   let n = length t in
   if pos <= 0 then t
@@ -82,3 +84,45 @@ let drop t pos =
     match t.sel with
     | Some s -> { data = t.data; sel = Some (Array.sub s pos (n - pos)) }
     | None -> { data = t.data; sel = Some (Array.init (n - pos) (fun i -> pos + i)) }
+
+module Fifo = struct
+  type batch = t
+
+  type t = { mutable buf : Env.t array; mutable head : int; mutable tail : int }
+
+  let create () = { buf = [||]; head = 0; tail = 0 }
+
+  let clear q =
+    q.buf <- [||];
+    q.head <- 0;
+    q.tail <- 0
+
+  let length q = q.tail - q.head
+
+  let push q env =
+    if q.tail = Array.length q.buf then begin
+      let live = length q in
+      (* compact in place when at least half the buffer is consumed,
+         otherwise double it *)
+      let buf =
+        if live > 0 && 2 * live <= Array.length q.buf then q.buf
+        else Array.make (max 64 (2 * live)) env
+      in
+      Array.blit q.buf q.head buf 0 live;
+      q.buf <- buf;
+      q.head <- 0;
+      q.tail <- live
+    end;
+    q.buf.(q.tail) <- env;
+    q.tail <- q.tail + 1
+
+  let pop q n : batch =
+    let k = min n (length q) in
+    let data = Array.sub q.buf q.head k in
+    q.head <- q.head + k;
+    if q.head = q.tail then begin
+      q.head <- 0;
+      q.tail <- 0
+    end;
+    of_array data
+end

@@ -4,8 +4,8 @@
     A batch is an array of {!Env.t} plus an optional {e selection
     vector}: filters narrow a batch by listing the surviving indexes
     instead of copying tuples, so predicate chains touch each tuple once
-    and allocate no intermediate arrays of environments. Transforming
-    operators ([map], [filter_map]) produce dense batches. *)
+    and allocate no intermediate arrays of environments. [map] produces
+    a dense batch unless it leaves every tuple unchanged. *)
 
 type t
 
@@ -26,19 +26,38 @@ val get : t -> int -> Env.t
 
 val iter : (Env.t -> unit) -> t -> unit
 
-val fold : ('a -> Env.t -> 'a) -> 'a -> t -> 'a
+val fold_right : (Env.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val to_list : t -> Env.t list
 
 val map : (Env.t -> Env.t) -> t -> t
+(** Returns the batch itself when [f] returns every tuple physically
+    unchanged; a dense batch otherwise. *)
 
 val filter : (Env.t -> bool) -> t -> t
 (** Refines the selection vector; the backing array is shared, no tuple
     is copied. Returns the batch unchanged when nothing is dropped. *)
 
-val filter_map : (Env.t -> Env.t option) -> t -> t
-
 val drop : t -> int -> t
 (** [drop t pos] is the batch of live tuples from position [pos] on —
     the remainder a partially consumed tuple cursor hands back to batch
     consumers. *)
+
+(** A FIFO of tuples: where operators whose output outgrows their input
+    (joins, unnest) park tuples until a full batch is ready. *)
+module Fifo : sig
+  type batch := t
+
+  type t
+
+  val create : unit -> t
+
+  val clear : t -> unit
+
+  val length : t -> int
+
+  val push : t -> Env.t -> unit
+
+  val pop : t -> int -> batch
+  (** The oldest [min n (length q)] tuples, in push order. *)
+end

@@ -1,11 +1,20 @@
 (** Tuples flowing between execution operators.
 
-    A tuple maps bindings to slots; a slot always carries the object's
-    OID and optionally the materialized object. The distinction is the
-    runtime counterpart of the optimizer's presence-in-memory property:
-    reading a field of a non-materialized slot is a plan bug, and the
-    executor raises {!Not_materialized} to surface it (the property
-    machinery makes this unreachable for plans the optimizer emits). *)
+    A tuple is a {e schema} — its binding names, in binding order — and
+    one slot per binding. A slot carries either the materialized object
+    or a bare OID. The distinction is the runtime counterpart of the
+    optimizer's presence-in-memory property: reading a field of a
+    non-materialized slot is a plan bug, and the executor raises
+    {!Not_materialized} to surface it (the property machinery makes this
+    unreachable for plans the optimizer emits).
+
+    Tuples are positional. An operator builds each output schema once
+    and shares that one array with every tuple it emits; consumers
+    resolve a binding to its slot position once per input schema, keyed
+    on the schema's physical identity ({!index}, {!memo}), instead of
+    searching names on every row. Schemas are never mutated. Inputs
+    that order their bindings differently (the two branches of a set
+    operation) simply present two schemas. *)
 
 module Value = Oodb_storage.Value
 module Store = Oodb_storage.Store
@@ -14,21 +23,79 @@ exception Not_materialized of string
 
 exception Unbound of string
 
-type slot = { s_oid : Value.oid; s_obj : Store.obj option }
+type schema = string array
+(** Binding names in binding order. Shared, never mutated. *)
 
-type t
+type slot = Obj of Store.obj | Ref of Value.oid
+
+type t = private { schema : schema; slots : slot array }
+
+val make : schema -> slot array -> t
+(** The tuple owns both arrays; the schema may be shared with other
+    tuples, the slot array may not. *)
 
 val empty : t
+
+val slot_oid : slot -> Value.oid
+
+val demote : t -> int array -> t
+(** Replace the materialized objects at the given positions by bare
+    references; the tuple itself (physically) when none of them is
+    materialized. *)
+
+val replace : t -> int -> slot -> t
+(** A copy with the slot at one position replaced. *)
+
+val extend : schema -> t -> slot -> t
+(** [extend schema t s] appends [s]; [schema] must be [t]'s schema plus
+    the new binding — build it once with {!extend_schema}. *)
+
+val concat : schema -> t -> t -> t
+(** Both tuples' slots, left first, under the concatenated [schema]. *)
+
+val select : schema -> int array -> t -> t
+(** The slots at the given positions, in order, under [schema]. *)
+
+val extend_schema : schema -> string -> schema
+
+val position : schema -> string -> int
+(** First position of a binding; [-1] when absent. *)
+
+val positions : (string -> bool) -> schema -> int array
+(** Positions of the bindings that satisfy the predicate, in order. *)
+
+(** {1 Per-schema resolution} *)
+
+type 'a memo
+(** A function of the schema, computed once per distinct schema
+    (physical identity) and cached. Each operator owns its memos; there
+    is no shared state. *)
+
+val memo : (schema -> 'a) -> 'a memo
+
+val get : 'a memo -> schema -> 'a
+
+type index
+(** A binding name whose slot position is resolved once per schema. *)
+
+val index : string -> index
+
+val slot_at : index -> t -> slot
+(** @raise Unbound *)
+
+val oid_at : index -> t -> Value.oid
+(** @raise Unbound *)
+
+val obj_at : index -> t -> Store.obj
+(** @raise Unbound / Not_materialized *)
+
+(** {1 By binding name}
+
+    Name-based accessors: each call searches the schema. *)
 
 val bind_obj : t -> string -> Store.obj -> t
 
 val bind_ref : t -> string -> Value.oid -> t
-
-val rebind_obj : t -> string -> Store.obj -> t
-(** Replace (or add) a binding — used by assembly to materialize a slot
-    in place. *)
-
-val lookup : t -> string -> slot option
 
 val oid : t -> string -> Value.oid
 (** @raise Unbound *)
@@ -39,17 +106,5 @@ val obj : t -> string -> Store.obj
 val bindings : t -> string list
 (** In binding order. *)
 
-val merge : t -> t -> t
-(** Disjoint union (right bindings appended). *)
-
 val narrow : t -> string list -> t
-(** Keep only the listed bindings. *)
-
-val demote_except : t -> string list -> t
-(** Drop the materialized object of every binding outside the list,
-    keeping bare references; returns the tuple unchanged (physically)
-    when nothing is materialized outside it. *)
-
-val key_of : t -> string list -> Value.t list
-(** OIDs of the listed bindings — the identity key used by set
-    operations. @raise Unbound *)
+(** Keep only the listed bindings, in binding order. *)

@@ -67,21 +67,25 @@ let rec iterator ?(config = Config.default) ?(wrap = fun _plan it -> it) db
   in
   wrap plan it
 
-(* Row extraction: a root Alg-Project evaluates its expressions; any
-   other root yields binding/OID pairs. *)
+(* Row extraction: a root Alg-Project evaluates its expressions (each
+   compiled once); any other root yields binding/OID pairs. *)
 let rows_of (plan : Engine.plan) envs =
   match plan.Engine.alg with
   | Physical.Alg_project ps ->
-    List.map
-      (fun env ->
-        List.map
-          (fun (p : Logical.proj) -> (p.Logical.p_name, Eval.operand env p.Logical.p_expr))
-          ps)
-      envs
+    let columns =
+      List.map (fun (p : Logical.proj) -> (p.Logical.p_name, Eval.compile_operand p.Logical.p_expr)) ps
+    in
+    let rec row env = function
+      | [] -> []
+      | (name, column) :: rest ->
+        let v = column env in
+        (name, v) :: row env rest
+    in
+    List.map (fun env -> row env columns) envs
   | _ ->
     List.map
-      (fun env ->
-        List.map (fun b -> (b, Value.Ref (Env.oid env b))) (Env.bindings env))
+      (fun (env : Env.t) ->
+        List.mapi (fun i b -> (b, Value.Ref (Env.slot_oid env.Env.slots.(i)))) (Env.bindings env))
       envs
 
 let run ?(verify = debug_default) ?config db plan =

@@ -52,37 +52,6 @@ let next t =
   in
   go ()
 
-(* Tuple-level constructors: legacy producers batch their output up to
-   [batch_size] so downstream batch consumers still amortize. *)
-
-let batch_of_next ~batch_size next =
-  match next () with
-  | None -> None
-  | Some env ->
-    let acc = ref [ env ] in
-    let n = ref 1 in
-    let exhausted = ref false in
-    while (not !exhausted) && !n < batch_size do
-      match next () with
-      | None -> exhausted := true
-      | Some env ->
-        acc := env :: !acc;
-        incr n
-    done;
-    Some (Batch.of_list (List.rev !acc))
-
-let make ~open_ ~next ~close =
-  make_batched ~open_ ~close
-    ~next_batch:(fun () -> batch_of_next ~batch_size:Config.default_batch_size next)
-
-let of_gen ?(batch_size = Config.default_batch_size) factory =
-  let batch_size = max 1 batch_size in
-  let gen = ref (fun () -> None) in
-  make_batched
-    ~open_:(fun () -> gen := factory ())
-    ~next_batch:(fun () -> batch_of_next ~batch_size !gen)
-    ~close:(fun () -> gen := fun () -> None)
-
 let of_batch_gen factory =
   let gen = ref (fun () -> None) in
   make_batched
@@ -122,20 +91,8 @@ let drain_protected t f =
 
 let to_list t =
   drain_protected t (fun () ->
-      let rec drain acc =
-        match next_batch t with
-        | Some b -> drain (Batch.fold (fun acc env -> env :: acc) acc b)
-        | None -> List.rev acc
+      let rec drain batches =
+        match next_batch t with Some b -> drain (b :: batches) | None -> batches
       in
-      drain [])
-
-let iter f t =
-  drain_protected t (fun () ->
-      let rec go () =
-        match next_batch t with
-        | Some b ->
-          Batch.iter f b;
-          go ()
-        | None -> ()
-      in
-      go ())
+      (* the last batch first, each from its last tuple: one cons per tuple *)
+      List.fold_left (fun acc b -> Batch.fold_right (fun env acc -> env :: acc) b acc) [] (drain []))

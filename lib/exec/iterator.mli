@@ -21,16 +21,6 @@ val make_batched :
 (** The primary constructor. [next_batch] returns [None] when
     exhausted; empty batches are legal but consumers skip them. *)
 
-val make :
-  open_:(unit -> unit) -> next:(unit -> Env.t option) -> close:(unit -> unit) -> t
-(** Compatibility constructor for tuple-level producers: output is
-    gathered into batches of the default size
-    ({!Oodb_cost.Config.default_batch_size}). *)
-
-val of_gen : ?batch_size:int -> (unit -> (unit -> Env.t option)) -> t
-(** Build from a tuple-generator factory: [open_] calls the factory,
-    [next_batch] gathers up to [batch_size] pulls, [close] drops it. *)
-
 val of_batch_gen : (unit -> (unit -> Batch.t option)) -> t
 (** Build from a batch-generator factory. *)
 
@@ -52,9 +42,6 @@ val to_list : t -> Env.t list
 (** Open, drain batch-wise, close. If the iterator tree raises
     mid-drain, the tree is closed before the exception is re-raised, so
     no operator leaks open children. *)
-
-val iter : (Env.t -> unit) -> t -> unit
-(** Same exception-safety contract as {!to_list}. *)
 
 val of_list_thunk : ?batch_size:int -> (unit -> Env.t list) -> t
 (** Materializing source: the thunk runs at open time; output is served

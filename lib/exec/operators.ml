@@ -7,34 +7,40 @@ module Logical = Oodb_algebra.Logical
 module Physical = Open_oodb.Physical
 module Config = Oodb_cost.Config
 
-(* [take n l] splits off the first [n] elements — how operators that
-   buffer unbounded output (joins, unnest) re-chunk it into bounded
-   batches. *)
-let take n l =
-  let rec go n acc l =
-    if n = 0 then (List.rev acc, l)
-    else match l with [] -> (List.rev acc, []) | x :: rest -> go (n - 1) (x :: acc) rest
-  in
-  go n [] l
+(* The schema with [b] appended, built once per input schema, so every
+   tuple an operator extends from one input schema shares one output
+   schema. *)
+let extender b = Env.memo (fun schema -> Env.extend_schema schema b)
+
+let extend_with ext (env : Env.t) slot = Env.extend (Env.get ext env.Env.schema) env slot
+
+(* Concatenations of two inputs' schemas, built once per pair. *)
+let concatenator () = Env.memo (fun l -> Env.memo (fun r -> Array.append l r))
+
+let concat_with cat (l : Env.t) (r : Env.t) =
+  Env.concat (Env.get (Env.get cat l.Env.schema) r.Env.schema) l r
 
 (* Demote slots of bindings outside [keep] to bare references. This is
    the runtime counterpart of the optimizer's delivered-properties
    vector: objects a plan node does not promise in memory are not
    carried (a real engine would not copy them into its output tuples),
    and any later attempt to read their fields raises
-   [Env.Not_materialized], surfacing property-machinery bugs. *)
+   [Env.Not_materialized], surfacing property-machinery bugs. A tuple
+   with nothing to demote passes through, and so does a batch of them. *)
 let trim keep child =
+  let outside = Env.memo (Env.positions (fun b -> not (List.mem b keep))) in
+  let demote (env : Env.t) =
+    match Env.get outside env.Env.schema with [||] -> env | ps -> Env.demote env ps
+  in
   Iterator.make_batched
     ~open_:(fun () -> Iterator.open_ child)
-    ~next_batch:(fun () ->
-      Option.map
-        (Batch.map (fun env -> Env.demote_except env keep))
-        (Iterator.next_batch child))
+    ~next_batch:(fun () -> Option.map (Batch.map demote) (Iterator.next_batch child))
     ~close:(fun () -> Iterator.close child)
 
 let file_scan db ~coll ~binding ~batch_size =
   let store = Db.store db in
   let batch_size = max 1 batch_size in
+  let schema = [| binding |] in
   let pos = ref 0 in
   Iterator.make_batched
     ~open_:(fun () -> pos := 0)
@@ -43,7 +49,7 @@ let file_scan db ~coll ~binding ~batch_size =
       | [||] -> None
       | objs ->
         pos := !pos + Array.length objs;
-        Some (Batch.of_array (Array.map (fun o -> Env.bind_obj Env.empty binding o) objs)))
+        Some (Batch.of_array (Array.map (fun o -> Env.make schema [| Env.Obj o |]) objs)))
     ~close:(fun () -> ())
 
 let index_scan db ~coll ~binding ~index ~key ~residual ~derefs ~batch_size =
@@ -55,26 +61,37 @@ let index_scan db ~coll ~binding ~index ~key ~residual ~derefs ~batch_size =
     | Some ix -> ix
     | None -> invalid_arg (Printf.sprintf "Operators.index_scan: no physical index %s" index)
   in
+  let schema = [| binding |] in
+  let residual = Eval.compile_pred residual in
   (* Re-emit the reference bindings of a collapsed Mat chain. The first
      link reads a field of the fetched root for free; deeper links must
      fetch the intermediate object (rare: multi-link paths below an
-     unprojected root). *)
-  let apply_deref env (src, field, out) =
+     unprojected root). A link whose source is unbound or whose field
+     holds no reference leaves the tuple as it is. *)
+  let compile_deref (src, field, out) =
+    let src_ix = Env.index src and ext = extender out in
     match field with
-    | None -> Env.bind_ref env out (Env.oid env src)
+    | None -> fun env -> extend_with ext env (Env.Ref (Env.oid_at src_ix env))
     | Some f -> (
-      let src_obj =
-        match Env.lookup env src with
-        | Some { Env.s_obj = Some o; _ } -> Some o
-        | Some { Env.s_obj = None; s_oid } -> Some (Store.fetch store s_oid)
-        | None -> None
-      in
-      match src_obj with
-      | None -> env
-      | Some o -> (
-        match Value.as_ref (Store.field o f) with
-        | Some oid -> Env.bind_ref env out oid
-        | None -> env))
+      let hint = Store.hint () in
+      fun env ->
+        let src_obj =
+          match Env.slot_at src_ix env with
+          | Env.Obj o -> Some o
+          | Env.Ref oid -> Some (Store.fetch store oid)
+          | exception Env.Unbound _ -> None
+        in
+        match src_obj with
+        | None -> env
+        | Some o -> (
+          match Value.as_ref (Store.field_hinted hint o f) with
+          | Some oid -> extend_with ext env (Env.Ref oid)
+          | None -> env))
+  in
+  let deref =
+    match List.map compile_deref derefs with
+    | [] -> None
+    | ds -> Some (fun env -> List.fold_left (fun env d -> d env) env ds)
   in
   let pos = ref 0 in
   (* [lookup_batch] charges the descent at pos = 0, so once it comes back
@@ -95,20 +112,18 @@ let index_scan db ~coll ~binding ~index ~key ~residual ~derefs ~batch_size =
           pos := !pos + List.length oids;
           let b =
             Store.fetch_batch store oids
-            |> List.map (fun o -> Env.bind_obj Env.empty binding o)
+            |> List.map (fun o -> Env.make schema [| Env.Obj o |])
             |> Batch.of_list
-            |> Batch.filter (fun env -> Eval.pred env residual)
+            |> Batch.filter residual
           in
-          Some
-            (if derefs = [] then b
-             else Batch.map (fun env -> List.fold_left apply_deref env derefs) b))
+          Some (match deref with None -> b | Some d -> Batch.map d b))
     ~close:(fun () -> ())
 
 let filter pred child =
+  let pred = Eval.compile_pred pred in
   Iterator.make_batched
     ~open_:(fun () -> Iterator.open_ child)
-    ~next_batch:(fun () ->
-      Option.map (Batch.filter (fun env -> Eval.pred env pred)) (Iterator.next_batch child))
+    ~next_batch:(fun () -> Option.map (Batch.filter pred) (Iterator.next_batch child))
     ~close:(fun () -> Iterator.close child)
 
 (* ------------------------------------------------------------------ *)
@@ -134,13 +149,16 @@ let classify_atoms build_scope atoms =
       else (keys, a :: residual))
     ([], []) atoms
 
-let env_bytes store env =
-  List.fold_left
-    (fun acc b ->
-      match Env.lookup env b with
-      | Some { Env.s_obj = Some o; _ } -> acc +. float_of_int (Store.obj_bytes store ~coll:o.Store.coll)
-      | Some _ | None -> acc)
-    16.0 (Env.bindings env)
+(* Bytes a tuple occupies in a hash table: a 16-byte header plus every
+   materialized object, summed in binding order. *)
+let env_bytes store (env : Env.t) =
+  let bytes = ref 16.0 in
+  for i = 0 to Array.length env.Env.slots - 1 do
+    match env.Env.slots.(i) with
+    | Env.Obj o -> bytes := !bytes +. float_of_int (Store.obj_bytes store ~coll:o.Store.coll)
+    | Env.Ref _ -> ()
+  done;
+  !bytes
 
 (* Simulated partitioning pass: write [bytes] to a temp segment and read
    them back, so spills are visible in the disk statistics. *)
@@ -158,42 +176,70 @@ let charge_spill store bytes =
     done
   end
 
+(* Every build tuple is stored under its own key, and [find_all] tests
+   each stored key against the probe key: [Value.equal] is not
+   transitive across Int and Float beyond 2^53 (Int 2^53 and Int 2^53+1
+   both equal Float 2^53), so tuples cannot be grouped by key. *)
+module Value_table = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+
+  let hash = Value.hash
+end)
+
+(* One hash key per tuple: the single key operand's value, a [Set] of
+   the values for a composite key (equal exactly when every component
+   is), [Null] for every tuple when no conjunct is a key. *)
+let compile_key operands =
+  match List.map Eval.compile_operand operands with
+  | [] -> fun _ -> Value.Null
+  | [ k ] -> k
+  | ks -> fun env -> Value.Set (List.map (fun k -> k env) ks)
+
 let hash_join db (cfg : Config.t) atoms ~build ~probe =
   let store = Db.store db in
   let batch_size = max 1 cfg.Config.batch_size in
   let probe_open = ref false in
   let probe_next = ref (fun () -> None) in
-  let match_probe = ref (fun (_ : Env.t) -> []) in
-  let pending = ref [] in
+  let match_probe = ref (fun (_ : Env.t) -> ()) in
+  let pending = Batch.Fifo.create () in
+  let cat = concatenator () in
   let open_ () =
-    pending := [];
+    Batch.Fifo.clear pending;
     probe_open := false;
     let build_envs = Iterator.to_list build in
     let build_scope =
       match build_envs with [] -> [] | env :: _ -> Env.bindings env
     in
     let keys, residual = classify_atoms build_scope atoms in
-    let build_key env = List.map (fun (b, _) -> Eval.operand env b) keys in
-    let probe_key env = List.map (fun (_, p) -> Eval.operand env p) keys in
-    let build_hash env = List.map (fun (b, _) -> Value.hash (Eval.operand env b)) keys in
-    let probe_hash env = List.map (fun (_, p) -> Value.hash (Eval.operand env p)) keys in
-    let table = Hashtbl.create (max 16 (List.length build_envs)) in
+    let build_key = compile_key (List.map fst keys) in
+    let probe_key = compile_key (List.map snd keys) in
+    let residual = Eval.compile_pred residual in
+    let table = Value_table.create (max 16 (List.length build_envs)) in
     let build_bytes = ref 0.0 in
     List.iter
       (fun env ->
         build_bytes := !build_bytes +. env_bytes store env;
-        Hashtbl.add table (build_hash env) env)
+        Value_table.add table (build_key env) env)
       build_envs;
+    (* Matches come out most recently built first; only key matches are
+       merged. *)
+    let rec emit penv = function
+      | [] -> ()
+      | benv :: rest ->
+        let merged = concat_with cat benv penv in
+        if residual merged then Batch.Fifo.push pending merged;
+        emit penv rest
+    in
+    (* [find] allocates nothing, so a probe tuple without a match costs
+       no allocation; [find_all] then lists the matches. *)
     (match_probe :=
        fun penv ->
-         Hashtbl.find_all table (probe_hash penv)
-         |> List.filter_map (fun benv ->
-                (* re-check key values (hash collisions) and residual *)
-                let merged = Env.merge benv penv in
-                let key_ok =
-                  List.for_all2 Value.equal (build_key benv) (probe_key penv)
-                in
-                if key_ok && Eval.pred merged residual then Some merged else None));
+         let key = probe_key penv in
+         match Value_table.find table key with
+         | _ -> emit penv (Value_table.find_all table key)
+         | exception Not_found -> ());
     let spilled = !build_bytes > float_of_int cfg.Config.memory_bytes in
     if spilled then begin
       charge_spill store !build_bytes;
@@ -201,15 +247,12 @@ let hash_join db (cfg : Config.t) atoms ~build ~probe =
       let envs = Iterator.to_list probe in
       let bytes = List.fold_left (fun acc e -> acc +. env_bytes store e) 0.0 envs in
       charge_spill store bytes;
-      let remaining = ref envs in
+      let remaining = Batch.Fifo.create () in
+      List.iter (Batch.Fifo.push remaining) envs;
       probe_next :=
         fun () ->
-          match !remaining with
-          | [] -> None
-          | l ->
-            let chunk, rest = take batch_size l in
-            remaining := rest;
-            Some (Batch.of_list chunk)
+          if Batch.Fifo.length remaining = 0 then None
+          else Some (Batch.Fifo.pop remaining batch_size)
     end
     else
       probe_next :=
@@ -224,35 +267,20 @@ let hash_join db (cfg : Config.t) atoms ~build ~probe =
      is ready: selective joins would otherwise pass tiny batches
      downstream and forfeit the amortization. *)
   let rec next_batch () =
-    if List.length !pending >= batch_size then begin
-      let chunk, rest = take batch_size !pending in
-      pending := rest;
-      Some (Batch.of_list chunk)
-    end
+    if Batch.Fifo.length pending >= batch_size then Some (Batch.Fifo.pop pending batch_size)
     else
       match !probe_next () with
       | None ->
-        if !pending = [] then None
-        else begin
-          let chunk = !pending in
-          pending := [];
-          Some (Batch.of_list chunk)
-        end
+        if Batch.Fifo.length pending = 0 then None
+        else Some (Batch.Fifo.pop pending batch_size)
       | Some pbatch ->
-        (* rev_append of each (reversed-in-place) match list, un-reversed
-           once at the end: emission order is preserved without the
-           intermediate list [Batch.to_list] would build. *)
-        let matches =
-          List.rev
-            (Batch.fold (fun acc env -> List.rev_append (!match_probe env) acc) [] pbatch)
-        in
-        pending := !pending @ matches;
+        Batch.iter !match_probe pbatch;
         next_batch ()
   in
   let close () =
-    pending := [];
+    Batch.Fifo.clear pending;
     probe_next := (fun () -> None);
-    match_probe := (fun _ -> []);
+    match_probe := (fun _ -> ());
     if !probe_open then begin
       probe_open := false;
       Iterator.close probe
@@ -264,10 +292,12 @@ let hash_join db (cfg : Config.t) atoms ~build ~probe =
 (* Merge join over sorted inputs                                        *)
 
 let merge_join ~key_l ~key_r ~residual ~batch_size ~left ~right =
+  let kl = Eval.compile_operand key_l and kr = Eval.compile_operand key_r in
+  let residual = Eval.compile_pred residual in
+  let cat = concatenator () in
   Iterator.of_list_thunk ~batch_size (fun () ->
       let ls = Array.of_list (Iterator.to_list left) in
       let rs = Array.of_list (Iterator.to_list right) in
-      let kl env = Eval.operand env key_l and kr env = Eval.operand env key_r in
       let out = ref [] in
       let i = ref 0 and j = ref 0 in
       let nl = Array.length ls and nr = Array.length rs in
@@ -287,8 +317,8 @@ let merge_join ~key_l ~key_r ~residual ~batch_size ~left ~right =
           done;
           for a = i0 to !i - 1 do
             for b = j0 to !j - 1 do
-              let merged = Env.merge ls.(a) rs.(b) in
-              if Eval.pred merged residual then out := merged :: !out
+              let merged = concat_with cat ls.(a) rs.(b) in
+              if residual merged then out := merged :: !out
             done
           done
         end
@@ -299,6 +329,13 @@ let merge_join ~key_l ~key_r ~residual ~batch_size ~left ~right =
 
 let pointer_join db ~src ~field ~out ~residual child =
   let store = Db.store db in
+  let src_ix = Env.index src and hint = Store.hint () and ext = extender out in
+  let residual = Eval.compile_pred residual in
+  let target env =
+    match field with
+    | None -> Some (Env.oid_at src_ix env)
+    | Some f -> Value.as_ref (Store.field_hinted hint (Env.obj_at src_ix env) f)
+  in
   Iterator.make_batched
     ~open_:(fun () -> Iterator.open_ child)
     ~next_batch:(fun () ->
@@ -306,69 +343,69 @@ let pointer_join db ~src ~field ~out ~residual child =
       | None -> None
       | Some b ->
         (* Resolve the whole batch's references, then dereference them in
-           one storage call; tuples with Null references are dropped. *)
-        let pairs =
-          Batch.fold
-            (fun acc env ->
-              let target =
-                match field with
-                | None -> Some (Env.oid env src)
-                | Some f -> Value.as_ref (Store.field (Env.obj env src) f)
-              in
-              match target with None -> acc | Some oid -> (env, oid) :: acc)
-            [] b
-          |> List.rev
+           order; tuples with Null references are dropped. *)
+        let n = Batch.length b in
+        let envs = Array.make n Env.empty and oids = Array.make n 0 in
+        let k = ref 0 in
+        Batch.iter
+          (fun env ->
+            match target env with
+            | None -> ()
+            | Some oid ->
+              envs.(!k) <- env;
+              oids.(!k) <- oid;
+              incr k)
+          b;
+        let joined =
+          Array.init !k (fun i -> extend_with ext envs.(i) (Env.Obj (Store.fetch store oids.(i))))
         in
-        let objs = Store.fetch_batch store (List.map snd pairs) in
-        let envs = List.map2 (fun (env, _) o -> Env.bind_obj env out o) pairs objs in
-        Some (Batch.of_list envs |> Batch.filter (fun env -> Eval.pred env residual)))
+        Some (Batch.filter residual (Batch.of_array joined)))
     ~close:(fun () -> Iterator.close child)
 
 (* ------------------------------------------------------------------ *)
 (* Assembly: windowed, elevator-ordered dereferencing                   *)
 
-let resolve_path store (path : Physical.assembly_path) batch =
-  (* batch : Env.t option array; returns the batch with [ap_out]
-     materialized, dropping tuples with Null references. *)
-  let refs =
-    Array.map
-      (fun env ->
-        match env with
-        | None -> None
-        | Some env -> (
-          match path.Physical.ap_field with
-          | None -> Some (env, Env.oid env path.Physical.ap_src)
-          | Some f -> (
-            match Value.as_ref (Store.field (Env.obj env path.Physical.ap_src) f) with
-            | Some oid -> Some (env, oid)
-            | None -> None)))
-      batch
+(* One path's resolution step over a window ([Env.t option array]):
+   materializes [ap_out] in every tuple, dropping tuples with Null
+   references. The slot is replaced where the binding already exists and
+   appended otherwise. *)
+let path_resolver store (path : Physical.assembly_path) =
+  let src_ix = Env.index path.Physical.ap_src and hint = Store.hint () in
+  let out = path.Physical.ap_out in
+  let out_position = Env.memo (fun schema -> Env.position schema out) and ext = extender out in
+  let reference env =
+    match path.Physical.ap_field with
+    | None -> Some (Env.oid_at src_ix env)
+    | Some f -> Value.as_ref (Store.field_hinted hint (Env.obj_at src_ix env) f)
   in
-  (* Elevator: fetch in physical address order. *)
-  let order =
-    refs |> Array.to_list
-    |> List.mapi (fun i r -> (i, r))
-    |> List.filter_map (fun (i, r) -> Option.map (fun (_, oid) -> (i, oid)) r)
-    |> List.sort (fun (_, a) (_, b) ->
-           compare (Store.location store a) (Store.location store b))
+  let rebind (env : Env.t) o =
+    match Env.get out_position env.Env.schema with
+    | -1 -> extend_with ext env (Env.Obj o)
+    | i -> Env.replace env i (Env.Obj o)
   in
-  let fetched = Hashtbl.create 16 in
-  List.iter
-    (fun (i, oid) -> Hashtbl.replace fetched i (Store.fetch store oid))
-    order;
-  Array.mapi
-    (fun i r ->
-      match r with
-      | None -> None
-      | Some (env, _) -> (
-        match Hashtbl.find_opt fetched i with
-        | Some o -> Some (Env.rebind_obj env path.Physical.ap_out o)
-        | None -> None))
-    refs
+  fun window ->
+    let refs = Array.map (fun env -> Option.bind env reference) window in
+    (* Elevator: fetch in physical address order, each reference's
+       location computed once. *)
+    let order =
+      refs |> Array.to_list
+      |> List.mapi (fun i r -> Option.map (fun oid -> (Store.location store oid, i, oid)) r)
+      |> List.filter_map Fun.id
+      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+    in
+    let fetched = Array.make (Array.length window) None in
+    List.iter (fun (_, i, oid) -> fetched.(i) <- Some (Store.fetch store oid)) order;
+    Array.mapi
+      (fun i env ->
+        match env, fetched.(i) with
+        | Some env, Some o -> Some (rebind env o)
+        | _ -> None)
+      window
 
 let assembly db ~paths ~window ?(warm = None) child =
   let store = Db.store db in
   let window = max 1 window in
+  let resolvers = List.map (path_resolver store) paths in
   let exhausted = ref false in
   Iterator.make_batched
     ~open_:(fun () ->
@@ -395,7 +432,7 @@ let assembly db ~paths ~window ?(warm = None) child =
         if !batch = [] then None
         else begin
           let arr = Array.of_list (List.rev_map Option.some !batch) in
-          let arr = List.fold_left (fun arr path -> resolve_path store path arr) arr paths in
+          let arr = List.fold_left (fun arr resolve -> resolve arr) arr resolvers in
           (* one output batch per assembly window *)
           Some (Batch.of_list (Array.to_list arr |> List.filter_map Fun.id))
         end
@@ -408,71 +445,85 @@ let alg_project ps child =
   let used =
     List.concat_map (fun (p : Logical.proj) -> Pred.bindings_of_operand p.Logical.p_expr) ps
   in
+  (* the narrowed schema and kept positions, or None when every binding
+     is used and tuples pass through *)
+  let narrowed =
+    Env.memo (fun schema ->
+        let kept = Env.positions (fun b -> List.mem b used) schema in
+        if Array.length kept = Array.length schema then None
+        else Some (Array.map (fun i -> schema.(i)) kept, kept))
+  in
+  let narrow (env : Env.t) =
+    match Env.get narrowed env.Env.schema with
+    | None -> env
+    | Some (schema, kept) -> Env.select schema kept env
+  in
   Iterator.make_batched
     ~open_:(fun () -> Iterator.open_ child)
-    ~next_batch:(fun () ->
-      Option.map (Batch.map (fun env -> Env.narrow env used)) (Iterator.next_batch child))
+    ~next_batch:(fun () -> Option.map (Batch.map narrow) (Iterator.next_batch child))
     ~close:(fun () -> Iterator.close child)
 
 let alg_unnest db ~src ~field ~out ~batch_size child =
   ignore db;
   let batch_size = max 1 batch_size in
-  let pending = ref [] in
+  let src_ix = Env.index src and hint = Store.hint () and ext = extender out in
+  let pending = Batch.Fifo.create () in
+  let expand (env : Env.t) =
+    let elements =
+      match Store.field_hinted hint (Env.obj_at src_ix env) field with
+      | v -> Value.set_elements v
+      | exception Not_found -> []
+    in
+    let schema = Env.get ext env.Env.schema in
+    List.iter
+      (function
+        | Value.Ref oid -> Batch.Fifo.push pending (Env.extend schema env (Env.Ref oid))
+        | _ -> ())
+      elements
+  in
   (* Same accumulation as the hash join: expansions of successive child
      batches coalesce into full output batches. *)
   let rec next_batch () =
-    if List.length !pending >= batch_size then begin
-      let chunk, rest = take batch_size !pending in
-      pending := rest;
-      Some (Batch.of_list chunk)
-    end
+    if Batch.Fifo.length pending >= batch_size then Some (Batch.Fifo.pop pending batch_size)
     else
       match Iterator.next_batch child with
       | None ->
-        if !pending = [] then None
-        else begin
-          let chunk = !pending in
-          pending := [];
-          Some (Batch.of_list chunk)
-        end
+        if Batch.Fifo.length pending = 0 then None
+        else Some (Batch.Fifo.pop pending batch_size)
       | Some b ->
-        pending :=
-          !pending
-          @ List.concat_map
-              (fun env ->
-                let elements =
-                  match Store.field (Env.obj env src) field with
-                  | v -> Value.set_elements v
-                  | exception Not_found -> []
-                in
-                List.filter_map
-                  (fun v -> Option.map (fun oid -> Env.bind_ref env out oid) (Value.as_ref v))
-                  elements)
-              (Batch.to_list b);
+        Batch.iter expand b;
         next_batch ()
   in
   Iterator.make_batched
     ~open_:(fun () ->
-      pending := [];
+      Batch.Fifo.clear pending;
       Iterator.open_ child)
     ~next_batch
     ~close:(fun () ->
-      pending := [];
+      Batch.Fifo.clear pending;
       Iterator.close child)
 
 (* ------------------------------------------------------------------ *)
 (* Set operations (by tuple identity: the OIDs of all bindings).
-   Env.bindings follows the branch's join order, and the two inputs of
-   a set operation are free to join in different orders — the key must
-   be canonical across branches, so sort the binding names first. *)
+   A tuple's bindings follow its branch's join order, and the two inputs
+   of a set operation are free to join in different orders — the key
+   must be canonical across branches, so it lists the OIDs in binding
+   name order. The order is computed once per input schema. *)
 
-let env_key env = Env.key_of env (List.sort compare (Env.bindings env))
+let identity_key () =
+  let order =
+    Env.memo (fun schema ->
+        Array.map (Env.position schema) (Array.of_list (List.sort compare (Array.to_list schema))))
+  in
+  fun (env : Env.t) ->
+    Array.map (fun i -> Env.slot_oid env.Env.slots.(i)) (Env.get order env.Env.schema)
 
 let hash_union ~batch_size left right =
+  let key = identity_key () in
   Iterator.of_list_thunk ~batch_size (fun () ->
       let seen = Hashtbl.create 64 in
       let emit acc env =
-        let k = env_key env in
+        let k = key env in
         if Hashtbl.mem seen k then acc
         else begin
           Hashtbl.add seen k ();
@@ -483,40 +534,44 @@ let hash_union ~batch_size left right =
       let acc = List.fold_left emit acc (Iterator.to_list right) in
       List.rev acc)
 
-let hash_intersect ~batch_size left right =
+(* Left tuples, first occurrence only, whose identity is ([keep] = true)
+   or is not ([keep] = false) among the right input's. *)
+let hash_semi ~keep ~batch_size left right =
+  let key = identity_key () in
   Iterator.of_list_thunk ~batch_size (fun () ->
       let rights = Hashtbl.create 64 in
-      List.iter (fun env -> Hashtbl.replace rights (env_key env) ()) (Iterator.to_list right);
+      List.iter (fun env -> Hashtbl.replace rights (key env) ()) (Iterator.to_list right);
       let seen = Hashtbl.create 64 in
       Iterator.to_list left
       |> List.filter (fun env ->
-             let k = env_key env in
-             Hashtbl.mem rights k
+             let k = key env in
+             Bool.equal (Hashtbl.mem rights k) keep
              && not (Hashtbl.mem seen k)
              &&
              (Hashtbl.add seen k ();
               true)))
 
-let hash_difference ~batch_size left right =
-  Iterator.of_list_thunk ~batch_size (fun () ->
-      let rights = Hashtbl.create 64 in
-      List.iter (fun env -> Hashtbl.replace rights (env_key env) ()) (Iterator.to_list right);
-      let seen = Hashtbl.create 64 in
-      Iterator.to_list left
-      |> List.filter (fun env ->
-             let k = env_key env in
-             (not (Hashtbl.mem rights k))
-             && not (Hashtbl.mem seen k)
-             &&
-             (Hashtbl.add seen k ();
-              true)))
+let hash_intersect ~batch_size left right = hash_semi ~keep:true ~batch_size left right
 
+let hash_difference ~batch_size left right = hash_semi ~keep:false ~batch_size left right
+
+(* Keys are computed once per tuple (decorate, stable sort, undecorate):
+   the same comparisons as sorting on the key directly, so the same
+   order. *)
 let sort (o : Open_oodb.Physprop.order) ~batch_size child =
-  let key env =
+  let b = o.Open_oodb.Physprop.ord_binding in
+  let key =
     match o.Open_oodb.Physprop.ord_field with
-    | Some f -> Eval.operand env (Pred.Field (o.Open_oodb.Physprop.ord_binding, f))
-    | None -> Value.Ref (Env.oid env o.Open_oodb.Physprop.ord_binding)
+    | Some f -> Eval.compile_operand (Pred.Field (b, f))
+    | None ->
+      let ix = Env.index b in
+      fun env -> Value.Ref (Env.oid_at ix env)
   in
   Iterator.of_list_thunk ~batch_size (fun () ->
-      Iterator.to_list child
-      |> List.stable_sort (fun a b -> Value.compare (key a) (key b)))
+      match Iterator.to_list child with
+      | ([] | [ _ ]) as envs -> envs
+      | envs ->
+        envs
+        |> List.map (fun env -> (key env, env))
+        |> List.stable_sort (fun (a, _) (b, _) -> Value.compare a b)
+        |> List.map snd)

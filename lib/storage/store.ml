@@ -1,3 +1,5 @@
+module Vec = Oodb_util.Vec
+
 type obj = {
   oid : Value.oid;
   cls : string;
@@ -12,18 +14,17 @@ type coll_info = {
   c_seg : Disk.segment;
   c_per_page : int;       (* objects per page; 1 when objects span pages *)
   c_pages_per_obj : int;  (* pages per object; 1 when objects share pages *)
-  mutable c_members : Value.oid list; (* reverse insertion order *)
-  mutable c_members_arr : Value.oid array option; (* slot-order cache *)
-  mutable c_count : int;
+  c_members : obj Vec.t;  (* slot order *)
 }
+
+(* Where an object lives: its collection and slot index. *)
+type place = { p_obj : obj; p_coll : coll_info; p_slot : int }
 
 type t = {
   disk : Disk.t;
   buffer : Buffer_pool.t;
   colls : (string, coll_info) Hashtbl.t;
-  objects : (Value.oid, obj) Hashtbl.t;
-  slots : (Value.oid, coll_info * int) Hashtbl.t; (* oid -> (collection, slot index) *)
-  mutable next_oid : Value.oid;
+  places : place Vec.t; (* OIDs are dense from 1: OID [i] is element [i - 1] *)
 }
 
 let create ?(page_size = 4096) ?(buffer_pages = 2048) () =
@@ -31,9 +32,7 @@ let create ?(page_size = 4096) ?(buffer_pages = 2048) () =
   { disk;
     buffer = Buffer_pool.create disk ~capacity_pages:buffer_pages;
     colls = Hashtbl.create 32;
-    objects = Hashtbl.create 4096;
-    slots = Hashtbl.create 4096;
-    next_oid = 1 }
+    places = Vec.create ~capacity:4096 () }
 
 let disk t = t.disk
 
@@ -53,9 +52,7 @@ let declare_collection t ~name ~cls ~obj_bytes =
       c_seg = Disk.alloc_segment t.disk ~name;
       c_per_page = per_page;
       c_pages_per_obj = pages_per_obj;
-      c_members = [];
-      c_members_arr = None;
-      c_count = 0 }
+      c_members = Vec.create () }
 
 let collections t = Hashtbl.fold (fun name _ acc -> name :: acc) t.colls []
 
@@ -72,24 +69,20 @@ let last_page_needed c count =
 
 let insert t ~coll fields =
   let c = get_coll t coll in
-  let oid = t.next_oid in
-  t.next_oid <- oid + 1;
-  let slot = c.c_count in
-  c.c_count <- slot + 1;
-  c.c_members <- oid :: c.c_members;
-  c.c_members_arr <- None;
-  let needed = last_page_needed c c.c_count in
+  let oid = Vec.length t.places + 1 in
+  let obj = { oid; cls = c.c_cls; coll; fields = Array.of_list fields } in
+  let slot = Vec.push c.c_members obj in
+  ignore (Vec.push t.places { p_obj = obj; p_coll = c; p_slot = slot });
+  let needed = last_page_needed c (slot + 1) in
   let have = Disk.segment_pages c.c_seg in
   if needed > have then Disk.extend t.disk c.c_seg (needed - have);
-  let obj = { oid; cls = c.c_cls; coll; fields = Array.of_list fields } in
-  Hashtbl.add t.objects oid obj;
-  Hashtbl.add t.slots oid (c, slot);
   oid
 
-let peek t oid =
-  match Hashtbl.find_opt t.objects oid with
-  | Some o -> o
-  | None -> raise Not_found
+let place t oid =
+  if oid < 1 || oid > Vec.length t.places then raise Not_found;
+  Vec.get t.places (oid - 1)
+
+let peek t oid = (place t oid).p_obj
 
 let set_field t oid name v =
   let o = peek t oid in
@@ -102,38 +95,46 @@ let set_field t oid name v =
   go 0
 
 let fetch t oid =
-  let o = peek t oid in
-  let c, slot = Hashtbl.find t.slots oid in
-  let page0 = first_page c slot in
+  let p = place t oid in
+  let c = p.p_coll in
+  let page0 = first_page c p.p_slot in
   for p = page0 to page0 + c.c_pages_per_obj - 1 do
     Buffer_pool.read t.buffer c.c_seg p
   done;
-  o
+  p.p_obj
 
-let field o name =
+let field_index o name =
   let rec go i =
     if i >= Array.length o.fields then raise Not_found
-    else if fst o.fields.(i) = name then snd o.fields.(i)
+    else if String.equal (fst o.fields.(i)) name then i
     else go (i + 1)
   in
   go 0
 
-let members_array c =
-  match c.c_members_arr with
-  | Some a -> a
-  | None ->
-    let a = Array.of_list (List.rev c.c_members) in
-    c.c_members_arr <- Some a;
-    a
+let field o name = snd o.fields.(field_index o name)
 
-let oids t ~coll = List.rev (get_coll t coll).c_members
+type hint = int ref
+
+let hint () = ref 0
+
+let field_hinted h o name =
+  let i = !h in
+  if i < Array.length o.fields && String.equal (fst o.fields.(i)) name then snd o.fields.(i)
+  else begin
+    let i = field_index o name in
+    h := i;
+    snd o.fields.(i)
+  end
+
+let oids t ~coll =
+  let c = get_coll t coll in
+  List.init (Vec.length c.c_members) (fun i -> (Vec.get c.c_members i).oid)
 
 let scan_batch t ~coll ~pos ~n =
   if pos < 0 then invalid_arg "Store.scan_batch: negative position";
   if n < 1 then invalid_arg "Store.scan_batch: batch size must be >= 1";
   let c = get_coll t coll in
-  let members = members_array c in
-  let count = Array.length members in
+  let count = Vec.length c.c_members in
   if pos >= count then [||]
   else begin
     let stop = min count (pos + n) in
@@ -144,36 +145,34 @@ let scan_batch t ~coll ~pos ~n =
     for p = first_page c pos to last do
       Buffer_pool.read t.buffer c.c_seg p
     done;
-    Array.init (stop - pos) (fun i -> Hashtbl.find t.objects members.(pos + i))
+    Vec.sub c.c_members pos (stop - pos)
   end
 
 let fetch_batch t oids = List.map (fetch t) oids
 
 let scan t ~coll f =
   let c = get_coll t coll in
-  let members = Array.of_list (List.rev c.c_members) in
-  let n = Array.length members in
-  let pages = last_page_needed c n in
+  let pages = last_page_needed c (Vec.length c.c_members) in
   (* Charge pages as we cross page boundaries, in physical order. *)
   let next_page = ref 0 in
-  Array.iteri
-    (fun i oid ->
+  Vec.iteri
+    (fun i o ->
       let p_end = first_page c i + c.c_pages_per_obj in
       while !next_page < p_end && !next_page < pages do
         Buffer_pool.read t.buffer c.c_seg !next_page;
         incr next_page
       done;
-      f (Hashtbl.find t.objects oid))
-    members
+      f o)
+    c.c_members
 
-let cardinality t ~coll = (get_coll t coll).c_count
+let cardinality t ~coll = Vec.length (get_coll t coll).c_members
 
 let segment t ~coll = (get_coll t coll).c_seg
 
 let obj_bytes t ~coll = (get_coll t coll).c_obj_bytes
 
 let location t oid =
-  let c, slot = Hashtbl.find t.slots oid in
-  (c.c_seg, first_page c slot)
+  let p = place t oid in
+  (p.p_coll.c_seg, first_page p.p_coll p.p_slot)
 
 let class_of t oid = (peek t oid).cls

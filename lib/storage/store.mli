@@ -37,7 +37,8 @@ val collections : t -> string list
 
 val insert : t -> coll:string -> (string * Value.t) list -> Value.oid
 (** Append an object; allocates disk pages as needed. No I/O is charged
-    (bulk loading is not part of any measured experiment). *)
+    (bulk loading is not part of any measured experiment). OIDs are
+    dense: 1, 2, 3, … in insertion order across all collections. *)
 
 val set_field : t -> Value.oid -> string -> Value.t -> unit
 (** Update a field in place (used to wire cyclic references during data
@@ -52,6 +53,20 @@ val peek : t -> Value.oid -> obj
 
 val field : obj -> string -> Value.t
 (** @raise Not_found if the object has no such field. *)
+
+type hint
+(** A remembered field position: where the last read through this hint
+    found its field. *)
+
+val hint : unit -> hint
+
+val field_hinted : hint -> obj -> string -> Value.t
+(** Like {!field}, but tries the hint's position first and falls back to
+    the linear search (updating the hint) when the field is not there,
+    so any field layout reads correctly. A compiled operand keeps one
+    hint per field name: objects of one class share a layout, so a scan
+    reads each field in one probe.
+    @raise Not_found if the object has no such field. *)
 
 val scan : t -> coll:string -> (obj -> unit) -> unit
 (** Sequential scan in physical order, charging each page once. *)

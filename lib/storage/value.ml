@@ -36,14 +36,22 @@ let rec compare a b =
 
 let equal a b = compare a b = 0
 
+(* Ints and floats compare numerically with each other, so equal
+   numbers must hash alike across the two constructors. Below 2^53 in
+   magnitude every int is exactly a float, so an integral float hashes
+   through its int value; from 2^53 on, an int equals at most the float
+   it rounds to, so it hashes through that float image. *)
+let exact_float_bound = 0x20000000000000 (* 2^53 *)
+
 let rec hash = function
   | Null -> 17
   | Bool b -> if b then 3 else 5
-  | Int i -> Hashtbl.hash i
+  | Int i ->
+    if i >= exact_float_bound || i <= -exact_float_bound then Hashtbl.hash (float_of_int i)
+    else Hashtbl.hash i
   | Float f ->
-    (* Keep Int/Float hashing consistent with their cross comparison when
-       the float is integral. *)
-    if Float.is_integer f && Float.abs f < 1e15 then Hashtbl.hash (int_of_float f)
+    if Float.is_integer f && Float.abs f < float_of_int exact_float_bound then
+      Hashtbl.hash (int_of_float f)
     else Hashtbl.hash f
   | Str s -> Hashtbl.hash s
   | Date d -> Hashtbl.hash (d + 0x5bd1)

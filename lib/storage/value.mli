@@ -26,6 +26,8 @@ val compare : t -> t -> int
     other. Used by indexes and by hash-based set operations. *)
 
 val hash : t -> int
+(** Agrees with {!equal}: equal values hash alike, including an [Int]
+    and a [Float] that compare equal. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -28,6 +28,10 @@ let push t v =
   t.len <- t.len + 1;
   t.len - 1
 
+let sub t pos n =
+  if pos < 0 || n < 0 || pos + n > t.len then invalid_arg "Vec.sub: range out of bounds";
+  Array.sub t.data pos n
+
 let iteri f t =
   for i = 0 to t.len - 1 do
     f i (Array.unsafe_get t.data i)

@@ -23,6 +23,10 @@ val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> int
 (** Append and return the new element's index. *)
 
+val sub : 'a t -> int -> int -> 'a array
+(** [sub t pos n] copies elements [pos .. pos+n-1] into a fresh array.
+    @raise Invalid_argument outside [0 .. length-1]. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -5,6 +5,21 @@ module Engine = Open_oodb.Model.Engine
 module Physical = Open_oodb.Physical
 module Executor = Oodb_exec.Executor
 
+(* Values at the numeric hashing boundaries, each as an Int and as a
+   Float: integers near 1e15 and near 2^53 (past which not every int is
+   exactly a float), max_int, min_int, their negations, plus signed
+   zeros and NaNs. *)
+let numeric_boundary_values =
+  let two53 = 1 lsl 53 in
+  let ints =
+    [ 0; 1_000_000_000_000_000 - 2; 1_000_000_000_000_000 + 2; two53 - 1; two53; two53 + 1;
+      max_int; min_int ]
+  in
+  let ints = ints @ List.map (fun i -> -i) ints in
+  List.concat_map (fun i -> [ Value.Int i; Value.Float (float_of_int i) ]) ints
+  @ [ Value.Float 0.; Value.Float (-0.); Value.Float nan; Value.Float (-.nan);
+      Value.Float (Float.succ (float_of_int two53)); Value.Float 1e15; Value.Float 0.5 ]
+
 (* A small generated database shared by tests that only read it. *)
 let small_db = lazy (Oodb_workloads.Datagen.generate ~scale:0.01 ~buffer_pages:256 ())
 

@@ -116,6 +116,53 @@ let test_pp_table () =
   Alcotest.(check bool) "mentions Cities" true (contains s "Cities");
   Alcotest.(check bool) "mentions extent kind" true (contains s "extent")
 
+(* The digest is cached per epoch: after every mutator it must still
+   equal the digest of a catalog built fresh with the same contents. *)
+let test_digest_follows_mutations () =
+  let co name cls card =
+    { Catalog.co_name = name; co_class = cls; co_kind = Catalog.Set; co_card = card;
+      co_obj_bytes = 100 }
+  in
+  let ix name path = { Catalog.ix_name = name; ix_coll = "Cities"; ix_path = path; ix_distinct = 7 } in
+  let steps =
+    [ (fun c -> Catalog.add_collection c (co "Cities" "City" 100));
+      (fun c -> Catalog.add_collection c (co "Tasks" "Task" 20));
+      (fun c -> Catalog.set_distinct c ~cls:"City" ~field:"name" 50);
+      (fun c -> Catalog.set_avg_set_size c ~cls:"Task" ~field:"team_members" 4.5);
+      (fun c -> Catalog.add_index c (ix "by_name" [ "name" ]));
+      (fun c -> Catalog.add_index c (ix "by_mayor" [ "mayor"; "name" ]));
+      (fun c -> Catalog.drop_index c "by_name") ]
+  in
+  let fresh k =
+    let c = Catalog.create schema in
+    List.iteri (fun i step -> if i < k then step c) steps;
+    c
+  in
+  let mutated = Catalog.create schema in
+  List.iteri
+    (fun i step ->
+      ignore (Catalog.digest mutated);
+      step mutated;
+      Alcotest.(check string)
+        (Printf.sprintf "after step %d" (i + 1))
+        (Digest.to_hex (Catalog.digest (fresh (i + 1))))
+        (Digest.to_hex (Catalog.digest mutated)))
+    steps
+
+let test_digest_tracks_statistics () =
+  let c = OC.catalog_with_indexes () in
+  let d0 = Catalog.digest c in
+  let n = Option.get (Catalog.distinct c ~cls:"Person" ~field:"name") in
+  Catalog.set_distinct c ~cls:"Person" ~field:"name" (n + 1);
+  Alcotest.(check bool) "changed statistic changes the digest" false
+    (Digest.equal d0 (Catalog.digest c));
+  Catalog.set_distinct c ~cls:"Person" ~field:"name" n;
+  Alcotest.(check string) "restored statistic restores the digest" (Digest.to_hex d0)
+    (Digest.to_hex (Catalog.digest c));
+  Alcotest.(check string) "same as a fresh catalog"
+    (Digest.to_hex (Catalog.digest (OC.catalog_with_indexes ())))
+    (Digest.to_hex (Catalog.digest c))
+
 let () =
   Alcotest.run "catalog"
     [ ( "schema",
@@ -132,4 +179,8 @@ let () =
           Alcotest.test_case "table rendering" `Quick test_pp_table ] );
       ( "indexes",
         [ Alcotest.test_case "add / find / drop" `Quick test_indexes;
-          Alcotest.test_case "errors" `Quick test_index_errors ] ) ]
+          Alcotest.test_case "errors" `Quick test_index_errors ] );
+      ( "digest",
+        [ Alcotest.test_case "cached digest follows every mutator" `Quick
+            test_digest_follows_mutations;
+          Alcotest.test_case "statistic change and restore" `Quick test_digest_tracks_statistics ] ) ]

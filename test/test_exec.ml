@@ -52,13 +52,38 @@ let test_eval () =
   let env = Env.bind_obj Env.empty "c" (Store.peek store oid) in
   let name = Store.field (Store.peek store oid) "name" in
   Alcotest.(check bool) "eq" true
-    (Eval.atom env (Pred.atom Pred.Eq (Pred.Field ("c", "name")) (Pred.Const name)));
+    (Eval.compile_atom (Pred.atom Pred.Eq (Pred.Field ("c", "name")) (Pred.Const name)) env);
   Alcotest.(check bool) "self" true
-    (Eval.atom env (Pred.atom Pred.Eq (Pred.Self "c") (Pred.Const (Value.Ref oid))));
+    (Eval.compile_atom (Pred.atom Pred.Eq (Pred.Self "c") (Pred.Const (Value.Ref oid))) env);
   Alcotest.(check bool) "missing field is null" true
-    (Eval.operand env (Pred.Field ("c", "no_such_field")) = Value.Null);
+    (Eval.compile_operand (Pred.Field ("c", "no_such_field")) env = Value.Null);
   Alcotest.(check bool) "null comparisons false" false
-    (Eval.atom env (Pred.atom Pred.Lt (Pred.Field ("c", "no_such_field")) (Pred.Const (Value.Int 1))))
+    (Eval.compile_atom (Pred.atom Pred.Lt (Pred.Field ("c", "no_such_field")) (Pred.Const (Value.Int 1))) env)
+
+(* The FIFO that joins and unnest park their output in hands tuples
+   back in push order across interleaved pushes and pops. *)
+let test_fifo_order () =
+  let d = db () in
+  let store = Db.store d in
+  (* enough tuples to outgrow the initial buffer and to compact it *)
+  let tuples =
+    List.concat_map
+      (fun _ -> List.map (fun oid -> Env.bind_ref Env.empty "x" oid) (Store.oids store ~coll:"Cities"))
+      [ 1; 2; 3; 4; 5 ]
+  in
+  let q = Oodb_exec.Batch.Fifo.create () in
+  let out = ref [] in
+  List.iteri
+    (fun i env ->
+      Oodb_exec.Batch.Fifo.push q env;
+      if i mod 5 = 4 then out := !out @ Oodb_exec.Batch.to_list (Oodb_exec.Batch.Fifo.pop q 3))
+    tuples;
+  while Oodb_exec.Batch.Fifo.length q > 0 do
+    out := !out @ Oodb_exec.Batch.to_list (Oodb_exec.Batch.Fifo.pop q 7)
+  done;
+  Alcotest.(check (list int)) "push order"
+    (List.map (fun e -> Env.oid e "x") tuples)
+    (List.map (fun e -> Env.oid e "x") !out)
 
 (* ------------------------------------------------------------------ *)
 (* Operators                                                            *)
@@ -255,6 +280,51 @@ let test_failing_predicate_closes_tree () =
       ignore (Iterator.to_list it));
   Alcotest.(check bool) "scan closed despite exception" true !closed
 
+(* A database of two collections, L and R, whose objects hold one field
+   [k] each, and a hash join of L (build, binding [l]) with R (probe,
+   binding [r]). *)
+let keyed_db left right =
+  let store = Store.create ~buffer_pages:64 () in
+  List.iter
+    (fun (coll, keys) ->
+      Store.declare_collection store ~name:coll ~cls:"K" ~obj_bytes:64;
+      List.iter (fun k -> ignore (Store.insert store ~coll [ ("k", k) ])) keys)
+    [ ("L", left); ("R", right) ];
+  Db.create (Oodb_catalog.Catalog.create (Oodb_catalog.Schema.create [])) store
+
+let join_lr d atoms =
+  let scan coll binding = Operators.file_scan d ~coll ~binding ~batch_size:4 in
+  let cfg = { Oodb_cost.Config.default with Oodb_cost.Config.batch_size = 4 } in
+  Operators.hash_join d cfg atoms ~build:(scan "L" "l") ~probe:(scan "R" "r")
+
+let l_eq_r = [ Pred.atom Pred.Eq (Pred.Field ("l", "k")) (Pred.Field ("r", "k")) ]
+
+let lr_pairs it = List.map (fun env -> (Env.oid env "l", Env.oid env "r")) (Iterator.to_list it)
+
+(* A hash join must find exactly the pairs a filter over the cross
+   product keeps, also for keys that are equal across Int and Float at
+   the numeric boundaries, and never join values that merely collide in
+   hash ([Int (5 + 0x9e37)] and [Ref 5]). *)
+let test_hash_join_numeric_keys () =
+  let keys = Helpers.numeric_boundary_values in
+  Alcotest.(check int) "the pair collides in hash" (Value.hash (Value.Int (5 + 0x9e37)))
+    (Value.hash (Value.Ref 5));
+  let d = keyed_db (Value.Int (5 + 0x9e37) :: keys) (Value.Ref 5 :: keys) in
+  let joined = List.sort compare (lr_pairs (join_lr d l_eq_r)) in
+  let filtered = List.sort compare (lr_pairs (Operators.filter l_eq_r (join_lr d []))) in
+  Alcotest.(check bool) "some cross-type matches" true (List.length filtered > List.length keys);
+  Alcotest.(check (list (pair int int))) "hash join == filtered cross product" filtered joined
+
+(* Row order: probe tuples in arrival order, and each probe tuple's
+   matches most recently built first. *)
+let test_hash_join_match_order () =
+  let d = keyed_db (List.init 6 (fun i -> Value.Int (i mod 2))) [ Value.Int 1; Value.Int 0 ] in
+  let l = Array.of_list (Store.oids (Db.store d) ~coll:"L")
+  and r = Array.of_list (Store.oids (Db.store d) ~coll:"R") in
+  Alcotest.(check (list (pair int int))) "match order"
+    [ (l.(5), r.(0)); (l.(3), r.(0)); (l.(1), r.(0)); (l.(4), r.(1)); (l.(2), r.(1)); (l.(0), r.(1)) ]
+    (lr_pairs (join_lr d l_eq_r))
+
 (* ------------------------------------------------------------------ *)
 (* Executor on optimizer output                                         *)
 
@@ -331,12 +401,170 @@ let test_analyze () =
   let o = Opt.optimize cat Oodb_workloads.Queries.q2 in
   Alcotest.(check bool) "plan found" true (o.Opt.plan <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Golden executor pins                                                 *)
+
+(* Rows, row order and simulated I/O of the paper queries and one text
+   per benchmark template on the scale-1 database, at batch sizes 64 and
+   1. The batch size is passed to both the optimizer and the executor,
+   so the OODB_BATCH_SIZE default cannot move a pin. Any change to the
+   executor's tuple representation or operator internals must leave
+   every pin bit-identical: simulated seconds are compared exactly. *)
+
+let golden_texts =
+  [ ("mayor-name", {|SELECT c.name FROM c IN Cities WHERE c.mayor.name == "Joe"|});
+    ( "employee-name",
+      {|SELECT e.name, e.age FROM e IN Employees WHERE e.name == "Fred" && e.age == 30|} );
+    ("task-time", {|SELECT t.name FROM t IN Tasks WHERE t.time == 100|});
+    ( "paper-q4",
+      {|SELECT t FROM t IN Tasks WHERE t.time == 100 && EXISTS (SELECT m FROM m IN t.team_members WHERE m.name == "Fred")|}
+    );
+    ( "q1-location",
+      {|SELECT e.name, e.job.name, e.dept.name FROM e IN Employees WHERE e.dept.plant.location == "Dallas"|}
+    );
+    ( "fig1-floor-join",
+      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3|}
+    );
+    ( "salary-by-floor",
+      {|SELECT e.name, e.salary FROM e IN Employees WHERE e.dept.floor == 3|} );
+    ( "team-age-unnest",
+      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE m.age > 40|} );
+    ( "emp-dept-job",
+      {|SELECT e.name, d.name, j.name FROM e IN Employees, d IN Departments, j IN Jobs WHERE e.dept == d && e.job == j && d.floor == 3 && j.level == 2|}
+    );
+    ( "city-person-country",
+      {|SELECT c.name, p.name, n.name FROM c IN Cities, p IN Persons, n IN Countries WHERE c.mayor == p && c.country == n && p.age > 60 && c.population < 500000|}
+    );
+    ( "emp-dept",
+      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3 && e.salary > 50000.0|}
+    );
+    ( "city-mat-chain",
+      {|SELECT c.name, c.mayor.name FROM c IN Cities WHERE c.mayor.age == 40 && c.country.capital.population > 800000 && c.population < 500000|}
+    );
+    ( "task-unnest",
+      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE t.time < 500 && m.age == 40 && m.dept.floor == 3|}
+    ) ]
+
+type pin = { name : string; batch : int; digest : string; io : Executor.io_report }
+
+(* Order-sensitive digest of a row list; floats by their exact bits. *)
+let rows_digest rows =
+  let rec value = function
+    | Value.Float f -> Printf.sprintf "F%h" f
+    | Value.Set vs -> "{" ^ String.concat ";" (List.map value vs) ^ "}"
+    | v -> Value.to_string v
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun row ->
+      List.iter (fun (k, v) -> Printf.bprintf b "%s=%s;" k (value v)) row;
+      Buffer.add_char b '\n')
+    rows;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pin_to_string p =
+  let r = p.io in
+  Printf.sprintf
+    "{ name = %S; batch = %d; digest = %S; io = { Executor.rows = %d; seq_reads = %d; \
+     rand_reads = %d; writes = %d; buffer_hits = %d; buffer_misses = %d; buffer_evictions = %d; \
+     simulated_seconds = %h } }"
+    p.name p.batch p.digest r.Executor.rows r.Executor.seq_reads r.Executor.rand_reads
+    r.Executor.writes r.Executor.buffer_hits r.Executor.buffer_misses r.Executor.buffer_evictions
+    r.Executor.simulated_seconds
+
+let golden_pins =
+  [
+    { name = "q1"; batch = 64; digest = "85ed10001b64a538250bb84e32a0dd8a"; io = { Executor.rows = 5000; seq_reads = 3556; rand_reads = 7; writes = 0; buffer_hits = 987; buffer_misses = 3563; buffer_evictions = 2539; simulated_seconds = 0x1.1d51eb851eb85p+6 } };
+    { name = "q2"; batch = 64; digest = "528e3859a369a7c66992f47d9d1850b3"; io = { Executor.rows = 2; seq_reads = 0; rand_reads = 4; writes = 0; buffer_hits = 0; buffer_misses = 4; buffer_evictions = 0; simulated_seconds = 0x1.46e1344d36a2cp-4 } };
+    { name = "q3"; batch = 64; digest = "e6bb47ee4816f4d0bfe89b6a5f97dccd"; io = { Executor.rows = 2; seq_reads = 0; rand_reads = 6; writes = 0; buffer_hits = 0; buffer_misses = 6; buffer_evictions = 0; simulated_seconds = 0x1.fca1fa222b386p-4 } };
+    { name = "q4"; batch = 64; digest = "a07b6c59b06750b58f75050c9b919fb9"; io = { Executor.rows = 5; seq_reads = 59; rand_reads = 24; writes = 0; buffer_hits = 19; buffer_misses = 83; buffer_evictions = 0; simulated_seconds = 0x1.80258d499c108p+0 } };
+    { name = "fig2"; batch = 64; digest = "9645a7b3ee91c05100899eafc9dadd1a"; io = { Executor.rows = 4; seq_reads = 354; rand_reads = 10258; writes = 0; buffer_hits = 188; buffer_misses = 10612; buffer_evictions = 9588; simulated_seconds = 0x1.d47958c045d35p+6 } };
+    { name = "fig3"; batch = 64; digest = "91cbf4aa0760286f81e2a2782cbd5a5d"; io = { Executor.rows = 90000; seq_reads = 10388; rand_reads = 4; writes = 6896; buffer_hits = 151; buffer_misses = 3496; buffer_evictions = 2472; simulated_seconds = 0x1.59c6b34dc4b42p+8 } };
+    { name = "mayor-name"; batch = 64; digest = "b399e6e9a70a03887848228274b038b1"; io = { Executor.rows = 2; seq_reads = 0; rand_reads = 4; writes = 0; buffer_hits = 0; buffer_misses = 4; buffer_evictions = 0; simulated_seconds = 0x1.46e1344d36a2cp-4 } };
+    { name = "employee-name"; batch = 64; digest = "0de8f489c6cc09db38cad43196080701"; io = { Executor.rows = 22; seq_reads = 0; rand_reads = 503; writes = 0; buffer_hits = 0; buffer_misses = 503; buffer_evictions = 0; simulated_seconds = 0x1.15017f2b907c1p+2 } };
+    { name = "task-time"; batch = 64; digest = "970eae416118739594f5cdfe99da2139"; io = { Executor.rows = 10; seq_reads = 0; rand_reads = 12; writes = 0; buffer_hits = 0; buffer_misses = 12; buffer_evictions = 0; simulated_seconds = 0x1.3428fa0c35b94p-3 } };
+    { name = "paper-q4"; batch = 64; digest = "6df556fa0379578c26927cf5d7880384"; io = { Executor.rows = 5; seq_reads = 59; rand_reads = 24; writes = 0; buffer_hits = 19; buffer_misses = 83; buffer_evictions = 0; simulated_seconds = 0x1.80258d499c108p+0 } };
+    { name = "q1-location"; batch = 64; digest = "85ed10001b64a538250bb84e32a0dd8a"; io = { Executor.rows = 5000; seq_reads = 3556; rand_reads = 7; writes = 0; buffer_hits = 987; buffer_misses = 3563; buffer_evictions = 2539; simulated_seconds = 0x1.1d51eb851eb85p+6 } };
+    { name = "fig1-floor-join"; batch = 64; digest = "86c48b8e6a9e1612dfad71f95fd4843c"; io = { Executor.rows = 5000; seq_reads = 3223; rand_reads = 2; writes = 0; buffer_hits = 12; buffer_misses = 3225; buffer_evictions = 2201; simulated_seconds = 0x1.02147ae147ae2p+6 } };
+    { name = "salary-by-floor"; batch = 64; digest = "00327ef478a4a00c7f186d456bb21a3a"; io = { Executor.rows = 5000; seq_reads = 3223; rand_reads = 2; writes = 0; buffer_hits = 12; buffer_misses = 3225; buffer_evictions = 2201; simulated_seconds = 0x1.02147ae147ae2p+6 } };
+    { name = "team-age-unnest"; batch = 64; digest = "7b34cab21b9fac9ba9cf877127896edb"; io = { Executor.rows = 48908; seq_reads = 8905; rand_reads = 4; writes = 5413; buffer_hits = 151; buffer_misses = 3496; buffer_evictions = 2472; simulated_seconds = 0x1.1e70f2ce2f90bp+8 } };
+    { name = "emp-dept-job"; batch = 64; digest = "9c3f65fdcf3a12477c54c1ba8b7f4e0f"; io = { Executor.rows = 5000; seq_reads = 3535; rand_reads = 3; writes = 0; buffer_hits = 12; buffer_misses = 3538; buffer_evictions = 2514; simulated_seconds = 0x1.1b28f5c28f5c3p+6 } };
+    { name = "city-person-country"; batch = 64; digest = "d788988f7291b9b8faf49581fa076e2a"; io = { Executor.rows = 2544; seq_reads = 424; rand_reads = 2905; writes = 0; buffer_hits = 2531; buffer_misses = 3329; buffer_evictions = 2305; simulated_seconds = 0x1.5386682c8c1ecp+5 } };
+    { name = "emp-dept"; batch = 64; digest = "a90a61e7a8cd36ceb96b157c15c9ebdc"; io = { Executor.rows = 3000; seq_reads = 3223; rand_reads = 2; writes = 0; buffer_hits = 12; buffer_misses = 3225; buffer_evictions = 2201; simulated_seconds = 0x1.02147ae147ae2p+6 } };
+    { name = "city-mat-chain"; batch = 64; digest = "159f14b2164599c84c058b8370c3e71e"; io = { Executor.rows = 32; seq_reads = 486; rand_reads = 1695; writes = 0; buffer_hits = 1047; buffer_misses = 2181; buffer_evictions = 1157; simulated_seconds = 0x1.d19081d262bf8p+4 } };
+    { name = "task-unnest"; batch = 64; digest = "40e9e111c743786c5d01a2fe78e919d1"; io = { Executor.rows = 196; seq_reads = 3593; rand_reads = 3; writes = 0; buffer_hits = 163; buffer_misses = 3596; buffer_evictions = 2572; simulated_seconds = 0x1.1fccccccccccdp+6 } };
+    { name = "q1"; batch = 1; digest = "85ed10001b64a538250bb84e32a0dd8a"; io = { Executor.rows = 5000; seq_reads = 3546; rand_reads = 17; writes = 0; buffer_hits = 53437; buffer_misses = 3563; buffer_evictions = 2539; simulated_seconds = 0x1.1db851eb851ebp+6 } };
+    { name = "q2"; batch = 1; digest = "528e3859a369a7c66992f47d9d1850b3"; io = { Executor.rows = 2; seq_reads = 0; rand_reads = 4; writes = 0; buffer_hits = 0; buffer_misses = 4; buffer_evictions = 0; simulated_seconds = 0x1.46e1344d36a2cp-4 } };
+    { name = "q3"; batch = 1; digest = "e6bb47ee4816f4d0bfe89b6a5f97dccd"; io = { Executor.rows = 2; seq_reads = 0; rand_reads = 6; writes = 0; buffer_hits = 0; buffer_misses = 6; buffer_evictions = 0; simulated_seconds = 0x1.fca1fa222b386p-4 } };
+    { name = "q4"; batch = 1; digest = "a07b6c59b06750b58f75050c9b919fb9"; io = { Executor.rows = 5; seq_reads = 56; rand_reads = 27; writes = 0; buffer_hits = 19; buffer_misses = 83; buffer_evictions = 0; simulated_seconds = 0x1.a989c557d32d9p+0 } };
+    { name = "fig2"; batch = 1; digest = "9645a7b3ee91c05100899eafc9dadd1a"; io = { Executor.rows = 4; seq_reads = 3; rand_reads = 10609; writes = 0; buffer_hits = 9708; buffer_misses = 10612; buffer_evictions = 9588; simulated_seconds = 0x1.f640e6decc698p+6 } };
+    { name = "fig3"; batch = 1; digest = "91cbf4aa0760286f81e2a2782cbd5a5d"; io = { Executor.rows = 90000; seq_reads = 10388; rand_reads = 4; writes = 6896; buffer_hits = 56504; buffer_misses = 3496; buffer_evictions = 2472; simulated_seconds = 0x1.59c6b34dc4b42p+8 } };
+    { name = "mayor-name"; batch = 1; digest = "b399e6e9a70a03887848228274b038b1"; io = { Executor.rows = 2; seq_reads = 0; rand_reads = 4; writes = 0; buffer_hits = 0; buffer_misses = 4; buffer_evictions = 0; simulated_seconds = 0x1.46e1344d36a2cp-4 } };
+    { name = "employee-name"; batch = 1; digest = "0de8f489c6cc09db38cad43196080701"; io = { Executor.rows = 22; seq_reads = 0; rand_reads = 503; writes = 0; buffer_hits = 0; buffer_misses = 503; buffer_evictions = 0; simulated_seconds = 0x1.15017f2b907c1p+2 } };
+    { name = "task-time"; batch = 1; digest = "970eae416118739594f5cdfe99da2139"; io = { Executor.rows = 10; seq_reads = 0; rand_reads = 12; writes = 0; buffer_hits = 0; buffer_misses = 12; buffer_evictions = 0; simulated_seconds = 0x1.3428fa0c35b94p-3 } };
+    { name = "paper-q4"; batch = 1; digest = "6df556fa0379578c26927cf5d7880384"; io = { Executor.rows = 5; seq_reads = 56; rand_reads = 27; writes = 0; buffer_hits = 19; buffer_misses = 83; buffer_evictions = 0; simulated_seconds = 0x1.a989c557d32d9p+0 } };
+    { name = "q1-location"; batch = 1; digest = "85ed10001b64a538250bb84e32a0dd8a"; io = { Executor.rows = 5000; seq_reads = 3546; rand_reads = 17; writes = 0; buffer_hits = 53437; buffer_misses = 3563; buffer_evictions = 2539; simulated_seconds = 0x1.1db851eb851ebp+6 } };
+    { name = "fig1-floor-join"; batch = 1; digest = "86c48b8e6a9e1612dfad71f95fd4843c"; io = { Executor.rows = 5000; seq_reads = 3223; rand_reads = 2; writes = 0; buffer_hits = 47775; buffer_misses = 3225; buffer_evictions = 2201; simulated_seconds = 0x1.02147ae147ae2p+6 } };
+    { name = "salary-by-floor"; batch = 1; digest = "00327ef478a4a00c7f186d456bb21a3a"; io = { Executor.rows = 5000; seq_reads = 3223; rand_reads = 2; writes = 0; buffer_hits = 47775; buffer_misses = 3225; buffer_evictions = 2201; simulated_seconds = 0x1.02147ae147ae2p+6 } };
+    { name = "team-age-unnest"; batch = 1; digest = "7b34cab21b9fac9ba9cf877127896edb"; io = { Executor.rows = 48908; seq_reads = 8905; rand_reads = 4; writes = 5413; buffer_hits = 56504; buffer_misses = 3496; buffer_evictions = 2472; simulated_seconds = 0x1.1e70f2ce2f90bp+8 } };
+    { name = "emp-dept-job"; batch = 1; digest = "9c3f65fdcf3a12477c54c1ba8b7f4e0f"; io = { Executor.rows = 5000; seq_reads = 3535; rand_reads = 3; writes = 0; buffer_hits = 52462; buffer_misses = 3538; buffer_evictions = 2514; simulated_seconds = 0x1.1b28f5c28f5c3p+6 } };
+    { name = "city-person-country"; batch = 1; digest = "d788988f7291b9b8faf49581fa076e2a"; io = { Executor.rows = 2544; seq_reads = 249; rand_reads = 3080; writes = 0; buffer_hits = 12051; buffer_misses = 3329; buffer_evictions = 2305; simulated_seconds = 0x1.76f033366525ep+5 } };
+    { name = "emp-dept"; batch = 1; digest = "a90a61e7a8cd36ceb96b157c15c9ebdc"; io = { Executor.rows = 3000; seq_reads = 3223; rand_reads = 2; writes = 0; buffer_hits = 47775; buffer_misses = 3225; buffer_evictions = 2201; simulated_seconds = 0x1.02147ae147ae2p+6 } };
+    { name = "city-mat-chain"; batch = 1; digest = "159f14b2164599c84c058b8370c3e71e"; io = { Executor.rows = 32; seq_reads = 398; rand_reads = 1784; writes = 0; buffer_hits = 10708; buffer_misses = 2182; buffer_evictions = 1158; simulated_seconds = 0x1.f476f83dcd9dep+4 } };
+    { name = "task-unnest"; batch = 1; digest = "40e9e111c743786c5d01a2fe78e919d1"; io = { Executor.rows = 196; seq_reads = 3593; rand_reads = 3; writes = 0; buffer_hits = 57404; buffer_misses = 3596; buffer_evictions = 2572; simulated_seconds = 0x1.1fccccccccccdp+6 } } ]
+
+let same_pin a b =
+  String.equal a.digest b.digest
+  && a.io.Executor.rows = b.io.Executor.rows
+  && a.io.Executor.seq_reads = b.io.Executor.seq_reads
+  && a.io.Executor.rand_reads = b.io.Executor.rand_reads
+  && a.io.Executor.writes = b.io.Executor.writes
+  && a.io.Executor.buffer_hits = b.io.Executor.buffer_hits
+  && a.io.Executor.buffer_misses = b.io.Executor.buffer_misses
+  && a.io.Executor.buffer_evictions = b.io.Executor.buffer_evictions
+  && Int64.equal
+       (Int64.bits_of_float a.io.Executor.simulated_seconds)
+       (Int64.bits_of_float b.io.Executor.simulated_seconds)
+
+let test_golden_pins () =
+  let d = Oodb_workloads.Datagen.generate () in
+  let c = Db.catalog d in
+  let queries =
+    Oodb_workloads.Queries.all
+    @ List.map (fun (name, text) -> (name, Zql.Simplify.compile_exn c text)) golden_texts
+  in
+  let actual =
+    List.concat_map
+      (fun batch ->
+        let options = Options.with_batch_size batch Options.default in
+        let config = { Oodb_cost.Config.default with Oodb_cost.Config.batch_size = batch } in
+        List.map
+          (fun (name, q) ->
+            let plan = Opt.plan_exn (Opt.optimize ~options c q) in
+            let rows, io = Executor.run_measured ~config d plan in
+            { name; batch; digest = rows_digest rows; io })
+          queries)
+      [ 64; 1 ]
+  in
+  let mismatches =
+    List.filter
+      (fun p ->
+        match List.find_opt (fun g -> g.name = p.name && g.batch = p.batch) golden_pins with
+        | Some g -> not (same_pin g p)
+        | None -> true)
+      actual
+  in
+  if mismatches <> [] then
+    Alcotest.failf "executor output moved off its golden pins; actual:\n%s"
+      (String.concat "\n" (List.map pin_to_string mismatches));
+  Alcotest.(check int) "every pin exercised" (List.length golden_pins) (List.length actual)
 
 let () =
   Alcotest.run "exec"
     [ ( "env",
         [ Alcotest.test_case "bindings and slots" `Quick test_env_basics;
-          Alcotest.test_case "predicate evaluation" `Quick test_eval ] );
+          Alcotest.test_case "predicate evaluation" `Quick test_eval;
+          Alcotest.test_case "batch FIFO order" `Quick test_fifo_order ] );
       ( "operators",
         [ Alcotest.test_case "file scan" `Quick test_file_scan_counts;
           Alcotest.test_case "index scan == filter" `Quick test_index_scan_equals_filter;
@@ -345,6 +573,8 @@ let () =
           Alcotest.test_case "unnest reveals references" `Quick test_unnest;
           Alcotest.test_case "hash join == pointer join" `Quick test_hash_join_equals_pointer_join;
           Alcotest.test_case "hash join residual" `Quick test_hash_join_residual;
+          Alcotest.test_case "hash join numeric boundary keys" `Quick test_hash_join_numeric_keys;
+          Alcotest.test_case "hash join match order" `Quick test_hash_join_match_order;
           Alcotest.test_case "set operations" `Quick test_setops;
           Alcotest.test_case "sort" `Quick test_sort;
           Alcotest.test_case "trim enforces properties" `Quick test_trim_enforces_properties;
@@ -355,5 +585,7 @@ let () =
           Alcotest.test_case "all paper queries execute" `Quick test_all_queries_execute;
           Alcotest.test_case "malformed plans rejected" `Quick test_malformed_plan_rejected;
           Alcotest.test_case "missing index rejected" `Quick test_missing_index_rejected ] );
-      ("analyze", [ Alcotest.test_case "statistics refresh" `Quick test_analyze ]) ]
+      ("analyze", [ Alcotest.test_case "statistics refresh" `Quick test_analyze ]);
+      ( "golden",
+        [ Alcotest.test_case "rows and simulated I/O at batch 64 and 1" `Quick test_golden_pins ] ) ]
 

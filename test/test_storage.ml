@@ -23,8 +23,27 @@ let test_value_date () =
   Alcotest.(check bool) "month order" true (Value.date_of_ymd 1992 2 1 > d1992)
 
 let test_value_hash_consistent () =
-  (* equal values (including cross int/float) must hash equally *)
-  Alcotest.(check int) "int/float hash" (Value.hash (Value.Int 7)) (Value.hash (Value.Float 7.0))
+  (* equal values (including cross int/float) must hash equally, also at
+     the numeric boundaries *)
+  Alcotest.(check int) "int/float hash" (Value.hash (Value.Int 7)) (Value.hash (Value.Float 7.0));
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Value.equal a b && Value.hash a <> Value.hash b then
+            Alcotest.failf "%s = %s but hashes differ" (Value.to_string a) (Value.to_string b))
+        Helpers.numeric_boundary_values)
+    Helpers.numeric_boundary_values;
+  let big = 1_000_000_000_000_002 in
+  Alcotest.(check bool) "int = float past 1e15" true
+    (Value.equal (Value.Int big) (Value.Float (float_of_int big)));
+  Alcotest.(check int) "and hash alike" (Value.hash (Value.Int big))
+    (Value.hash (Value.Float (float_of_int big)));
+  let two53 = 1 lsl 53 in
+  Alcotest.(check bool) "2^53 + 1 rounds to 2^53" true
+    (Value.equal (Value.Int (two53 + 1)) (Value.Float (float_of_int two53)));
+  Alcotest.(check int) "and hashes alike" (Value.hash (Value.Int (two53 + 1)))
+    (Value.hash (Value.Float (float_of_int two53)))
 
 let test_value_helpers () =
   Alcotest.(check (option int)) "as_ref" (Some 42) (Value.as_ref (Value.Ref 42));
