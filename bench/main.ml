@@ -656,9 +656,10 @@ let feedback_loop () =
 (* Provenance overhead and why-not smoke ------------------------------ *)
 
 (* Optimizer wall time on the width-8 chain join with provenance
-   recording on (the default) vs off, min over interleaved trials. The
-   5% gate is advisory (report-only): the number lands in the history
-   record so drifts are visible, but a noisy CI box never fails on it. *)
+   recording requested (the replay every explanation runs) vs the
+   default unrecorded search, min over interleaved trials. The 5% gate
+   is advisory (report-only): the number lands in the history record so
+   drifts are visible, but a noisy CI box never fails on it. *)
 let provenance_overhead_budget_pct = 5.0
 
 let provenance_overhead ?(trials = 5) () =
@@ -666,16 +667,16 @@ let provenance_overhead ?(trials = 5) () =
   (* CPU time, not wall time: the diff of two ~0.2s measurements is
      exactly where scheduler jitter would otherwise dominate the
      statistic. *)
-  let time options =
+  let time provenance =
     Gc.full_major ();
     let t0 = Sys.time () in
-    ignore (Opt.optimize ~options cat q);
+    ignore (Opt.optimize ~provenance cat q);
     Sys.time () -. t0
   in
   let on = ref infinity and off = ref infinity in
   for _ = 1 to trials do
-    off := Float.min !off (time (Options.without_provenance Options.default));
-    on := Float.min !on (time Options.default)
+    off := Float.min !off (time false);
+    on := Float.min !on (time true)
   done;
   let pct = if !off > 0. then 100. *. (!on -. !off) /. !off else Float.nan in
   Format.printf
@@ -695,9 +696,8 @@ let whynot_smoke () =
     let q = if String.length name >= 5 && String.sub name 0 5 = "chain" then Q.join_chain 8 else Q.q1 in
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    let outcome = Opt.optimize ~options cat q in
-    let replay options = Opt.optimize ~options cat q in
-    (match Provenance.classify ~options ~replay outcome shape with
+    let replay options = Opt.optimize ~options ~provenance:true cat q in
+    (match Provenance.classify ~options ~replay (replay options) shape with
     | Ok _ -> ()
     | Error e -> Format.printf "  why-not smoke %s failed: %s@." name e);
     let dt = Unix.gettimeofday () -. t0 in

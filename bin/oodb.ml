@@ -576,7 +576,10 @@ let explain_run paper text disabled window no_pruning batch_size scale analyze w
             Feedback.env_var;
           options
     in
-    let outcome = Opt.optimize ~options ~required cat q in
+    (* Lineage is recorded only for the outputs that read it; the search
+       is deterministic, so the recording run is the default run *)
+    let provenance = why || memo_out <> None || memo_dot <> None in
+    let outcome = Opt.optimize ~options ~required ~provenance cat q in
     (* memo exports work even when no plan was found: an empty physical
        memo with full lineage is exactly what debugging wants *)
     (match memo_out with
@@ -727,9 +730,8 @@ let why_not_run paper text chain disabled window no_pruning no_indexes guided sk
               Feedback.env_var;
             options
       in
-      let outcome = Opt.optimize ~options ~required cat q in
-      let replay options = Opt.optimize ~options ~required cat q in
-      match Provenance.classify ~options ~replay outcome shape with
+      let replay options = Opt.optimize ~options ~required ~provenance:true cat q in
+      match Provenance.classify ~options ~replay (replay options) shape with
       | Error m ->
         Format.eprintf "error: %s@." m;
         1
@@ -786,7 +788,7 @@ let why_not_cmd =
           no such index exists), $(b,derived but lost) (costed, but beaten — the \
           report decomposes the cost gap into I/O and CPU), or $(b,pruned) (died \
           under the branch-and-bound limit — the report replays the bound and the \
-          margin). Requires provenance recording (on by default).")
+          margin). The query is optimized with provenance recording on.")
     Term.(
       const why_not_run $ paper_arg $ query_pos $ chain_arg $ disable_arg $ window_arg
       $ no_pruning_arg $ no_indexes_arg $ guided_arg $ skewed_arg $ feedback_arg

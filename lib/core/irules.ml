@@ -187,7 +187,7 @@ let collapse_index_scan cfg cat =
 (* ------------------------------------------------------------------ *)
 (* Select => Filter                                                     *)
 
-let filter cfg cat =
+let filter cfg =
   { Engine.i_name = "filter";
     i_promise = 50;
     i_apply =
@@ -200,7 +200,6 @@ let filter cfg cat =
               order = required.Physprop.order }
           in
           let card = (Engine.group_lprop ctx g).Lprops.card in
-          ignore (out_lprop cfg cat ctx m);
           [ { Engine.cand_alg = Physical.Filter p;
               cand_inputs = [ (g, inp) ];
               cand_cost = Costmodel.filter cfg ~card ~atoms:(List.length p);
@@ -634,7 +633,7 @@ let hash_setop cfg cat =
 let all cfg cat =
   [ file_scan cfg cat;
     collapse_index_scan cfg cat;
-    filter cfg cat;
+    filter cfg;
     hash_join cfg cat;
     merge_join cfg cat;
     pointer_join cfg cat;

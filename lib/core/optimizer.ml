@@ -44,16 +44,15 @@ let lint options cat ~required plan =
              Planlint.pp_violations vs))
 
 let optimize ?(options = Options.default) ?(required = Physprop.empty)
-    ?(initial_limit = Cost.infinite) ?closure_fuel ?trace ?spans cat expr =
+    ?(initial_limit = Cost.infinite) ?closure_fuel ?trace ?spans ?provenance cat expr =
   let expr = prepare options cat expr in
   let spec = spec options cat in
   let t0 = Sys.time () in
   let result =
     Oodb_util.Span.with_span spans ~cat:"optimizer" "optimize" (fun () ->
         Engine.run ~disabled:options.Options.disabled ~pruning:options.Options.pruning
-          ~guided:options.Options.guided ~provenance:options.Options.provenance
-          ~initial_limit ?closure_fuel ?trace ?spans ?typing:(typing_hook options cat)
-          spec (expr_of_logical expr) ~required)
+          ~guided:options.Options.guided ~initial_limit ?closure_fuel ?trace ?spans
+          ?typing:(typing_hook options cat) ?provenance spec (expr_of_logical expr) ~required)
   in
   let t1 = Sys.time () in
   lint options cat ~required result.Engine.plan;
@@ -67,8 +66,8 @@ let optimize_batch ?(options = Options.default) ?closure_fuel ?trace ?spans cat 
   let spec = spec options cat in
   let s =
     Engine.session ~disabled:options.Options.disabled ~pruning:options.Options.pruning
-      ~guided:options.Options.guided ~provenance:options.Options.provenance ?closure_fuel
-      ?trace ?spans ?typing:(typing_hook options cat) spec
+      ~guided:options.Options.guided ?closure_fuel ?trace ?spans
+      ?typing:(typing_hook options cat) spec
   in
   (* Register every root before solving any of them: the shared memo then
      reaches its full logical closure once, and a subexpression two

@@ -22,6 +22,7 @@ val optimize :
   ?closure_fuel:int ->
   ?trace:(Model.Engine.event -> unit) ->
   ?spans:Oodb_util.Span.t ->
+  ?provenance:bool ->
   Oodb_catalog.Catalog.t ->
   Oodb_algebra.Logical.t ->
   outcome
@@ -35,7 +36,11 @@ val optimize :
     receives every search event (see {!Model.Engine.event}); leave it
     unset for the zero-overhead nil-sink fast path. [spans] collects an
     ["optimize"] span (category ["optimizer"]) enclosing the engine's
-    per-phase spans (see {!Model.Engine.session}).
+    per-phase spans (see {!Model.Engine.session}). [provenance]
+    (default [false]) records derivation lineage for the explanation
+    readers in [Oodb_obs.Provenance]. The search is deterministic, so a
+    recording run replays the default run: same memo, winner, statistics
+    (apart from [prov_records]/[prov_dropped]) and rule counters.
     @raise Invalid_argument if the expression is not well-formed, or if
     [options.verify] is on and the winning plan fails {!Planlint.plan} —
     the signature of an unsound rule. *)

@@ -6,7 +6,6 @@ type t = {
   normalize : bool;
   verify : bool;
   cache : bool;
-  provenance : bool;
   feedback_qerror_limit : float;
 }
 
@@ -18,16 +17,11 @@ let default =
     normalize = true;
     verify = true;
     cache = true;
-    provenance = true;
     feedback_qerror_limit = 16.0 }
 
 let with_guided t = { t with guided = true }
 
 let without_guided t = { t with guided = false }
-
-let with_provenance t = { t with provenance = true }
-
-let without_provenance t = { t with provenance = false }
 
 let without_cache t = { t with cache = false }
 

@@ -29,14 +29,6 @@ type t = {
           and store fingerprinted plans (default on); when off they
           bypass lookup and insertion and always optimize cold. Ignored
           by the raw {!Optimizer.optimize}, which is always cold. *)
-  provenance : bool;
-      (** record derivation lineage during the search (default on, like
-          [verify]): every multi-expression's producing rule, parent id
-          and firing sequence, and every physical candidate's final
-          disposition (kept / pruned with the bound and margin /
-          abandoned) — the substrate of [explain --why], [why-not] and
-          the memo export. Like [guided] it never changes which plan
-          wins, so it is excluded from plan-cache fingerprints *)
   feedback_qerror_limit : float;
       (** maximum recorded q-error a cached plan may carry before a
           feedback-gated cache lookup evicts it and forces a re-plan
@@ -88,10 +80,3 @@ val with_guided : t -> t
     identical to the exhaustive search. *)
 
 val without_guided : t -> t
-
-val with_provenance : t -> t
-
-val without_provenance : t -> t
-(** Turn {!field-provenance} off: no lineage side-tables are built (the
-    engine's nil-sink fast path) and explanation queries report that
-    provenance was disabled. *)

@@ -12,8 +12,7 @@ module Vec = Oodb_util.Vec
 let available (o : Optimizer.outcome) = Engine.provenance_on o.Optimizer.memo
 
 let disabled_msg =
-  "provenance was not recorded (Options.provenance is off); re-run with provenance \
-   enabled"
+  "provenance was not recorded; re-optimize with Optimizer.optimize ~provenance:true"
 
 (* ------------------------------------------------------------------ *)
 (* Winner lineage: the --why walk                                      *)

@@ -1,6 +1,9 @@
 (** Plan provenance and counterfactual explanation, built on the Volcano
-    engine's derivation-lineage side-tables (recorded when
-    [Options.provenance] is on, the default).
+    engine's derivation-lineage side-tables. A default
+    {!Optimizer.optimize} records none; explanation callers request it
+    with [~provenance:true]. The search is deterministic, so that
+    recording run replays the default one: the same memo, winner and
+    rule counters, plus the lineage.
 
     Three consumers: [explain --why] (the winner's lineage, bottom-up,
     with rule chains, per-step cost deltas and estimate provenance);
@@ -18,8 +21,8 @@ module Cost = Oodb_cost.Cost
 module Json = Oodb_util.Json
 
 val available : Optimizer.outcome -> bool
-(** Did this outcome record provenance? False when the optimizer ran
-    with [Options.without_provenance]. *)
+(** Did this outcome record provenance? False unless the optimizer ran
+    with [~provenance:true]. *)
 
 (** {2 Winner lineage: explain --why} *)
 
@@ -37,7 +40,7 @@ type why_step = {
 
 val why : Optimizer.outcome -> required:Physprop.t -> (why_step, string) result
 (** Walk the winner's recorded derivation from the root goal. [Error]
-    when provenance is off or no winner was recorded. *)
+    when the outcome recorded no provenance or no winner. *)
 
 val replay_rules : Optimizer.outcome -> required:Physprop.t -> string list
 (** Transformation rules in the winner's transitive derivation, deduped
@@ -129,9 +132,11 @@ val classify :
     subtree carrying it actually lost or was pruned.
 
     [replay], when given, re-optimizes the same query under modified
-    options. It is used for one escalation only: under exhaustive
-    (non-guided) branch-and-bound, a prune is a short-circuited cost
-    comparison, so a pruned (or blocked-path never-derived) verdict is
+    options with provenance recording on (a replay without lineage
+    leaves the verdict unescalated). It is used for one escalation
+    only: under exhaustive (non-guided) branch-and-bound, a prune is a
+    short-circuited cost comparison, so a pruned (or blocked-path
+    never-derived) verdict is
     re-derived with [pruning = false]; if the completed search shows
     the alternative losing on cost, the verdict upgrades to
     {!Derived_but_lost} with the true gap. Guided-mode refusals are

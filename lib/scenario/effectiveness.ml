@@ -269,9 +269,13 @@ let score_zql_exn ~sample db options ~name ~zql =
           match distinguishing with
           | None -> None
           | Some a -> (
-            let replay options = Opt.optimize ~options ~required cat logical in
+            (* Scoring ran without lineage; the explanation replays the
+               same deterministic search with recording on. *)
+            let replay options =
+              Opt.optimize ~options ~required ~provenance:true cat logical
+            in
             match
-              Oodb_obs.Provenance.classify ~options ~replay outcome
+              Oodb_obs.Provenance.classify ~options ~replay (replay options)
                 (Oodb_obs.Provenance.shape_of_alg a)
             with
             | Ok cl -> Some cl

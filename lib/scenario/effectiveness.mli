@@ -32,9 +32,10 @@ type score = {
           sampled plan's distinguishing operator (the topmost operator
           shape present in the fastest alternative but absent from the
           chosen plan) — was it never derived, derived but lost on
-          estimated cost, or pruned? [None] when the chosen plan was
-          (among the sample) optimal, when the plans differ only in
-          shape arrangement, or when provenance was off. *)
+          estimated cost, or pruned? Only this query is re-optimized
+          with provenance recording on. [None] when the chosen plan was
+          (among the sample) optimal, or when the plans differ only in
+          shape arrangement. *)
 }
 
 type report = {

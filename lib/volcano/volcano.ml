@@ -199,6 +199,10 @@ module Make (M : MODEL) = struct
            once per sibling multi-expression; materializing the public
            view once per change turns the closure's dominant cost from
            per-scan allocation into a plain list walk *)
+    mutable gcache_ids : int list;
+        (* packed ids of [gcache]'s mexprs, position for position: the
+           physical search names the mexpr a candidate implements
+           without re-interning it *)
   }
 
   type mexpr_data = {
@@ -312,6 +316,9 @@ module Make (M : MODEL) = struct
            types; violations raise [Type_violation] *)
   }
 
+  (* Resolved once per session for every enabled rule (see [session]),
+     so the search loops bump a counter without hashing the rule's name
+     on each try. *)
   let rule_counter ctx name =
     match Hashtbl.find_opt ctx.rule_tbl name with
     | Some c -> c
@@ -320,8 +327,12 @@ module Make (M : MODEL) = struct
       Hashtbl.add ctx.rule_tbl name c;
       c
 
+  (* Only rules the search invoked are listed: an enabled rule never
+     tried (no mexpr of its operator) has a counter but no entry. *)
   let rule_counters ctx =
-    Hashtbl.fold (fun name c acc -> (name, c.rc_tried, c.rc_fired) :: acc) ctx.rule_tbl []
+    Hashtbl.fold
+      (fun name c acc -> if c.rc_tried > 0 then (name, c.rc_tried, c.rc_fired) :: acc else acc)
+      ctx.rule_tbl []
     |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
   let closure_complete ctx = ctx.ms.s_closure_complete
@@ -382,7 +393,7 @@ module Make (M : MODEL) = struct
     let _ = Vec.push ctx.parents gid in
     let gd =
       { gid; gexprs = []; glprop = lprop; gtyp = None; gusers = []; gstamp = 0;
-        gcache_stamp = -1; gcache = [] }
+        gcache_stamp = -1; gcache = []; gcache_ids = [] }
     in
     let _ = Vec.push ctx.groups gd in
     (match ctx.tracer with None -> () | Some f -> f (Group_created { group = gid }));
@@ -400,31 +411,37 @@ module Make (M : MODEL) = struct
     done;
     !acc
 
-  (* Live multi-expressions of a group, oldest first. Congruence repair
-     keeps inputs canonical and kills self-referential or duplicate forms
+  (* The group's data with its live multi-expressions cached, oldest
+     first, in [gcache] (ids in [gcache_ids]). Congruence repair keeps
+     inputs canonical and kills self-referential or duplicate forms
      eagerly, so this is a filter over dead ids, not a scan-and-rebuild;
-     the result is cached until the group's [gstamp] moves. *)
-  let group_exprs ctx g =
+     the cache holds until the group's [gstamp] moves. *)
+  let cached_group ctx g =
     let root = find ctx g in
     let gd = Vec.get ctx.groups root in
-    if gd.gcache_stamp = gd.gstamp then gd.gcache
-    else begin
-      let exprs =
-        gd.gexprs
-        |> List.filter_map (fun mid ->
-               let mx = mexpr_data ctx mid in
-               if not mx.mx_alive then None
-               else
-                 let inputs = canon_inputs ctx mx.mx_inputs in
-                 if self_ref_inputs root inputs then None
-                 else
-                   Some { mop = Vec.get ctx.ops mx.mx_op; minputs = Array.to_list inputs })
-        |> List.rev
+    if gd.gcache_stamp <> gd.gstamp then begin
+      (* [gexprs] is newest first, so consing yields oldest first *)
+      let rec collect exprs ids = function
+        | [] ->
+          gd.gcache <- exprs;
+          gd.gcache_ids <- ids
+        | mid :: rest ->
+          let mx = mexpr_data ctx mid in
+          if not mx.mx_alive then collect exprs ids rest
+          else
+            let inputs = canon_inputs ctx mx.mx_inputs in
+            if self_ref_inputs root inputs then collect exprs ids rest
+            else
+              collect
+                ({ mop = Vec.get ctx.ops mx.mx_op; minputs = Array.to_list inputs } :: exprs)
+                (mid :: ids) rest
       in
-      gd.gcache_stamp <- gd.gstamp;
-      gd.gcache <- exprs;
-      exprs
-    end
+      collect [] [] gd.gexprs;
+      gd.gcache_stamp <- gd.gstamp
+    end;
+    gd
+
+  let group_exprs ctx g = (cached_group ctx g).gcache
 
   (* Memo-wide type invariant: derive the type of [m] from its input
      groups' types and check it against the group's; raises
@@ -631,18 +648,6 @@ module Make (M : MODEL) = struct
       | Some mid -> Some (find ctx (mexpr_data ctx mid).mx_group)
       | None -> None)
 
-  (* Packed id of the live mexpr equal to [m], or -1. The physical search
-     iterates the public [group_exprs] view (ids erased), so provenance
-     recording recovers the id through the exact intern key. *)
-  let prov_mexpr_id ctx (m : mexpr) =
-    match Op_tbl.find_opt ctx.op_index m.mop with
-    | None -> -1
-    | Some op_id -> (
-      let inputs = canon_inputs ctx (Array.of_list m.minputs) in
-      match Key_tbl.find_opt ctx.mexpr_index (make_key op_id inputs) with
-      | Some mid -> mid
-      | None -> -1)
-
   (* ------------------------------------------------------------------ *)
   (* Rules and specification                                             *)
 
@@ -741,9 +746,8 @@ module Make (M : MODEL) = struct
       ctx.ms.s_closure_steps <- ctx.ms.s_closure_steps + 1;
       let g, m, mid = Queue.pop queue in
       List.iter
-        (fun rule ->
+        (fun (rule, counter) ->
           ctx.ms.s_trule_tried <- ctx.ms.s_trule_tried + 1;
-          let counter = rule_counter ctx rule.t_name in
           counter.rc_tried <- counter.rc_tried + 1;
           (match ctx.tracer with
           | None -> ()
@@ -1014,14 +1018,11 @@ module Make (M : MODEL) = struct
                first, so the branch-and-bound limit tightens before the
                expensive alternatives are considered. *)
             let deferred = ref [] in
-            List.iter
-              (fun m ->
-                let m_pid =
-                  match ctx.prov with None -> -1 | Some _ -> prov_mexpr_id ctx m
-                in
+            let gd = cached_group ctx g in
+            List.iter2
+              (fun m mid ->
                 List.iter
-                  (fun (ir : irule) ->
-                    let counter = rule_counter ctx ir.i_name in
+                  (fun ((ir : irule), counter) ->
                     counter.rc_tried <- counter.rc_tried + 1;
                     (match ctx.tracer with
                     | None -> ()
@@ -1040,7 +1041,7 @@ module Make (M : MODEL) = struct
                                  alg = cand.cand_alg;
                                  cost = cand.cand_cost }));
                         let pidx =
-                          prov_log ctx ~group:g ~required ~rule:ir.i_name ~mexpr:m_pid
+                          prov_log ctx ~group:g ~required ~rule:ir.i_name ~mexpr:mid
                             ~alg:cand.cand_alg ~local_cost:cand.cand_cost
                             ~inputs:cand.cand_inputs
                         in
@@ -1048,7 +1049,7 @@ module Make (M : MODEL) = struct
                         else try_candidate (cand, pidx))
                       cands)
                   enabled_irules)
-              (group_exprs ctx g);
+              gd.gcache gd.gcache_ids;
             if guided then
               List.stable_sort
                 (fun (a, _) (b, _) -> M.Cost.compare a.cand_cost b.cand_cost)
@@ -1057,8 +1058,7 @@ module Make (M : MODEL) = struct
             (* Enforcers: achieve [required] by gluing a property-enforcing
                algorithm on top of a plan for weaker requirements. *)
             List.iter
-              (fun (en : enforcer) ->
-                let counter = rule_counter ctx en.e_name in
+              (fun ((en : enforcer), counter) ->
                 counter.rc_tried <- counter.rc_tried + 1;
                 (match ctx.tracer with
                 | None -> ()
@@ -1139,9 +1139,9 @@ module Make (M : MODEL) = struct
      expanded, costed and pruned once. *)
   type session = {
     ss_spec : spec;
-    ss_trules : trule list;
-    ss_irules : irule list;
-    ss_enforcers : enforcer list;
+    ss_trules : (trule * rule_counter) list; (* enabled rules with their counters *)
+    ss_irules : (irule * rule_counter) list;
+    ss_enforcers : (enforcer * rule_counter) list;
     ss_pruning : bool;
     ss_guided : bool;
     ss_closure_fuel : int option; (* budget over the whole session's closure steps *)
@@ -1200,17 +1200,22 @@ module Make (M : MODEL) = struct
         prov;
         typing }
     in
-    let irules = List.filter (fun r -> enabled r.i_name) spec.implementations in
+    let resolve name_of rules =
+      List.filter_map
+        (fun r -> if enabled (name_of r) then Some (r, rule_counter ctx (name_of r)) else None)
+        rules
+    in
+    let irules = resolve (fun r -> r.i_name) spec.implementations in
     { ss_spec = spec;
-      ss_trules = List.filter (fun r -> enabled r.t_name) spec.transformations;
+      ss_trules = resolve (fun r -> r.t_name) spec.transformations;
       ss_irules =
         (* guided search applies rules in promise order (highest first, ties
            keep registration order), so cheap/high-yield algorithms tighten
            the branch-and-bound limit before expensive ones are costed *)
         (if guided then
-           List.stable_sort (fun a b -> Int.compare b.i_promise a.i_promise) irules
+           List.stable_sort (fun (a, _) (b, _) -> Int.compare b.i_promise a.i_promise) irules
          else irules);
-      ss_enforcers = List.filter (fun r -> enabled r.e_name) spec.enforcers;
+      ss_enforcers = resolve (fun r -> r.e_name) spec.enforcers;
       ss_pruning = pruning;
       ss_guided = guided;
       ss_closure_fuel = closure_fuel;

@@ -16,9 +16,11 @@
      candidate prune with the bound in force;
    - the memo export is deterministic: two separate optimizations of
      the same query render bit-identical JSON;
-   - provenance is invisible to everything downstream: plan-cache
-     fingerprints ignore the flag, and with recording off the readers
-     fail loudly (Error) rather than fabricating lineage. *)
+   - recording is on demand: a default optimization (and a plan-cache
+     miss) records nothing, the readers then fail loudly (Error) rather
+     than fabricating lineage, and a recording run replays the default
+     one — same plan, winner cost, search statistics and rule
+     counters. *)
 
 module Json = Oodb_util.Json
 module Cost = Oodb_cost.Cost
@@ -36,7 +38,7 @@ module Trace = Oodb_obs.Trace
 module Profile = Oodb_obs.Profile
 module Feedback = Oodb_obs.Feedback
 module Provenance = Oodb_obs.Provenance
-module Fingerprint = Oodb_plancache.Fingerprint
+module Plancache = Oodb_plancache.Plancache
 
 let required = Physprop.empty
 
@@ -47,9 +49,9 @@ let skewed_db = lazy (Datagen.generate_skewed ~scale:0.05 ~buffer_pages:512 ())
 
 let test_lineage_basics () =
   let cat = OC.catalog_with_indexes () in
-  let outcome = Opt.optimize cat Q.q1 in
+  let outcome = Opt.optimize ~provenance:true cat Q.q1 in
   let memo = outcome.Opt.memo in
-  Alcotest.(check bool) "provenance is on by default" true (Provenance.available outcome);
+  Alcotest.(check bool) "provenance recorded on request" true (Provenance.available outcome);
   let lins = Engine.lineages memo in
   Alcotest.(check bool) "lineage rows were recorded" true (List.length lins > 0);
   (* Every rule-produced mexpr has a parent, and the chain walks back to
@@ -96,7 +98,7 @@ let test_lineage_replay () =
           List.iter
             (fun (qname, q) ->
               let label = Printf.sprintf "%s/%s/%s" qname cname vname in
-              let outcome = Opt.optimize ~options cat q in
+              let outcome = Opt.optimize ~options ~provenance:true cat q in
               let plan = Opt.plan_exn outcome in
               let chain = Provenance.replay_rules outcome ~required in
               (* Disable every transformation rule outside the winner's
@@ -118,7 +120,7 @@ let test_lineage_replay () =
 
 let test_why_tree () =
   let cat = OC.catalog_with_indexes () in
-  let outcome = Opt.optimize cat Q.q1 in
+  let outcome = Opt.optimize ~provenance:true cat Q.q1 in
   match Provenance.why outcome ~required with
   | Error e -> Alcotest.fail ("why failed: " ^ e)
   | Ok step ->
@@ -147,8 +149,8 @@ let verdict_of label cl =
 let test_whynot_never_derived () =
   let cat = OC.catalog_with_indexes () in
   let options = Options.disable "merge-join" Options.default in
-  let outcome = Opt.optimize ~options cat Q.q1 in
-  let replay options = Opt.optimize ~options cat Q.q1 in
+  let outcome = Opt.optimize ~options ~provenance:true cat Q.q1 in
+  let replay options = Opt.optimize ~options ~provenance:true cat Q.q1 in
   match
     verdict_of "never-derived"
       (Provenance.classify ~options ~replay outcome (Provenance.Force_join "merge"))
@@ -173,11 +175,11 @@ let test_whynot_derived_but_lost () =
   let harvested = Feedback.harvest store Options.default.Options.config cat prof in
   Alcotest.(check bool) "statistics harvested" true (harvested >= 2);
   let options = Feedback.install store Options.default in
-  let outcome = Opt.optimize ~options cat Q.fred in
+  let outcome = Opt.optimize ~options ~provenance:true cat Q.fred in
   Alcotest.(check bool) "corrected plan uses the index" true
     (List.mem "index-scan"
        (List.map Helpers.alg_label (Helpers.algs (Opt.plan_exn outcome))));
-  let replay options = Opt.optimize ~options cat Q.fred in
+  let replay options = Opt.optimize ~options ~provenance:true cat Q.fred in
   match
     verdict_of "derived-but-lost"
       (Provenance.classify ~options ~replay outcome (Provenance.Force_scan "Employees"))
@@ -199,8 +201,8 @@ let test_whynot_pruned () =
   let cat = OC.catalog_with_indexes () in
   let q = Q.join_chain 8 in
   let options = Options.with_guided Options.default in
-  let outcome = Opt.optimize ~options cat q in
-  let replay options = Opt.optimize ~options cat q in
+  let outcome = Opt.optimize ~options ~provenance:true cat q in
+  let replay options = Opt.optimize ~options ~provenance:true cat q in
   match
     verdict_of "pruned"
       (Provenance.classify ~options ~replay outcome (Provenance.Force_join "hash"))
@@ -219,8 +221,8 @@ let test_whynot_escalation () =
      short-circuit as the answer but replay without pruning and return
      the completed cost gap. *)
   let cat = OC.catalog_with_indexes () in
-  let outcome = Opt.optimize cat Q.q1 in
-  let replay options = Opt.optimize ~options cat Q.q1 in
+  let outcome = Opt.optimize ~provenance:true cat Q.q1 in
+  let replay options = Opt.optimize ~options ~provenance:true cat Q.q1 in
   (match
      verdict_of "escalated"
        (Provenance.classify ~options:Options.default ~replay outcome
@@ -249,7 +251,7 @@ let test_whynot_escalation () =
 
 let test_whynot_chosen () =
   let cat = OC.catalog_with_indexes () in
-  let outcome = Opt.optimize cat Q.q1 in
+  let outcome = Opt.optimize ~provenance:true cat Q.q1 in
   let plan = Opt.plan_exn outcome in
   let shape = Provenance.shape_of_alg plan.Engine.alg in
   match verdict_of "chosen" (Provenance.classify outcome shape) with
@@ -263,13 +265,13 @@ let test_whynot_chosen () =
 let test_memo_determinism () =
   let cat = OC.catalog_with_indexes () in
   let render () =
-    let outcome = Opt.optimize cat Q.q2 in
+    let outcome = Opt.optimize ~provenance:true cat Q.q2 in
     Json.to_string (Provenance.memo_json outcome ~required)
   in
   let a = render () and b = render () in
   Alcotest.(check bool) "two optimizations render bit-identical memo JSON" true
     (String.equal a b);
-  let outcome = Opt.optimize cat Q.q2 in
+  let outcome = Opt.optimize ~provenance:true cat Q.q2 in
   let dot = Provenance.memo_dot outcome ~required in
   let contains haystack needle =
     let nh = String.length haystack and nn = String.length needle in
@@ -282,25 +284,87 @@ let test_memo_determinism () =
     [ "digraph memo"; "color=red"; "style=dashed" ]
 
 (* ------------------------------------------------------------------ *)
-(* Provenance off: loud failure, invisible to fingerprints              *)
+(* Recording on demand: off by default, loud when absent, a replay     *)
+
+(* One text per zqlbench adhoc-join template, with fixed constants. *)
+let adhoc_texts =
+  [ ( "emp-dept-job",
+      {|SELECT e.name, d.name, j.name FROM e IN Employees, d IN Departments, j IN Jobs WHERE e.dept == d && e.job == j && d.floor == 3 && j.level == 4|}
+    );
+    ( "city-person-country",
+      {|SELECT c.name, p.name, n.name FROM c IN Cities, p IN Persons, n IN Countries WHERE c.mayor == p && c.country == n && p.age > 60 && c.population < 250000|}
+    );
+    ( "emp-dept",
+      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 7 && e.salary > 50000.0|}
+    );
+    ( "city-mat-chain",
+      {|SELECT c.name, c.mayor.name FROM c IN Cities WHERE c.mayor.age == 45 && c.country.capital.population > 800000 && c.population < 400000|}
+    );
+    ( "task-unnest",
+      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE t.time < 300 && m.age == 30 && m.dept.floor == 2|}
+    ) ]
+
+let test_default_records_nothing () =
+  let cat = OC.catalog_with_indexes () in
+  let outcome = Opt.optimize cat Q.q2 in
+  Alcotest.(check int) "Optimizer.optimize: no rows recorded" 0
+    outcome.Opt.stats.Engine.prov_records;
+  Alcotest.(check bool) "Optimizer.optimize: lineage not available" false
+    (Provenance.available outcome);
+  let pc = Plancache.create () in
+  let miss = Plancache.optimize pc cat Q.q2 in
+  Alcotest.(check bool) "a cold plan-cache lookup misses" false miss.Plancache.cached;
+  Alcotest.(check int) "Plancache.optimize miss: no rows recorded" 0
+    miss.Plancache.stats.Engine.prov_records
 
 let test_provenance_off () =
   let cat = OC.catalog_with_indexes () in
-  let options = Options.without_provenance Options.default in
-  let outcome = Opt.optimize ~options cat Q.q1 in
+  let outcome = Opt.optimize cat Q.q1 in
   Alcotest.(check bool) "not available" false (Provenance.available outcome);
   Alcotest.(check int) "no rows recorded" 0 outcome.Opt.stats.Engine.prov_records;
   (match Provenance.why outcome ~required with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "why fabricated lineage with provenance off");
-  (match Provenance.classify ~options outcome (Provenance.Force_join "merge") with
+  match Provenance.classify outcome (Provenance.Force_join "merge") with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "classify fabricated a verdict with provenance off");
-  (* The recording flag must not split the plan cache. *)
-  let key options = Fingerprint.key ~catalog:cat ~options ~required Q.q1 in
-  Alcotest.(check string) "fingerprint key ignores the provenance flag"
-    (key Options.default)
-    (key options)
+  | Ok _ -> Alcotest.fail "classify fabricated a verdict with provenance off"
+
+(* The recording run is a replay: the search is deterministic and the
+   side-tables only observe it. *)
+let test_recording_replays_default () =
+  let cat = OC.catalog_with_indexes () in
+  let queries =
+    [ ("q1", Q.q1); ("q2", Q.q2); ("q3", Q.q3); ("q4", Q.q4) ]
+    @ List.map (fun (name, text) -> (name, Zql.Simplify.compile_exn cat text)) adhoc_texts
+  in
+  let search_counts (s : Engine.stats) =
+    [ s.Engine.groups; s.Engine.mexprs; s.Engine.trule_fired; s.Engine.trule_tried;
+      s.Engine.candidates; s.Engine.pruned_candidates; s.Engine.pruned_subgoals;
+      s.Engine.enforcer_uses; s.Engine.phys_memo_hits; s.Engine.closure_steps;
+      Bool.to_int s.Engine.closure_complete ]
+  in
+  let rules o =
+    List.map
+      (fun (name, tried, fired) -> Printf.sprintf "%s %d/%d" name tried fired)
+      (Engine.rule_counters o.Opt.memo)
+  in
+  List.iter
+    (fun (label, q) ->
+      let plain = Opt.optimize cat q in
+      let recorded = Opt.optimize ~provenance:true cat q in
+      Alcotest.(check bool) (label ^ ": recording run recorded") true
+        (recorded.Opt.stats.Engine.prov_records > 0);
+      let p = Opt.plan_exn plain and p' = Opt.plan_exn recorded in
+      Alcotest.(check string) (label ^ ": same plan")
+        (Format.asprintf "%a" Engine.pp_plan p)
+        (Format.asprintf "%a" Engine.pp_plan p');
+      Alcotest.(check int) (label ^ ": Cost.compare-equal winners") 0
+        (Cost.compare p.Engine.cost p'.Engine.cost);
+      Alcotest.(check (list int)) (label ^ ": same search statistics")
+        (search_counts plain.Opt.stats) (search_counts recorded.Opt.stats);
+      Alcotest.(check (list string)) (label ^ ": same rule counters") (rules plain)
+        (rules recorded))
+    queries
 
 (* ------------------------------------------------------------------ *)
 (* Cost deltas and drop-count surfacing                                 *)
@@ -349,8 +413,11 @@ let () =
       ( "export",
         [ Alcotest.test_case "memo JSON is deterministic" `Quick test_memo_determinism ] );
       ( "isolation",
-        [ Alcotest.test_case "off is loud and fingerprint-invisible" `Quick
-            test_provenance_off ] );
+        [ Alcotest.test_case "default and cache-miss optimizations record nothing" `Quick
+            test_default_records_nothing;
+          Alcotest.test_case "off by default is loud" `Quick test_provenance_off;
+          Alcotest.test_case "recording run replays the default run" `Quick
+            test_recording_replays_default ] );
       ( "surfacing",
         [ Alcotest.test_case "cost delta decomposition" `Quick test_cost_delta;
           Alcotest.test_case "trace JSON carries drop counts" `Quick test_trace_prov_dropped ] ) ]
