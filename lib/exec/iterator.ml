@@ -79,20 +79,23 @@ let of_list_thunk ?(batch_size = Config.default_batch_size) thunk =
    mid-stream, so a failing operator cannot leak its children's open
    resources. The original exception wins over any secondary failure
    raised by [close] itself. *)
-let drain_protected t f =
+let iter_batches t f =
   open_ t;
-  match f () with
-  | v ->
-    close t;
-    v
+  let rec drain () =
+    match next_batch t with
+    | Some b ->
+      f b;
+      drain ()
+    | None -> ()
+  in
+  match drain () with
+  | () -> close t
   | exception e ->
     (try close t with _ -> ());
     raise e
 
 let to_list t =
-  drain_protected t (fun () ->
-      let rec drain batches =
-        match next_batch t with Some b -> drain (b :: batches) | None -> batches
-      in
-      (* the last batch first, each from its last tuple: one cons per tuple *)
-      List.fold_left (fun acc b -> Batch.fold_right (fun env acc -> env :: acc) b acc) [] (drain []))
+  let batches = ref [] in
+  iter_batches t (fun b -> batches := b :: !batches);
+  (* the last batch first, each from its last tuple: one cons per tuple *)
+  List.fold_left (fun acc b -> Batch.fold_right List.cons b acc) [] !batches

@@ -38,10 +38,14 @@ val next : t -> Env.t option
 
 val close : t -> unit
 
+val iter_batches : t -> (Batch.t -> unit) -> unit
+(** Open, pass every batch to the function in order, close. If the
+    iterator tree or the function raises mid-drain, the tree is closed
+    before the exception is re-raised, so no operator leaks open
+    children; the original exception wins over a failing [close]. *)
+
 val to_list : t -> Env.t list
-(** Open, drain batch-wise, close. If the iterator tree raises
-    mid-drain, the tree is closed before the exception is re-raised, so
-    no operator leaks open children. *)
+(** {!iter_batches} collecting the tuples in order. *)
 
 val of_list_thunk : ?batch_size:int -> (unit -> Env.t list) -> t
 (** Materializing source: the thunk runs at open time; output is served

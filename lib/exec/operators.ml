@@ -150,12 +150,12 @@ let classify_atoms build_scope atoms =
     ([], []) atoms
 
 (* Bytes a tuple occupies in a hash table: a 16-byte header plus every
-   materialized object, summed in binding order. *)
+   materialized object. *)
 let env_bytes store (env : Env.t) =
-  let bytes = ref 16.0 in
+  let bytes = ref 16 in
   for i = 0 to Array.length env.Env.slots - 1 do
     match env.Env.slots.(i) with
-    | Env.Obj o -> bytes := !bytes +. float_of_int (Store.obj_bytes store ~coll:o.Store.coll)
+    | Env.Obj o -> bytes := !bytes + Store.obj_bytes store o.Store.oid
     | Env.Ref _ -> ()
   done;
   !bytes
@@ -164,7 +164,8 @@ let env_bytes store (env : Env.t) =
    them back, so spills are visible in the disk statistics. *)
 let charge_spill store bytes =
   let disk = Store.disk store in
-  let pages = int_of_float (Float.ceil (bytes /. float_of_int (Disk.page_size disk))) in
+  let page_size = Disk.page_size disk in
+  let pages = (bytes + page_size - 1) / page_size in
   if pages > 0 then begin
     let seg = Disk.alloc_segment disk ~name:"hashjoin-spill" in
     Disk.extend disk seg pages;
@@ -175,6 +176,11 @@ let charge_spill store bytes =
       Disk.read disk seg p
     done
   end
+
+(* A build table: [add] files a build tuple under its key, and [matches]
+   lists the build tuples whose key equals a probe tuple's, most
+   recently built first. *)
+type table = { add : Env.t -> unit; matches : Env.t -> Env.t list }
 
 (* Every build tuple is stored under its own key, and [find_all] tests
    each stored key against the probe key: [Value.equal] is not
@@ -197,6 +203,101 @@ let compile_key operands =
   | [ k ] -> k
   | ks -> fun env -> Value.Set (List.map (fun k -> k env) ks)
 
+let value_table keys =
+  let build_key = compile_key (List.map fst keys) and probe_key = compile_key (List.map snd keys) in
+  let t = Value_table.create 64 in
+  { add = (fun env -> Value_table.add t (build_key env) env);
+    (* [find] allocates nothing, so a probe tuple without a match costs
+       no allocation; [find_all] then lists the matches. *)
+    matches =
+      (fun env ->
+        let key = probe_key env in
+        match Value_table.find t key with
+        | _ -> Value_table.find_all t key
+        | exception Not_found -> []) }
+
+(* Build tuples grouped by OID, each group most recently built first:
+   open addressing with linear probing over two parallel arrays whose
+   length is a power of two, kept at most half full. A slot is free
+   exactly when its group is empty, so every int is a valid key. The
+   home slot is the top bits of the OID times an odd constant near
+   2^63/phi (Fibonacci hashing), which spreads runs and strides of OIDs
+   over the table. *)
+module Oid_table = struct
+  type t = {
+    mutable keys : Value.oid array;
+    mutable groups : Env.t list array;
+    mutable shift : int; (* 63 - log2 (length keys) *)
+    mutable size : int; (* occupied slots *)
+  }
+
+  let create () = { keys = Array.make 64 0; groups = Array.make 64 []; shift = 57; size = 0 }
+
+  let rec probe t oid i =
+    match t.groups.(i) with
+    | [] -> i
+    | _ :: _ -> if t.keys.(i) = oid then i else probe t oid ((i + 1) land (Array.length t.keys - 1))
+
+  (* The slot holding [oid]'s group, or the free slot where it belongs. *)
+  let slot t oid = probe t oid ((oid * 0x4F1BBCDCBFA53C01) lsr t.shift)
+
+  let find t oid = t.groups.(slot t oid)
+
+  let rec add t oid env =
+    let i = slot t oid in
+    match t.groups.(i) with
+    | _ :: _ as group -> t.groups.(i) <- env :: group
+    | [] ->
+      t.keys.(i) <- oid;
+      t.groups.(i) <- [ env ];
+      t.size <- t.size + 1;
+      if 2 * t.size > Array.length t.keys then grow t
+
+  and grow t =
+    let keys = t.keys and groups = t.groups in
+    let n = 2 * Array.length keys in
+    t.keys <- Array.make n 0;
+    t.groups <- Array.make n [];
+    t.shift <- t.shift - 1;
+    Array.iteri
+      (fun i group ->
+        match group with
+        | [] -> ()
+        | _ :: _ ->
+          let j = slot t keys.(i) in
+          t.keys.(j) <- keys.(i);
+          t.groups.(j) <- group)
+      groups
+end
+
+(* [with_oid op ~none f] applies [f env oid] to the OID that [op] names
+   in [env]. A [Self] operand always names one; a [Field] names the
+   reference it holds, and yields [none] when it holds [Null] or a
+   non-reference value, which equals no identity. *)
+let with_oid op ~none f =
+  match op with
+  | Pred.Self b ->
+    let ix = Env.index b in
+    fun env -> f env (Env.oid_at ix env)
+  | op -> (
+    let value = Eval.compile_operand op in
+    fun env -> match value env with Value.Ref oid -> f env oid | _ -> none)
+
+(* Grouping build tuples by key is sound here because OIDs compare as
+   ints, whose equality is transitive (unlike [Value.equal], see
+   [Value_table]), so a probe costs one int lookup. *)
+let oid_table (build_op, probe_op) =
+  let t = Oid_table.create () in
+  { add = with_oid build_op ~none:() (fun env oid -> Oid_table.add t oid env);
+    matches = with_oid probe_op ~none:[] (fun _ oid -> Oid_table.find t oid) }
+
+(* A single key conjunct that compares an identity with an identity or
+   a reference (the shape the Mat-to-Join rewrite produces) is keyed by
+   OID; every other key by value. *)
+let build_table = function
+  | [ ((Pred.Self _, _) | (_, Pred.Self _)) as key ] -> oid_table key
+  | keys -> value_table keys
+
 let hash_join db (cfg : Config.t) atoms ~build ~probe =
   let store = Db.store db in
   let batch_size = max 1 cfg.Config.batch_size in
@@ -205,24 +306,11 @@ let hash_join db (cfg : Config.t) atoms ~build ~probe =
   let match_probe = ref (fun (_ : Env.t) -> ()) in
   let pending = Batch.Fifo.create () in
   let cat = concatenator () in
-  let open_ () =
-    Batch.Fifo.clear pending;
-    probe_open := false;
-    let build_envs = Iterator.to_list build in
-    let build_scope =
-      match build_envs with [] -> [] | env :: _ -> Env.bindings env
-    in
+  (* Which conjuncts are keys depends on the build side's bindings, so
+     the table is chosen at the first build tuple. *)
+  let start build_scope =
     let keys, residual = classify_atoms build_scope atoms in
-    let build_key = compile_key (List.map fst keys) in
-    let probe_key = compile_key (List.map snd keys) in
-    let residual = Eval.compile_pred residual in
-    let table = Value_table.create (max 16 (List.length build_envs)) in
-    let build_bytes = ref 0.0 in
-    List.iter
-      (fun env ->
-        build_bytes := !build_bytes +. env_bytes store env;
-        Value_table.add table (build_key env) env)
-      build_envs;
+    let table = build_table keys and residual = Eval.compile_pred residual in
     (* Matches come out most recently built first; only key matches are
        merged. *)
     let rec emit penv = function
@@ -232,23 +320,39 @@ let hash_join db (cfg : Config.t) atoms ~build ~probe =
         if residual merged then Batch.Fifo.push pending merged;
         emit penv rest
     in
-    (* [find] allocates nothing, so a probe tuple without a match costs
-       no allocation; [find_all] then lists the matches. *)
-    (match_probe :=
-       fun penv ->
-         let key = probe_key penv in
-         match Value_table.find table key with
-         | _ -> emit penv (Value_table.find_all table key)
-         | exception Not_found -> ());
-    let spilled = !build_bytes > float_of_int cfg.Config.memory_bytes in
-    if spilled then begin
+    (match_probe := fun penv -> emit penv (table.matches penv));
+    table
+  in
+  let open_ () =
+    Batch.Fifo.clear pending;
+    probe_open := false;
+    match_probe := (fun _ -> ());
+    let table = ref None and build_bytes = ref 0 in
+    Iterator.iter_batches build (fun b ->
+        let t =
+          match !table with
+          | Some t -> t
+          | None ->
+            let t = start (Env.bindings (Batch.get b 0)) in
+            table := Some t;
+            t
+        in
+        Batch.iter
+          (fun env ->
+            build_bytes := !build_bytes + env_bytes store env;
+            t.add env)
+          b);
+    if !build_bytes > cfg.Config.memory_bytes then begin
+      (* Both sides take the extra partitioning pass, in this order:
+         build charge, whole probe drain, probe charge; matching runs
+         after. *)
       charge_spill store !build_bytes;
-      (* both sides take the extra partitioning pass *)
-      let envs = Iterator.to_list probe in
-      let bytes = List.fold_left (fun acc e -> acc +. env_bytes store e) 0.0 envs in
-      charge_spill store bytes;
-      let remaining = Batch.Fifo.create () in
-      List.iter (Batch.Fifo.push remaining) envs;
+      let remaining = Batch.Fifo.create () and probe_bytes = ref 0 in
+      Iterator.iter_batches probe
+        (Batch.iter (fun env ->
+             probe_bytes := !probe_bytes + env_bytes store env;
+             Batch.Fifo.push remaining env));
+      charge_spill store !probe_bytes;
       probe_next :=
         fun () ->
           if Batch.Fifo.length remaining = 0 then None

@@ -33,7 +33,10 @@ val filter : Pred.t -> Iterator.t -> Iterator.t
 
 val hash_join : Db.t -> Config.t -> Pred.t -> build:Iterator.t -> probe:Iterator.t -> Iterator.t
 (** Equality conjuncts spanning both sides become the hash key; the rest
-    are evaluated as residual predicates. A build side exceeding the
+    are evaluated as residual predicates. A single key conjunct that
+    compares an object identity ([Self]) with an identity or a
+    reference is hashed by OID, with each OID's build tuples grouped;
+    any other key by [Value.t]. A build side exceeding the
     memory budget triggers a simulated partitioning pass (temp-segment
     writes and re-reads) so the spill shows up in the I/O statistics. *)
 

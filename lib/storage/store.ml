@@ -169,7 +169,7 @@ let cardinality t ~coll = Vec.length (get_coll t coll).c_members
 
 let segment t ~coll = (get_coll t coll).c_seg
 
-let obj_bytes t ~coll = (get_coll t coll).c_obj_bytes
+let obj_bytes t oid = (place t oid).p_coll.c_obj_bytes
 
 let location t oid =
   let p = place t oid in

@@ -91,7 +91,10 @@ val cardinality : t -> coll:string -> int
 
 val segment : t -> coll:string -> Disk.segment
 
-val obj_bytes : t -> coll:string -> int
+val obj_bytes : t -> Value.oid -> int
+(** The declared object size of the object's collection, free of charge
+    (read from the OID-indexed place table). @raise Not_found for
+    dangling OIDs. *)
 
 val location : t -> Value.oid -> Disk.segment * int
 (** First (segment, page) of the object — the sort key for elevator

@@ -2,6 +2,7 @@
 
 module Value = Oodb_storage.Value
 module Store = Oodb_storage.Store
+module Disk = Oodb_storage.Disk
 module Pred = Oodb_algebra.Pred
 module Logical = Oodb_algebra.Logical
 module Physprop = Open_oodb.Physprop
@@ -254,9 +255,9 @@ let test_trim_enforces_properties () =
   Iterator.close it
 
 (* A failing operator must not leak its children: [Iterator.to_list]
-   (the executor's drain) closes the whole tree before re-raising. The
-   spy records whether the scan underneath the exploding filter got its
-   [close]. *)
+   (the executor's drain) closes the whole tree before re-raising, and so
+   does the hash join's drain of its build side. The spy records whether
+   the scan underneath the exploding filter got its [close]. *)
 let test_failing_predicate_closes_tree () =
   let d = db () in
   let closed = ref false in
@@ -275,27 +276,34 @@ let test_failing_predicate_closes_tree () =
   let boom =
     [ Pred.atom Pred.Eq (Pred.Field ("zzz", "f")) (Pred.Const (Value.Int 1)) ]
   in
-  let it = Operators.filter boom spy in
-  Alcotest.check_raises "predicate raises" (Env.Unbound "zzz") (fun () ->
-      ignore (Iterator.to_list it));
-  Alcotest.(check bool) "scan closed despite exception" true !closed
+  List.iter
+    (fun (name, it) ->
+      Alcotest.check_raises (name ^ ": predicate raises") (Env.Unbound "zzz") (fun () ->
+          ignore (Iterator.to_list it));
+      Alcotest.(check bool) (name ^ ": scan closed despite exception") true !closed)
+    [ ("filter", Operators.filter boom spy);
+      ( "hash join build",
+        Operators.hash_join d Oodb_cost.Config.default []
+          ~build:(Operators.filter boom spy)
+          ~probe:(Operators.file_scan d ~coll:"Countries" ~binding:"n" ~batch_size:4) ) ]
 
 (* A database of two collections, L and R, whose objects hold one field
    [k] each, and a hash join of L (build, binding [l]) with R (probe,
    binding [r]). *)
-let keyed_db left right =
+let keyed_db ?(r_bytes = 64) left right =
   let store = Store.create ~buffer_pages:64 () in
   List.iter
-    (fun (coll, keys) ->
-      Store.declare_collection store ~name:coll ~cls:"K" ~obj_bytes:64;
+    (fun (coll, obj_bytes, keys) ->
+      Store.declare_collection store ~name:coll ~cls:"K" ~obj_bytes;
       List.iter (fun k -> ignore (Store.insert store ~coll [ ("k", k) ])) keys)
-    [ ("L", left); ("R", right) ];
+    [ ("L", 64, left); ("R", r_bytes, right) ];
   Db.create (Oodb_catalog.Catalog.create (Oodb_catalog.Schema.create [])) store
 
-let join_lr d atoms =
-  let scan coll binding = Operators.file_scan d ~coll ~binding ~batch_size:4 in
-  let cfg = { Oodb_cost.Config.default with Oodb_cost.Config.batch_size = 4 } in
-  Operators.hash_join d cfg atoms ~build:(scan "L" "l") ~probe:(scan "R" "r")
+let join_lr ?(batch = 4) ?(memory_bytes = Oodb_cost.Config.default.Oodb_cost.Config.memory_bytes)
+    ?(probe = "R") d atoms =
+  let scan coll binding = Operators.file_scan d ~coll ~binding ~batch_size:batch in
+  let cfg = { Oodb_cost.Config.default with Oodb_cost.Config.batch_size = batch; memory_bytes } in
+  Operators.hash_join d cfg atoms ~build:(scan "L" "l") ~probe:(scan probe "r")
 
 let l_eq_r = [ Pred.atom Pred.Eq (Pred.Field ("l", "k")) (Pred.Field ("r", "k")) ]
 
@@ -324,6 +332,50 @@ let test_hash_join_match_order () =
   Alcotest.(check (list (pair int int))) "match order"
     [ (l.(5), r.(0)); (l.(3), r.(0)); (l.(1), r.(0)); (l.(4), r.(1)); (l.(2), r.(1)); (l.(0), r.(1)) ]
     (lr_pairs (join_lr d l_eq_r))
+
+(* Reference-to-identity keys take the OID table. Its output, order
+   included, must be the filtered cross product's, for the three key
+   shapes, in memory and spilled, at batch sizes 1 and 4. L's keys
+   (references into R) repeat targets and hold [Null] and an [Int]
+   equal to an R object's OID, which matches no identity; R's keys
+   (references into L) do the same. A spill writes each side's bytes:
+   16 per tuple plus its object's collection size (64 for L, 1000 for
+   R), rounded up to pages. *)
+let test_hash_join_oid_keys () =
+  let n_l = 9 in
+  let l i = Value.Ref (1 + i) and r i = Value.Ref (n_l + 1 + i) in
+  let left = [ r 0; r 1; r 0; Value.Null; r 4; r 0; Value.Int (n_l + 2); r 1; r 6 ]
+  and right = [ l 2; l 2; Value.Null; Value.Int 4; l 8; l 0; l 2 ] in
+  let d = keyed_db ~r_bytes:1000 left right in
+  let disk = Store.disk (Db.store d) in
+  let eq a b = [ Pred.atom Pred.Eq a b ] in
+  let shapes =
+    [ ("l.k == r.self", eq (Pred.Field ("l", "k")) (Pred.Self "r"), "R", 1000);
+      ("l.self == r.k", eq (Pred.Self "l") (Pred.Field ("r", "k")), "R", 1000);
+      ("l.self == r.self", eq (Pred.Self "l") (Pred.Self "r"), "L", 64) ]
+  in
+  let pages bytes = (bytes + Disk.page_size disk - 1) / Disk.page_size disk in
+  List.iter
+    (fun (shape, atoms, probe, probe_bytes) ->
+      let expected = lr_pairs (Operators.filter atoms (join_lr ~probe d [])) in
+      Alcotest.(check bool) (shape ^ ": some matches") true (List.length expected >= 3);
+      let n_probe = Store.cardinality (Db.store d) ~coll:probe in
+      List.iter
+        (fun (batch, memory_bytes) ->
+          let label =
+            Printf.sprintf "%s, batch %d, %s" shape batch
+              (if memory_bytes = 0 then "spilled" else "in memory")
+          in
+          Disk.reset_stats disk;
+          Alcotest.(check (list (pair int int))) label expected
+            (lr_pairs (join_lr ~batch ~memory_bytes ~probe d atoms));
+          let spill_writes =
+            if memory_bytes = 0 then pages (n_l * (16 + 64)) + pages (n_probe * (16 + probe_bytes))
+            else 0
+          in
+          Alcotest.(check int) (label ^ ": spill writes") spill_writes (Disk.stats disk).Disk.writes)
+        [ (1, max_int); (4, max_int); (1, 0); (4, 0) ])
+    shapes
 
 (* ------------------------------------------------------------------ *)
 (* Executor on optimizer output                                         *)
@@ -575,6 +627,7 @@ let () =
           Alcotest.test_case "hash join residual" `Quick test_hash_join_residual;
           Alcotest.test_case "hash join numeric boundary keys" `Quick test_hash_join_numeric_keys;
           Alcotest.test_case "hash join match order" `Quick test_hash_join_match_order;
+          Alcotest.test_case "hash join OID keys" `Quick test_hash_join_oid_keys;
           Alcotest.test_case "set operations" `Quick test_setops;
           Alcotest.test_case "sort" `Quick test_sort;
           Alcotest.test_case "trim enforces properties" `Quick test_trim_enforces_properties;
