@@ -8,10 +8,10 @@ let compile_operand = function
     let ix = Env.index b in
     fun env -> Value.Ref (Env.oid_at ix env)
   | Pred.Field (b, f) ->
-    let ix = Env.index b and hint = Store.hint () in
+    let ix = Env.index b and hint = Store.hint f in
     fun env -> (
       let o = Env.obj_at ix env in
-      match Store.field_hinted hint o f with v -> v | exception Not_found -> Value.Null)
+      match Store.field_hinted hint o with v -> v | exception Not_found -> Value.Null)
 
 let ordered l r = match l, r with Value.Null, _ | _, Value.Null -> false | _ -> true
 

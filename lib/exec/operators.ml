@@ -73,7 +73,7 @@ let index_scan db ~coll ~binding ~index ~key ~residual ~derefs ~batch_size =
     match field with
     | None -> fun env -> extend_with ext env (Env.Ref (Env.oid_at src_ix env))
     | Some f -> (
-      let hint = Store.hint () in
+      let hint = Store.hint f in
       fun env ->
         let src_obj =
           match Env.slot_at src_ix env with
@@ -84,7 +84,7 @@ let index_scan db ~coll ~binding ~index ~key ~residual ~derefs ~batch_size =
         match src_obj with
         | None -> env
         | Some o -> (
-          match Value.as_ref (Store.field_hinted hint o f) with
+          match Value.as_ref (Store.field_hinted hint o) with
           | Some oid -> extend_with ext env (Env.Ref oid)
           | None -> env))
   in
@@ -93,30 +93,16 @@ let index_scan db ~coll ~binding ~index ~key ~residual ~derefs ~batch_size =
     | [] -> None
     | ds -> Some (fun env -> List.fold_left (fun env d -> d env) env ds)
   in
-  let pos = ref 0 in
-  (* [lookup_batch] charges the descent at pos = 0, so once it comes back
-     empty we must not probe again. *)
-  let exhausted = ref false in
+  let fetch oid = Env.make schema [| Env.Obj (Store.fetch store oid) |] in
+  let cursor = ref (Btree_index.cursor ix key) in
   Iterator.make_batched
-    ~open_:(fun () ->
-      pos := 0;
-      exhausted := false)
+    ~open_:(fun () -> cursor := Btree_index.cursor ix key)
     ~next_batch:(fun () ->
-      if !exhausted then None
-      else
-        match Btree_index.lookup_batch ix key ~pos:!pos ~n:batch_size with
-        | [] ->
-          exhausted := true;
-          None
-        | oids ->
-          pos := !pos + List.length oids;
-          let b =
-            Store.fetch_batch store oids
-            |> List.map (fun o -> Env.make schema [| Env.Obj o |])
-            |> Batch.of_list
-            |> Batch.filter residual
-          in
-          Some (match deref with None -> b | Some d -> Batch.map d b))
+      match Btree_index.next_batch !cursor ~n:batch_size fetch with
+      | [||] -> None
+      | envs ->
+        let b = Batch.filter residual (Batch.of_array envs) in
+        Some (match deref with None -> b | Some d -> Batch.map d b))
     ~close:(fun () -> ())
 
 let filter pred child =
@@ -433,12 +419,14 @@ let merge_join ~key_l ~key_r ~residual ~batch_size ~left ~right =
 
 let pointer_join db ~src ~field ~out ~residual child =
   let store = Db.store db in
-  let src_ix = Env.index src and hint = Store.hint () and ext = extender out in
+  let src_ix = Env.index src and ext = extender out in
   let residual = Eval.compile_pred residual in
-  let target env =
+  let target =
     match field with
-    | None -> Some (Env.oid_at src_ix env)
-    | Some f -> Value.as_ref (Store.field_hinted hint (Env.obj_at src_ix env) f)
+    | None -> fun env -> Some (Env.oid_at src_ix env)
+    | Some f ->
+      let hint = Store.hint f in
+      fun env -> Value.as_ref (Store.field_hinted hint (Env.obj_at src_ix env))
   in
   Iterator.make_batched
     ~open_:(fun () -> Iterator.open_ child)
@@ -474,13 +462,15 @@ let pointer_join db ~src ~field ~out ~residual child =
    references. The slot is replaced where the binding already exists and
    appended otherwise. *)
 let path_resolver store (path : Physical.assembly_path) =
-  let src_ix = Env.index path.Physical.ap_src and hint = Store.hint () in
+  let src_ix = Env.index path.Physical.ap_src in
   let out = path.Physical.ap_out in
   let out_position = Env.memo (fun schema -> Env.position schema out) and ext = extender out in
-  let reference env =
+  let reference =
     match path.Physical.ap_field with
-    | None -> Some (Env.oid_at src_ix env)
-    | Some f -> Value.as_ref (Store.field_hinted hint (Env.obj_at src_ix env) f)
+    | None -> fun env -> Some (Env.oid_at src_ix env)
+    | Some f ->
+      let hint = Store.hint f in
+      fun env -> Value.as_ref (Store.field_hinted hint (Env.obj_at src_ix env))
   in
   let rebind (env : Env.t) o =
     match Env.get out_position env.Env.schema with
@@ -489,13 +479,15 @@ let path_resolver store (path : Physical.assembly_path) =
   in
   fun window ->
     let refs = Array.map (fun env -> Option.bind env reference) window in
-    (* Elevator: fetch in physical address order, each reference's
-       location computed once. *)
+    (* Elevator: fetch in ascending page address, each reference's
+       address computed once; references on one page keep their window
+       order. *)
     let order =
       refs |> Array.to_list
       |> List.mapi (fun i r -> Option.map (fun oid -> (Store.location store oid, i, oid)) r)
       |> List.filter_map Fun.id
-      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+      |> List.stable_sort (fun (a, i, _) (b, j, _) ->
+             match Int.compare a b with 0 -> Int.compare i j | c -> c)
     in
     let fetched = Array.make (Array.length window) None in
     List.iter (fun (_, i, oid) -> fetched.(i) <- Some (Store.fetch store oid)) order;
@@ -570,11 +562,11 @@ let alg_project ps child =
 let alg_unnest db ~src ~field ~out ~batch_size child =
   ignore db;
   let batch_size = max 1 batch_size in
-  let src_ix = Env.index src and hint = Store.hint () and ext = extender out in
+  let src_ix = Env.index src and hint = Store.hint field and ext = extender out in
   let pending = Batch.Fifo.create () in
   let expand (env : Env.t) =
     let elements =
-      match Store.field_hinted hint (Env.obj_at src_ix env) field with
+      match Store.field_hinted hint (Env.obj_at src_ix env) with
       | v -> Value.set_elements v
       | exception Not_found -> []
     in

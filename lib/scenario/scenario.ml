@@ -185,9 +185,10 @@ let digest ?db t =
       List.iter
         (fun oid ->
           let o = Store.peek store oid in
-          Array.iter
-            (fun (f, v) -> Buffer.add_string buf (Printf.sprintf "%s=%s;" f (Value.to_string v)))
-            o.Store.fields)
+          Array.iteri
+            (fun i f ->
+              Buffer.add_string buf (Printf.sprintf "%s=%s;" f (Value.to_string o.Store.values.(i))))
+            o.Store.names)
         (Store.oids store ~coll:(G.coll_of c.G.c_name)))
     t.sc_schema.G.g_classes;
   Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -1,35 +1,31 @@
-(* Entries are kept in a sorted array; the page layout (leaf fanout,
-   internal fanout, height) is simulated from entry counts so that lookups
-   can charge a realistic number of page reads without materializing the
-   tree. 16 bytes per leaf entry (key digest + OID) and 16 per separator
-   give fanouts of page_size / 16. *)
-
-type entry = { key : Value.t; oid : Value.oid }
+(* Entries are kept sorted by (key, OID) in two flat arrays; the page
+   layout (leaf fanout, internal fanout, height) is simulated from entry
+   counts so that lookups can charge a realistic number of page reads
+   without materializing the tree. 16 bytes per leaf entry (key digest +
+   OID) and 16 per separator give fanouts of page_size / 16. *)
 
 type t = {
   name : string;
   coll : string;
   store : Store.t;
   seg : Disk.segment;
-  entries : entry array; (* sorted by (key, oid) *)
+  keys : Value.t array; (* sorted; [keys.(i)] is the key of [oids.(i)] *)
+  oids : Value.oid array; (* ascending within a key *)
   leaf_fanout : int;
   distinct : int;
   height : int;
   leaf_pages : int;
 }
 
-let compare_entry a b =
-  let c = Value.compare a.key b.key in
-  if c <> 0 then c else Int.compare a.oid b.oid
-
 let build store ~name ~coll ~key =
-  let entries =
-    Store.oids store ~coll
-    |> List.map (fun oid -> { key = key oid; oid })
-    |> Array.of_list
-  in
-  Array.sort compare_entry entries;
-  let n = Array.length entries in
+  let entries = Array.of_list (List.map (fun oid -> (key oid, oid)) (Store.oids store ~coll)) in
+  Array.sort
+    (fun (ka, a) (kb, b) ->
+      let c = Value.compare ka kb in
+      if c <> 0 then c else Int.compare a b)
+    entries;
+  let keys = Array.map fst entries and oids = Array.map snd entries in
+  let n = Array.length keys in
   let psize = Disk.page_size (Store.disk store) in
   let fanout = max 2 (psize / 16) in
   let leaf_pages = max 1 ((n + fanout - 1) / fanout) in
@@ -46,20 +42,18 @@ let build store ~name ~coll ~key =
   in
   let distinct =
     let d = ref 0 in
-    Array.iteri
-      (fun i e -> if i = 0 || Value.compare entries.(i - 1).key e.key <> 0 then incr d)
-      entries;
+    Array.iteri (fun i k -> if i = 0 || Value.compare keys.(i - 1) k <> 0 then incr d) keys;
     !d
   in
   let seg = Disk.alloc_segment (Store.disk store) ~name:("idx:" ^ name) in
   Disk.extend (Store.disk store) seg (leaf_pages + max 0 internal_pages);
-  { name; coll; store; seg; entries; leaf_fanout = fanout; distinct; height; leaf_pages }
+  { name; coll; store; seg; keys; oids; leaf_fanout = fanout; distinct; height; leaf_pages }
 
 let name t = t.name
 
 let collection t = t.coll
 
-let entry_count t = Array.length t.entries
+let entry_count t = Array.length t.keys
 
 let distinct_keys t = t.distinct
 
@@ -67,86 +61,78 @@ let height t = t.height
 
 let leaf_pages t = t.leaf_pages
 
-(* First index whose entry key is >= [key] (w.r.t. Value.compare). *)
-let lower_bound t key =
-  let lo = ref 0 and hi = ref (Array.length t.entries) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Value.compare t.entries.(mid).key key < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* First index in [\[lo, hi)] whose key is >= [key] ([~strict:false]) or
+   > [key] ([~strict:true]); [hi] when there is none. *)
+let rec search keys key ~strict lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    let c = Value.compare keys.(mid) key in
+    if c < 0 || (strict && c = 0) then search keys key ~strict (mid + 1) hi
+    else search keys key ~strict lo mid
 
-(* First index whose entry key is > [key]. *)
-let upper_bound t key =
-  let lo = ref 0 and hi = ref (Array.length t.entries) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Value.compare t.entries.(mid).key key <= 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
+let lower_bound t key = search t.keys key ~strict:false 0 (Array.length t.keys)
 
-let charge_descent t first_leaf =
+let upper_bound t key ~from = search t.keys key ~strict:true from (Array.length t.keys)
+
+(* Charge the root-to-leaf descent towards entry [first]: one page per
+   internal level (internal pages are laid out after the leaves), then
+   the leaf holding [first], or the last leaf when [first] is past the
+   end. Returns that leaf. *)
+let charge_descent t first =
   let buffer = Store.buffer t.store in
-  (* Internal pages are laid out after the leaves; charge one page per
-     internal level, then the starting leaf's page. *)
+  let pages = Disk.segment_pages t.seg in
+  let n = Array.length t.keys in
+  let leaf = if n = 0 then 0 else min first (n - 1) / t.leaf_fanout in
   for level = 1 to t.height - 1 do
-    let page = min (Disk.segment_pages t.seg - 1) (t.leaf_pages + level - 1) in
-    if page >= 0 && Disk.segment_pages t.seg > 0 then Buffer_pool.read buffer t.seg page
+    let page = min (pages - 1) (t.leaf_pages + level - 1) in
+    if page >= 0 && pages > 0 then Buffer_pool.read buffer t.seg page
   done;
-  if Disk.segment_pages t.seg > 0 then Buffer_pool.read buffer t.seg (min first_leaf (Disk.segment_pages t.seg - 1))
+  if pages > 0 then Buffer_pool.read buffer t.seg (min leaf (pages - 1));
+  leaf
 
-let charge_leaves t first last =
-  (* [first, last) entry range; charge each additional leaf page. *)
-  if last > first then begin
-    let buffer = Store.buffer t.store in
-    let first_leaf = first / t.leaf_fanout in
-    let last_leaf = (last - 1) / t.leaf_fanout in
-    for leaf = first_leaf + 1 to last_leaf do
-      Buffer_pool.read buffer t.seg leaf
-    done
-  end
-
-let slice t first last =
-  let rec go i acc = if i < first then acc else go (i - 1) (t.entries.(i).oid :: acc) in
-  if last <= first then [] else go (last - 1) []
-
-let lookup t key =
-  let first = lower_bound t key in
-  let last = upper_bound t key in
-  charge_descent t (if Array.length t.entries = 0 then 0 else min first (Array.length t.entries - 1) / t.leaf_fanout);
-  charge_leaves t first last;
-  slice t first last
-
-let lookup_batch t key ~pos ~n =
-  if pos < 0 then invalid_arg "Btree_index.lookup_batch: negative position";
-  if n < 1 then invalid_arg "Btree_index.lookup_batch: batch size must be >= 1";
-  let first = lower_bound t key in
-  let last = upper_bound t key in
-  (* Charge the root-to-leaf descent only on the first slice; later
-     slices resume from the leaf the previous one ended on.  Summed over
-     a full drain the charges are exactly [lookup]'s. *)
-  if pos = 0 then
-    charge_descent t
-      (if Array.length t.entries = 0 then 0
-       else min first (Array.length t.entries - 1) / t.leaf_fanout);
-  let a = first + pos in
-  let b = min last (a + n) in
-  if a >= b then []
-  else begin
-    let buffer = Store.buffer t.store in
-    let start_leaf =
-      if pos = 0 then (a / t.leaf_fanout) + 1
-      else max (a / t.leaf_fanout) (((a - 1) / t.leaf_fanout) + 1)
-    in
-    for leaf = start_leaf to (b - 1) / t.leaf_fanout do
-      Buffer_pool.read buffer t.seg leaf
-    done;
-    slice t a b
-  end
+(* Charge every leaf after [charged] through the one holding entry
+   [last - 1]; returns the last leaf charged. *)
+let charge_leaves t ~charged last =
+  let upto = (last - 1) / t.leaf_fanout in
+  for leaf = charged + 1 to upto do
+    Buffer_pool.read (Store.buffer t.store) t.seg leaf
+  done;
+  upto
 
 let lookup_range t ~lo ~hi =
   let first = match lo with Some v -> lower_bound t v | None -> 0 in
-  let last = match hi with Some v -> upper_bound t v | None -> Array.length t.entries in
-  charge_descent t (if Array.length t.entries = 0 then 0 else min first (Array.length t.entries - 1) / t.leaf_fanout);
-  charge_leaves t first last;
-  slice t first last
+  let last = match hi with Some v -> upper_bound t v ~from:first | None -> Array.length t.keys in
+  let charged = charge_descent t first in
+  if last > first then ignore (charge_leaves t ~charged last);
+  List.init (max 0 (last - first)) (fun i -> t.oids.(first + i))
+
+let lookup t key = lookup_range t ~lo:(Some key) ~hi:(Some key)
+
+type cursor = {
+  ix : t;
+  key : Value.t;
+  mutable next : int; (* next entry to return; -1 before the first batch *)
+  mutable stop : int; (* one past the key's last entry *)
+  mutable charged : int; (* last leaf page charged *)
+}
+
+let cursor ix key = { ix; key; next = -1; stop = 0; charged = 0 }
+
+let next_batch c ~n f =
+  if n < 1 then invalid_arg "Btree_index.next_batch: batch size must be >= 1";
+  let t = c.ix in
+  if c.next < 0 then begin
+    let first = lower_bound t c.key in
+    c.next <- first;
+    c.stop <- upper_bound t c.key ~from:first;
+    c.charged <- charge_descent t first
+  end;
+  let a = c.next in
+  let b = min c.stop (a + n) in
+  if a >= b then [||]
+  else begin
+    c.charged <- charge_leaves t ~charged:c.charged b;
+    c.next <- b;
+    Array.init (b - a) (fun i -> f t.oids.(a + i))
+  end

@@ -7,10 +7,11 @@
     never touch the intermediate objects — exactly the behaviour the
     collapse-to-index-scan rule exploits in Query 2.
 
-    Lookups charge simulated I/O for the root-to-leaf descent plus the
-    leaf pages holding the matching entries. Matching OIDs are returned in
-    key order; fetching the objects themselves is the caller's business
-    (and its cost). *)
+    Entries are sorted by (key, OID) in two flat arrays, keys beside
+    OIDs. Lookups charge simulated I/O for the root-to-leaf descent plus
+    the leaf pages holding the matching entries. Matching OIDs are
+    returned in key order; fetching the objects themselves is the
+    caller's business (and its cost). *)
 
 type t
 
@@ -36,12 +37,25 @@ val leaf_pages : t -> int
 val lookup : t -> Value.t -> Value.oid list
 (** Equality probe. *)
 
-val lookup_batch : t -> Value.t -> pos:int -> n:int -> Value.oid list
-(** Equality probe, one batch at a time: matches [\[pos, pos+n)] of the
-    full match list in key order, [\[\]] once exhausted. The descent is
-    charged only at [pos = 0] and each leaf page exactly once across a
-    full drain, so the summed I/O of the slices equals one {!lookup}.
-    @raise Invalid_argument on negative [pos] or [n < 1]. *)
-
 val lookup_range : t -> lo:Value.t option -> hi:Value.t option -> Value.oid list
 (** Inclusive range scan; [None] bounds are open ends. *)
+
+(** {1 Cursors}
+
+    The index scan's read path: an equality probe drained one batch at a
+    time. *)
+
+type cursor
+
+val cursor : t -> Value.t -> cursor
+(** A cursor over the entries of one key. Creating it charges nothing. *)
+
+val next_batch : cursor -> n:int -> (Value.oid -> 'a) -> 'a array
+(** [next_batch c ~n f] applies [f] to the next [n] (fewer at the end)
+    matching OIDs in key order and returns the results; [\[||\]] once
+    exhausted. The first call finds the key's entry range (one search
+    for the whole drain) and charges the root-to-leaf descent; each call
+    then charges the leaf pages its slice reaches that no earlier call
+    charged, before it applies [f]. A full drain therefore charges
+    exactly one {!lookup}, and calls after exhaustion charge nothing.
+    @raise Invalid_argument on [n < 1]. *)

@@ -4,14 +4,20 @@
     that repeated dereferences of hot objects (e.g. the 1,000 departments
     shared by 50,000 employees in the paper's Query 1) hit in memory
     instead of re-reading the disk — the effect the paper notes can only
-    be studied "in the context of a real, working system". *)
+    be studied "in the context of a real, working system".
+
+    The pool is a fixed table of [capacity] frames with its recency list
+    and its page table (page address to frame) in int arrays, so a
+    {!read} allocates nothing. Hits, misses, evictions and the pages
+    read from the disk are those of a textbook LRU pool. *)
 
 type t
 
 type stats = { hits : int; misses : int; evictions : int }
 
 val create : Disk.t -> capacity_pages:int -> t
-(** [capacity_pages] must be positive. *)
+(** Allocates the frame table up front: about 7 words per page of
+    capacity. [capacity_pages] must be positive. *)
 
 val capacity : t -> int
 

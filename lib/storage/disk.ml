@@ -12,6 +12,10 @@ type stats = {
   writes : int;
 }
 
+(* A record of floats only is stored flat, so updating it allocates
+   nothing; a float field of [t] would be boxed on every random read. *)
+type units = { mutable units : float }
+
 type t = {
   psize : int;
   mutable next_segment : int;
@@ -19,7 +23,7 @@ type t = {
   mutable seq_reads : int;
   mutable rand_reads : int;
   mutable seek_pages : int;
-  mutable seek_units : float;
+  seek_units : units;
   mutable writes : int;
 }
 
@@ -40,7 +44,7 @@ let create ?(page_size = 4096) () =
     seq_reads = 0;
     rand_reads = 0;
     seek_pages = 0;
-    seek_units = 0.0;
+    seek_units = { units = 0.0 };
     writes = 0 }
 
 let page_size t = t.psize
@@ -74,8 +78,8 @@ let read t seg page =
     t.rand_reads <- t.rand_reads + 1;
     let d = abs (addr - t.head) in
     t.seek_pages <- t.seek_pages + d;
-    t.seek_units <-
-      t.seek_units +. sqrt (float_of_int (min d seek_cap) /. float_of_int seek_cap)
+    t.seek_units.units <-
+      t.seek_units.units +. sqrt (float_of_int (min d seek_cap) /. float_of_int seek_cap)
   end;
   t.head <- addr
 
@@ -88,14 +92,14 @@ let stats t =
   { seq_reads = t.seq_reads;
     rand_reads = t.rand_reads;
     seek_pages = t.seek_pages;
-    seek_units = t.seek_units;
+    seek_units = t.seek_units.units;
     writes = t.writes }
 
 let reset_stats t =
   t.seq_reads <- 0;
   t.rand_reads <- 0;
   t.seek_pages <- 0;
-  t.seek_units <- 0.0;
+  t.seek_units.units <- 0.0;
   t.writes <- 0
 
 let sub (a : stats) (b : stats) =

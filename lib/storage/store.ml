@@ -4,7 +4,8 @@ type obj = {
   oid : Value.oid;
   cls : string;
   coll : string;
-  fields : (string * Value.t) array;
+  names : string array;
+  values : Value.t array;
 }
 
 type coll_info = {
@@ -15,6 +16,7 @@ type coll_info = {
   c_per_page : int;       (* objects per page; 1 when objects span pages *)
   c_pages_per_obj : int;  (* pages per object; 1 when objects share pages *)
   c_members : obj Vec.t;  (* slot order *)
+  mutable c_layouts : string array list; (* interned [names] arrays, newest first *)
 }
 
 (* Where an object lives: its collection and slot index. *)
@@ -52,7 +54,8 @@ let declare_collection t ~name ~cls ~obj_bytes =
       c_seg = Disk.alloc_segment t.disk ~name;
       c_per_page = per_page;
       c_pages_per_obj = pages_per_obj;
-      c_members = Vec.create () }
+      c_members = Vec.create ();
+      c_layouts = [] }
 
 let collections t = Hashtbl.fold (fun name _ acc -> name :: acc) t.colls []
 
@@ -67,10 +70,30 @@ let first_page c i = if c.c_pages_per_obj > 1 then i * c.c_pages_per_obj else i 
 let last_page_needed c count =
   if count = 0 then 0 else first_page c (count - 1) + c.c_pages_per_obj
 
+(* Does [fields] name exactly [layout.(i..)], in order? *)
+let rec same_layout layout i = function
+  | [] -> i = Array.length layout
+  | (name, _) :: rest ->
+    i < Array.length layout && String.equal layout.(i) name && same_layout layout (i + 1) rest
+
+(* The collection's names array for this field list, interned on first
+   sight. Walks the caller's list; builds no intermediate list. *)
+let layout c n fields =
+  match List.find_opt (fun l -> same_layout l 0 fields) c.c_layouts with
+  | Some l -> l
+  | None ->
+    let l = Array.make n "" in
+    List.iteri (fun i (name, _) -> l.(i) <- name) fields;
+    c.c_layouts <- l :: c.c_layouts;
+    l
+
 let insert t ~coll fields =
   let c = get_coll t coll in
   let oid = Vec.length t.places + 1 in
-  let obj = { oid; cls = c.c_cls; coll; fields = Array.of_list fields } in
+  let n = List.length fields in
+  let values = Array.make n Value.Null in
+  List.iteri (fun i (_, v) -> values.(i) <- v) fields;
+  let obj = { oid; cls = c.c_cls; coll; names = layout c n fields; values } in
   let slot = Vec.push c.c_members obj in
   ignore (Vec.push t.places { p_obj = obj; p_coll = c; p_slot = slot });
   let needed = last_page_needed c (slot + 1) in
@@ -84,15 +107,18 @@ let place t oid =
 
 let peek t oid = (place t oid).p_obj
 
-let set_field t oid name v =
-  let o = peek t oid in
+(* First position of [name] in a layout; -1 when absent. *)
+let position names name =
   let rec go i =
-    if i >= Array.length o.fields then
-      invalid_arg (Printf.sprintf "Store.set_field: object %d has no field %s" oid name)
-    else if fst o.fields.(i) = name then o.fields.(i) <- (name, v)
-    else go (i + 1)
+    if i >= Array.length names then -1 else if String.equal names.(i) name then i else go (i + 1)
   in
   go 0
+
+let set_field t oid name v =
+  let o = peek t oid in
+  match position o.names name with
+  | -1 -> invalid_arg (Printf.sprintf "Store.set_field: object %d has no field %s" oid name)
+  | i -> o.values.(i) <- v
 
 let fetch t oid =
   let p = place t oid in
@@ -103,28 +129,20 @@ let fetch t oid =
   done;
   p.p_obj
 
-let field_index o name =
-  let rec go i =
-    if i >= Array.length o.fields then raise Not_found
-    else if String.equal (fst o.fields.(i)) name then i
-    else go (i + 1)
-  in
-  go 0
+let field o name =
+  match position o.names name with -1 -> raise Not_found | i -> o.values.(i)
 
-let field o name = snd o.fields.(field_index o name)
+type hint = { name : string; mutable layout : string array; mutable at : int }
 
-type hint = int ref
+(* A fresh array: physically distinct from every layout. *)
+let hint name = { name; layout = [| name |]; at = -1 }
 
-let hint () = ref 0
-
-let field_hinted h o name =
-  let i = !h in
-  if i < Array.length o.fields && String.equal (fst o.fields.(i)) name then snd o.fields.(i)
-  else begin
-    let i = field_index o name in
-    h := i;
-    snd o.fields.(i)
-  end
+let field_hinted h o =
+  if o.names != h.layout then begin
+    h.layout <- o.names;
+    h.at <- position o.names h.name
+  end;
+  if h.at < 0 then raise Not_found else o.values.(h.at)
 
 let oids t ~coll =
   let c = get_coll t coll in
@@ -147,8 +165,6 @@ let scan_batch t ~coll ~pos ~n =
     done;
     Vec.sub c.c_members pos (stop - pos)
   end
-
-let fetch_batch t oids = List.map (fetch t) oids
 
 let scan t ~coll f =
   let c = get_coll t coll in
@@ -173,6 +189,6 @@ let obj_bytes t oid = (place t oid).p_coll.c_obj_bytes
 
 let location t oid =
   let p = place t oid in
-  (p.p_coll.c_seg, first_page p.p_coll p.p_slot)
+  Disk.abs_page t.disk p.p_coll.c_seg (first_page p.p_coll p.p_slot)
 
 let class_of t oid = (peek t oid).cls

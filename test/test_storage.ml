@@ -188,6 +188,50 @@ let test_store_set_field () =
   Store.set_field store oid "x" (Value.Int 2);
   Alcotest.(check bool) "updated" true (Value.equal (Value.Int 2) (Store.field (Store.peek store oid) "x"))
 
+(* One collection, two layouts: [a] objects carry x, y, z; [b] objects
+   carry z, x (another order, y missing). *)
+let test_store_layouts () =
+  let store = mk_store () in
+  let a i = [ ("x", Value.Int i); ("y", Value.Str (string_of_int i)); ("z", Value.Int (-i)) ] in
+  let b i = [ ("z", Value.Int (-i)); ("x", Value.Int i) ] in
+  let inserted = List.init 6 (fun i -> (if i mod 2 = 0 then a i else b i)) in
+  let oids = List.map (Store.insert store ~coll:"Things") inserted in
+  let objs = List.map (Store.peek store) oids in
+  List.iter2
+    (fun o fields ->
+      List.iter
+        (fun (f, v) -> Alcotest.(check bool) ("field " ^ f) true (Value.equal v (Store.field o f)))
+        fields)
+    objs inserted;
+  let hx = Store.hint "x" and hy = Store.hint "y" in
+  List.iteri
+    (fun i o ->
+      Alcotest.(check bool) "hinted x across layouts" true
+        (Value.equal (Value.Int i) (Store.field_hinted hx o));
+      match Store.field_hinted hy o with
+      | v ->
+        Alcotest.(check bool) "hinted y on layout a" true
+          (i mod 2 = 0 && Value.equal (Value.Str (string_of_int i)) v)
+      | exception Not_found -> Alcotest.(check bool) "no y on layout b" true (i mod 2 = 1))
+    objs;
+  Alcotest.check_raises "missing field" Not_found (fun () ->
+      ignore (Store.field (List.nth objs 1) "y"));
+  let o0 = List.nth objs 0 and o1 = List.nth objs 1 and o2 = List.nth objs 2 and o3 = List.nth objs 3 in
+  Alcotest.(check bool) "layout a shared" true (o0.Store.names == o2.Store.names);
+  Alcotest.(check bool) "layout b shared" true (o1.Store.names == o3.Store.names);
+  Alcotest.(check bool) "layouts distinct" false (o0.Store.names == o1.Store.names);
+  Store.set_field store (List.nth oids 2) "x" (Value.Int 99);
+  Store.set_field store (List.nth oids 3) "z" (Value.Int 99);
+  List.iteri
+    (fun i o ->
+      let x = if i = 2 then 99 else i and z = if i = 3 then 99 else -i in
+      Alcotest.(check bool) "set_field x only its object" true
+        (Value.equal (Value.Int x) (Store.field o "x"));
+      Alcotest.(check bool) "set_field z only its object" true
+        (Value.equal (Value.Int z) (Store.field o "z")))
+    objs;
+  Alcotest.(check (list string)) "names untouched" [ "x"; "y"; "z" ] (Array.to_list o0.Store.names)
+
 let test_store_big_objects_span_pages () =
   let store = Store.create ~buffer_pages:16 () in
   Store.declare_collection store ~name:"Big" ~cls:"Big" ~obj_bytes:10_000;
@@ -257,6 +301,58 @@ let test_btree_empty () =
   let ix = Btree_index.build store ~name:"e" ~coll:"Empty" ~key:(fun _ -> Value.Null) in
   Alcotest.(check int) "no entries" 0 (Btree_index.entry_count ix);
   Alcotest.(check int) "no hits" 0 (List.length (Btree_index.lookup ix (Value.Int 1)))
+
+(* A full cursor drain against one [lookup] of the same key, each from a
+   flushed pool with the disk head parked on the same page: same OIDs in
+   the same order, same disk and buffer-pool deltas, and nothing charged
+   once the cursor is exhausted. The counters are reset before each run,
+   so the float seek units of both runs are summed from 0 in the same
+   order and compare exactly. Tiny pages (fanout 4) spread one key's
+   entries over several leaves under a multi-level tree. *)
+let cursor_drain_matches_lookup values probe =
+  let store = Store.create ~page_size:64 ~buffer_pages:8 () in
+  Store.declare_collection store ~name:"C" ~cls:"C" ~obj_bytes:16;
+  List.iter (fun v -> ignore (Store.insert store ~coll:"C" [ ("v", Value.Int v) ])) values;
+  let ix =
+    Btree_index.build store ~name:"ix" ~coll:"C" ~key:(fun oid -> Store.field (Store.peek store oid) "v")
+  in
+  let disk = Store.disk store and buffer = Store.buffer store in
+  let park = Disk.alloc_segment disk ~name:"park" in
+  Disk.extend disk park 1;
+  let measure run =
+    Buffer_pool.flush buffer;
+    Disk.read disk park 0;
+    Disk.reset_stats disk;
+    Buffer_pool.reset_stats buffer;
+    let oids = run () in
+    (oids, Disk.stats disk, Buffer_pool.stats buffer)
+  in
+  let expected = measure (fun () -> Btree_index.lookup ix (Value.Int probe)) in
+  List.for_all
+    (fun n ->
+      let c = Btree_index.cursor ix (Value.Int probe) in
+      let rec drain acc =
+        match Btree_index.next_batch c ~n Fun.id with
+        | [||] -> List.concat (List.rev acc)
+        | oids ->
+          if Array.length oids > n then Alcotest.failf "batch of %d > %d" (Array.length oids) n;
+          drain (Array.to_list oids :: acc)
+      in
+      let actual = measure (fun () -> drain []) in
+      let after = Disk.stats disk and pool_after = Buffer_pool.stats buffer in
+      let again = Btree_index.next_batch c ~n Fun.id in
+      actual = expected && again = [||]
+      && Disk.stats disk = after
+      && Buffer_pool.stats buffer = pool_after)
+    [ 1; 3; 64 ]
+
+let test_btree_cursor () =
+  Alcotest.(check bool) "empty index" true (cursor_drain_matches_lookup [] 1);
+  let values = List.init 120 (fun i -> i mod 3) in
+  Alcotest.(check bool) "key over many leaves" true (cursor_drain_matches_lookup values 1);
+  Alcotest.(check bool) "missing key inside the range" true
+    (cursor_drain_matches_lookup (List.map (( * ) 2) values) 1);
+  Alcotest.(check bool) "missing key past the end" true (cursor_drain_matches_lookup values 7)
 
 (* ------------------------------------------------------------------ *)
 (* Property-based                                                       *)
@@ -332,6 +428,65 @@ let prop_lru_capacity =
           Buffer_pool.resident b <= cap)
         accesses)
 
+let prop_btree_cursor =
+  QCheck2.Test.make ~name:"btree cursor drain == lookup" ~count:100
+    QCheck2.Gen.(pair (list_size (int_bound 200) (int_bound 9)) (int_bound 12))
+    (fun (values, probe) -> cursor_drain_matches_lookup values probe)
+
+(* The pool against a list-based LRU model (most recently used first):
+   after every read or flush, the counters, the resident count and
+   [contains] for every page of both segments agree. 32 page addresses
+   share a page table of at most 16 slots, so home slots collide, probe
+   runs wrap around, and evictions shift entries back. *)
+type lru_op = Read of int * int | Flush
+
+let prop_lru_model =
+  QCheck2.Test.make ~name:"LRU pool == list model" ~count:300
+    QCheck2.Gen.(
+      pair (int_range 1 8)
+        (list_size (int_bound 300)
+           (frequency
+              [ (1, return Flush); (30, map2 (fun s p -> Read (s, p)) (int_bound 1) (int_bound 15)) ])))
+    (fun (cap, ops) ->
+      let d = Disk.create () in
+      let segs = Array.init 2 (fun i -> Disk.alloc_segment d ~name:(string_of_int i)) in
+      Array.iter (fun seg -> Disk.extend d seg 16) segs;
+      let b = Buffer_pool.create d ~capacity_pages:cap in
+      let model = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let step = function
+        | Flush ->
+          Buffer_pool.flush b;
+          model := []
+        | Read (s, p) ->
+          Buffer_pool.read b segs.(s) p;
+          if List.mem (s, p) !model then begin
+            incr hits;
+            model := (s, p) :: List.filter (( <> ) (s, p)) !model
+          end
+          else begin
+            incr misses;
+            if List.length !model = cap then begin
+              incr evictions;
+              model := List.filteri (fun i _ -> i < cap - 1) !model
+            end;
+            model := (s, p) :: !model
+          end
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          let st = Buffer_pool.stats b in
+          st.Buffer_pool.hits = !hits && st.Buffer_pool.misses = !misses
+          && st.Buffer_pool.evictions = !evictions
+          && Buffer_pool.resident b = List.length !model
+          && List.for_all
+               (fun s ->
+                 List.for_all
+                   (fun p -> Buffer_pool.contains b segs.(s) p = List.mem (s, p) !model)
+                   (List.init 16 Fun.id))
+               [ 0; 1 ])
+        ops)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -356,6 +511,7 @@ let () =
           Alcotest.test_case "dense packing" `Quick test_store_packing;
           Alcotest.test_case "scan order and IO" `Quick test_store_scan_order_and_io;
           Alcotest.test_case "set_field" `Quick test_store_set_field;
+          Alcotest.test_case "two layouts in one collection" `Quick test_store_layouts;
           Alcotest.test_case "multi-page objects" `Quick test_store_big_objects_span_pages;
           Alcotest.test_case "errors" `Quick test_store_errors ] );
       ( "btree",
@@ -363,11 +519,14 @@ let () =
           Alcotest.test_case "range lookup" `Quick test_btree_range;
           Alcotest.test_case "statistics" `Quick test_btree_stats;
           Alcotest.test_case "charges IO" `Quick test_btree_charges_io;
-          Alcotest.test_case "empty index" `Quick test_btree_empty ] );
+          Alcotest.test_case "empty index" `Quick test_btree_empty;
+          Alcotest.test_case "cursor drain charges one lookup" `Quick test_btree_cursor ] );
       ( "properties",
         qcheck
           [ prop_compare_antisym;
             prop_compare_trans;
             prop_equal_hash;
             prop_btree_matches_scan;
-            prop_lru_capacity ] ) ]
+            prop_btree_cursor;
+            prop_lru_capacity;
+            prop_lru_model ] ) ]
