@@ -598,11 +598,25 @@ let explain_run paper text disabled window no_pruning batch_size scale analyze w
       1
     | Some plan ->
       if analyze then begin
-        let _rows, report, prof = Profile.run ~config:options.Options.config db plan in
+        (* The minor heap is emptied at both ends, with the result still
+           live at the second, so the rows the run returns count as
+           promoted. *)
+        let run () =
+          Gc.minor ();
+          let gc0 = Gc.quick_stat () in
+          let result = Profile.run ~config:options.Options.config db plan in
+          Gc.minor ();
+          (result, gc0, Gc.quick_stat ())
+        in
+        let (_rows, report, prof), gc0, gc1 = run () in
         Format.printf "plan (est vs actual, exclusive per node):@.%a@." Profile.pp prof;
         Format.printf "@.anticipated cost: %a@.optimization: %.4fs, %a@.@.%a@." Cost.pp
           plan.Engine.cost outcome.Opt.opt_seconds Opt.pp_stats outcome.Opt.stats
           Executor.pp_report report;
+        Format.printf "allocation: %.0f minor + %.0f promoted words, %.0f major words@."
+          (gc1.Gc.minor_words -. gc0.Gc.minor_words)
+          (gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
+          (gc1.Gc.major_words -. gc0.Gc.major_words);
         0
       end
       else if why then begin

@@ -86,43 +86,40 @@ let drop t pos =
     | None -> { data = t.data; sel = Some (Array.init (n - pos) (fun i -> pos + i)) }
 
 module Fifo = struct
-  type batch = t
+  (* Full batches, oldest first, and the batch being filled: a full
+     batch is handed out whole, with no copy. *)
+  type t = {
+    size : int;
+    full : Env.t array Queue.t;
+    mutable filling : Env.t array;
+    mutable filled : int;
+  }
 
-  type t = { mutable buf : Env.t array; mutable head : int; mutable tail : int }
-
-  let create () = { buf = [||]; head = 0; tail = 0 }
+  let create size = { size = max 1 size; full = Queue.create (); filling = [||]; filled = 0 }
 
   let clear q =
-    q.buf <- [||];
-    q.head <- 0;
-    q.tail <- 0
-
-  let length q = q.tail - q.head
+    Queue.clear q.full;
+    q.filling <- [||];
+    q.filled <- 0
 
   let push q env =
-    if q.tail = Array.length q.buf then begin
-      let live = length q in
-      (* compact in place when at least half the buffer is consumed,
-         otherwise double it *)
-      let buf =
-        if live > 0 && 2 * live <= Array.length q.buf then q.buf
-        else Array.make (max 64 (2 * live)) env
-      in
-      Array.blit q.buf q.head buf 0 live;
-      q.buf <- buf;
-      q.head <- 0;
-      q.tail <- live
-    end;
-    q.buf.(q.tail) <- env;
-    q.tail <- q.tail + 1
+    if q.filled = 0 then q.filling <- Array.make q.size env else q.filling.(q.filled) <- env;
+    q.filled <- q.filled + 1;
+    if q.filled = q.size then begin
+      Queue.push q.filling q.full;
+      q.filling <- [||];
+      q.filled <- 0
+    end
 
-  let pop q n : batch =
-    let k = min n (length q) in
-    let data = Array.sub q.buf q.head k in
-    q.head <- q.head + k;
-    if q.head = q.tail then begin
-      q.head <- 0;
-      q.tail <- 0
-    end;
-    of_array data
+  let pop_full q = if Queue.is_empty q.full then None else Some (of_array (Queue.pop q.full))
+
+  let pop q =
+    match pop_full q with
+    | Some _ as b -> b
+    | None when q.filled = 0 -> None
+    | None ->
+      let b = of_array (Array.sub q.filling 0 q.filled) in
+      q.filling <- [||];
+      q.filled <- 0;
+      Some b
 end

@@ -43,21 +43,25 @@ val drop : t -> int -> t
     the remainder a partially consumed tuple cursor hands back to batch
     consumers. *)
 
-(** A FIFO of tuples: where operators whose output outgrows their input
-    (joins, unnest) park tuples until a full batch is ready. *)
+(** A FIFO of tuples, cut into batches as they are pushed: where
+    operators whose output outgrows their input (joins, unnest) park
+    tuples until a full batch is ready. *)
 module Fifo : sig
   type batch := t
 
   type t
 
-  val create : unit -> t
+  val create : int -> t
+  (** Batches of this many tuples (at least one). *)
 
   val clear : t -> unit
 
-  val length : t -> int
-
   val push : t -> Env.t -> unit
 
-  val pop : t -> int -> batch
-  (** The oldest [min n (length q)] tuples, in push order. *)
+  val pop_full : t -> batch option
+  (** The oldest full batch, if one is ready. *)
+
+  val pop : t -> batch option
+  (** The oldest full batch, else the tuples of the batch being filled,
+      else [None]: what the producer hands out once its input is done. *)
 end

@@ -67,31 +67,53 @@ let rec iterator ?(config = Config.default) ?(wrap = fun _plan it -> it) db
   in
   wrap plan it
 
-(* Row extraction: a root Alg-Project evaluates its expressions (each
-   compiled once); any other root yields binding/OID pairs. *)
-let rows_of (plan : Engine.plan) envs =
+(* Row extraction, compiled once per plan: a root Alg-Project evaluates
+   its expressions (each compiled once); any other root yields
+   binding/OID pairs. *)
+let row_function (plan : Engine.plan) : Env.t -> row =
   match plan.Engine.alg with
   | Physical.Alg_project ps ->
-    let columns =
-      List.map (fun (p : Logical.proj) -> (p.Logical.p_name, Eval.compile_operand p.Logical.p_expr)) ps
+    (* A column hands out its last (name, value) pair again while the
+       value is physically the same: a value repeated down a column,
+       such as an outer object's field beside an unnested set, is paired
+       once. *)
+    let column (p : Logical.proj) =
+      let name = p.Logical.p_name and value = Eval.compile_operand p.Logical.p_expr in
+      let last = ref (name, Value.Null) in
+      fun env ->
+        let v = value env in
+        if v == snd !last then !last
+        else begin
+          let pair = (name, v) in
+          last := pair;
+          pair
+        end
     in
+    let columns = List.map column ps in
     let rec row env = function
       | [] -> []
-      | (name, column) :: rest ->
-        let v = column env in
-        (name, v) :: row env rest
+      | column :: rest ->
+        let pair = column env in
+        pair :: row env rest
     in
-    List.map (fun env -> row env columns) envs
+    fun env -> row env columns
   | _ ->
-    List.map
-      (fun (env : Env.t) ->
-        List.mapi (fun i b -> (b, Value.Ref (Env.slot_oid env.Env.slots.(i)))) (Env.bindings env))
-      envs
+    fun (env : Env.t) ->
+      List.mapi (fun i b -> (b, Value.Ref (Env.slot_oid env.Env.slots.(i)))) (Env.bindings env)
 
-let run ?(verify = debug_default) ?config db plan =
+let rows_of plan envs = List.map (row_function plan) envs
+
+(* Each batch becomes rows as it arrives, so no tuple outlives its
+   batch. The rows are kept in one array per batch, last batch first,
+   and listed in order at the end: one array doubled as it fills raised
+   the peak heap. *)
+let run ?(verify = debug_default) ?config ?wrap db plan =
   if verify then lint_or_refuse db plan;
-  let it = iterator ?config db plan in
-  rows_of plan (Iterator.to_list it)
+  let row = row_function plan in
+  let batches = ref [] in
+  Iterator.iter_batches (iterator ?config ?wrap db plan) (fun b ->
+      batches := Array.init (Batch.length b) (fun i -> row (Batch.get b i)) :: !batches);
+  List.fold_left (fun acc rows -> Array.fold_right List.cons rows acc) [] !batches
 
 type io_report = {
   seq_reads : int;
@@ -124,12 +146,12 @@ let report_of ~(config : Config.t) ~rows (d : Disk.stats) (b : Buffer_pool.stats
     rows;
     simulated_seconds = simulated_seconds_of config d }
 
-let run_measured ?verify ?(config = Config.default) db plan =
+let run_measured ?verify ?(config = Config.default) ?wrap db plan =
   let store = Db.store db in
   Disk.reset_stats (Store.disk store);
   Buffer_pool.reset_stats (Store.buffer store);
   Buffer_pool.flush (Store.buffer store);
-  let rows = run ?verify ~config db plan in
+  let rows = run ?verify ~config ?wrap db plan in
   let d = Disk.stats (Store.disk store) in
   let b = Buffer_pool.stats (Store.buffer store) in
   (rows, report_of ~config ~rows:(List.length rows) d b)

@@ -26,14 +26,23 @@ val iterator :
 val rows_of : Engine.plan -> Env.t list -> row list
 (** Extract result rows from drained environments: a root Alg-Project
     evaluates its expressions; any other root yields binding/OID pairs.
-    Exposed so drivers that build their own iterator (e.g. the
-    per-operator profiler) extract rows the same way {!run} does. *)
+    {!run} builds its rows with the same function, compiled once per
+    plan. *)
 
-val run : ?verify:bool -> ?config:Config.t -> Db.t -> Engine.plan -> row list
-(** Execute to completion and extract result rows. [verify] runs the
-    static plan linter ({!Open_oodb.Planlint.plan}) first and refuses the
-    plan on any violation; it defaults to on when the [OODB_DEBUG]
-    environment variable is set (non-empty, not ["0"]).
+val run :
+  ?verify:bool ->
+  ?config:Config.t ->
+  ?wrap:(Engine.plan -> Iterator.t -> Iterator.t) ->
+  Db.t ->
+  Engine.plan ->
+  row list
+(** Execute to completion and extract result rows. The plan is drained a
+    batch at a time ({!Iterator.iter_batches}) and each batch becomes
+    rows as it arrives, so no tuple is held past its batch. [wrap] is
+    passed to {!iterator}. [verify] runs the static plan linter
+    ({!Open_oodb.Planlint.plan}) first and refuses the plan on any
+    violation; it defaults to on when the [OODB_DEBUG] environment
+    variable is set (non-empty, not ["0"]).
     @raise Invalid_argument when [verify] is on and the plan is invalid. *)
 
 type io_report = {
@@ -65,8 +74,15 @@ val report_of :
 (** Assemble a report from (delta) statistics snapshots. *)
 
 val run_measured :
-  ?verify:bool -> ?config:Config.t -> Db.t -> Engine.plan -> row list * io_report
-(** Like {!run}, but resets the disk/buffer statistics first and reports
-    the traffic the plan caused. *)
+  ?verify:bool ->
+  ?config:Config.t ->
+  ?wrap:(Engine.plan -> Iterator.t -> Iterator.t) ->
+  Db.t ->
+  Engine.plan ->
+  row list * io_report
+(** Like {!run}, but resets the disk/buffer statistics and flushes the
+    buffer pool first, and reports the traffic the plan caused. The
+    per-operator profiler ({!Oodb_obs.Profile.run}) is this run with a
+    counting [wrap]. *)
 
 val pp_report : Format.formatter -> io_report -> unit

@@ -286,11 +286,10 @@ let build_table = function
 
 let hash_join db (cfg : Config.t) atoms ~build ~probe =
   let store = Db.store db in
-  let batch_size = max 1 cfg.Config.batch_size in
   let probe_open = ref false in
   let probe_next = ref (fun () -> None) in
   let match_probe = ref (fun (_ : Env.t) -> ()) in
-  let pending = Batch.Fifo.create () in
+  let pending = Batch.Fifo.create cfg.Config.batch_size in
   let cat = concatenator () in
   (* Which conjuncts are keys depends on the build side's bindings, so
      the table is chosen at the first build tuple. *)
@@ -330,19 +329,19 @@ let hash_join db (cfg : Config.t) atoms ~build ~probe =
           b);
     if !build_bytes > cfg.Config.memory_bytes then begin
       (* Both sides take the extra partitioning pass, in this order:
-         build charge, whole probe drain, probe charge; matching runs
-         after. *)
+         build charge, whole probe drain, probe charge, then the first
+         output. Each probe tuple is matched as the drain produces it and
+         only the joined output is parked: matching and the residual read
+         only materialized objects and charge no I/O, so the disk sees
+         the sequence it would if matching ran after the probe charge. *)
       charge_spill store !build_bytes;
-      let remaining = Batch.Fifo.create () and probe_bytes = ref 0 in
+      let probe_bytes = ref 0 in
       Iterator.iter_batches probe
         (Batch.iter (fun env ->
              probe_bytes := !probe_bytes + env_bytes store env;
-             Batch.Fifo.push remaining env));
+             !match_probe env));
       charge_spill store !probe_bytes;
-      probe_next :=
-        fun () ->
-          if Batch.Fifo.length remaining = 0 then None
-          else Some (Batch.Fifo.pop remaining batch_size)
+      probe_next := fun () -> None
     end
     else
       probe_next :=
@@ -357,15 +356,14 @@ let hash_join db (cfg : Config.t) atoms ~build ~probe =
      is ready: selective joins would otherwise pass tiny batches
      downstream and forfeit the amortization. *)
   let rec next_batch () =
-    if Batch.Fifo.length pending >= batch_size then Some (Batch.Fifo.pop pending batch_size)
-    else
+    match Batch.Fifo.pop_full pending with
+    | Some _ as b -> b
+    | None -> (
       match !probe_next () with
-      | None ->
-        if Batch.Fifo.length pending = 0 then None
-        else Some (Batch.Fifo.pop pending batch_size)
+      | None -> Batch.Fifo.pop pending
       | Some pbatch ->
         Batch.iter !match_probe pbatch;
-        next_batch ()
+        next_batch ())
   in
   let close () =
     Batch.Fifo.clear pending;
@@ -561,9 +559,8 @@ let alg_project ps child =
 
 let alg_unnest db ~src ~field ~out ~batch_size child =
   ignore db;
-  let batch_size = max 1 batch_size in
   let src_ix = Env.index src and hint = Store.hint field and ext = extender out in
-  let pending = Batch.Fifo.create () in
+  let pending = Batch.Fifo.create batch_size in
   let expand (env : Env.t) =
     let elements =
       match Store.field_hinted hint (Env.obj_at src_ix env) with
@@ -580,15 +577,14 @@ let alg_unnest db ~src ~field ~out ~batch_size child =
   (* Same accumulation as the hash join: expansions of successive child
      batches coalesce into full output batches. *)
   let rec next_batch () =
-    if Batch.Fifo.length pending >= batch_size then Some (Batch.Fifo.pop pending batch_size)
-    else
+    match Batch.Fifo.pop_full pending with
+    | Some _ as b -> b
+    | None -> (
       match Iterator.next_batch child with
-      | None ->
-        if Batch.Fifo.length pending = 0 then None
-        else Some (Batch.Fifo.pop pending batch_size)
+      | None -> Batch.Fifo.pop pending
       | Some b ->
         Batch.iter expand b;
-        next_batch ()
+        next_batch ())
   in
   Iterator.make_batched
     ~open_:(fun () ->

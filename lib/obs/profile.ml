@@ -1,7 +1,6 @@
 module Json = Oodb_util.Json
 module Engine = Open_oodb.Model.Engine
 module Physical = Open_oodb.Physical
-module Planlint = Open_oodb.Planlint
 module Config = Oodb_cost.Config
 module Disk = Oodb_storage.Disk
 module Store = Oodb_storage.Store
@@ -91,13 +90,6 @@ let rec uniquify (p : Engine.plan) : Engine.plan =
   { p with Engine.children = List.map uniquify p.Engine.children }
 
 let run ?(verify = false) ?(config = Config.default) ?spans ?registry db plan =
-  (if verify then
-     match Planlint.plan (Db.catalog db) plan with
-     | Ok () -> ()
-     | Error vs ->
-       invalid_arg
-         (Format.asprintf "Profile: refusing invalid plan:@.%a"
-            Planlint.pp_violations vs));
   let plan = uniquify plan in
   let store = Db.store db in
   let disk = Store.disk store and buffer = Store.buffer store in
@@ -167,16 +159,9 @@ let run ?(verify = false) ?(config = Config.default) ?spans ?registry db plan =
       ~close:(fun () ->
         measure cell ~name ~args:(args "close") (fun () -> Iterator.close it))
   in
-  Disk.reset_stats disk;
-  Buffer_pool.reset_stats buffer;
-  Buffer_pool.flush buffer;
-  let it = Executor.iterator ~config ~wrap db plan in
-  let envs = Iterator.to_list it in
-  let rows = Executor.rows_of plan envs in
-  let report =
-    Executor.report_of ~config ~rows:(List.length rows) (Disk.stats disk)
-      (Buffer_pool.stats buffer)
-  in
+  (* The untraced run with counting iterators interposed: the same reset,
+     row drain and report. *)
+  let rows, report = Executor.run_measured ~verify ~config ~wrap db plan in
   let est = Cardest.plan ~config (Db.catalog db) plan in
   let cell_of node =
     match List.find_opt (fun (n, _) -> n == node) !cells with

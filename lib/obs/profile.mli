@@ -68,9 +68,10 @@ val run :
   Oodb_exec.Db.t ->
   Engine.plan ->
   Oodb_exec.Executor.row list * Oodb_exec.Executor.io_report * node
-(** Execute like [Executor.run_measured] (statistics reset, buffer pool
-    flushed) with profiling on. [verify] (default off) runs the static
-    plan linter first. [spans] records one span per interposed call
+(** [Executor.run_measured] (statistics reset, buffer pool flushed,
+    rows built per batch, the same report) with the counting iterators
+    passed as its [wrap], so the rows and report are the untraced run's.
+    [verify] (default off) runs the static plan linter first. [spans] records one span per interposed call
     (category ["exec"], named after the operator, with ["op_id"] and
     ["phase"] ∈ open/next_batch/close arguments) using the {e same}
     clock readings as [wall_seconds], so per-operator span durations sum

@@ -62,29 +62,39 @@ let test_eval () =
     (Eval.compile_atom (Pred.atom Pred.Lt (Pred.Field ("c", "no_such_field")) (Pred.Const (Value.Int 1))) env)
 
 (* The FIFO that joins and unnest park their output in hands tuples
-   back in push order across interleaved pushes and pops. *)
+   back in push order across interleaved pushes and pops, in full
+   batches until the last. *)
 let test_fifo_order () =
   let d = db () in
   let store = Db.store d in
-  (* enough tuples to outgrow the initial buffer and to compact it *)
   let tuples =
     List.concat_map
       (fun _ -> List.map (fun oid -> Env.bind_ref Env.empty "x" oid) (Store.oids store ~coll:"Cities"))
       [ 1; 2; 3; 4; 5 ]
   in
-  let q = Oodb_exec.Batch.Fifo.create () in
+  let q = Oodb_exec.Batch.Fifo.create 3 in
   let out = ref [] in
+  let take = Option.iter (fun b -> out := !out @ [ Oodb_exec.Batch.to_list b ]) in
   List.iteri
     (fun i env ->
       Oodb_exec.Batch.Fifo.push q env;
-      if i mod 5 = 4 then out := !out @ Oodb_exec.Batch.to_list (Oodb_exec.Batch.Fifo.pop q 3))
+      if i mod 5 = 4 then take (Oodb_exec.Batch.Fifo.pop_full q))
     tuples;
-  while Oodb_exec.Batch.Fifo.length q > 0 do
-    out := !out @ Oodb_exec.Batch.to_list (Oodb_exec.Batch.Fifo.pop q 7)
-  done;
+  let rec rest () =
+    match Oodb_exec.Batch.Fifo.pop q with
+    | Some _ as b ->
+      take b;
+      rest ()
+    | None -> ()
+  in
+  rest ();
   Alcotest.(check (list int)) "push order"
     (List.map (fun e -> Env.oid e "x") tuples)
-    (List.map (fun e -> Env.oid e "x") !out)
+    (List.map (fun e -> Env.oid e "x") (List.concat !out));
+  Alcotest.(check (list int)) "full batches until the last"
+    (List.init (List.length !out) (fun i ->
+         if i < List.length !out - 1 then 3 else ((List.length tuples - 1) mod 3) + 1))
+    (List.map List.length !out)
 
 (* ------------------------------------------------------------------ *)
 (* Operators                                                            *)
@@ -377,6 +387,53 @@ let test_hash_join_oid_keys () =
         [ (1, max_int); (4, max_int); (1, 0); (4, 0) ])
     shapes
 
+(* A spilled join charges both partitions inside [open_]: build drain,
+   build charge, whole probe drain, probe charge. Every disk read is then
+   a buffer miss of the two scans or a re-read of a spilled page, and
+   serving the output afterwards costs no disk or buffer-pool traffic. *)
+let test_hash_join_spill_charged_at_open () =
+  let d = keyed_db (List.init 40 (fun i -> Value.Int (i mod 7))) (List.init 30 (fun i -> Value.Int (i mod 5))) in
+  let store = Db.store d in
+  let disk = Store.disk store and buffer = Store.buffer store in
+  let pages bytes = (bytes + Disk.page_size disk - 1) / Disk.page_size disk in
+  let matches = List.length (lr_pairs (join_lr d l_eq_r)) in
+  List.iter
+    (fun batch ->
+      let label s = Printf.sprintf "batch %d: %s" batch s in
+      Oodb_storage.Buffer_pool.flush buffer;
+      Disk.reset_stats disk;
+      Oodb_storage.Buffer_pool.reset_stats buffer;
+      let it = join_lr ~batch ~memory_bytes:0 d l_eq_r in
+      Iterator.open_ it;
+      let opened = Disk.stats disk and opened_buf = Oodb_storage.Buffer_pool.stats buffer in
+      Alcotest.(check int) (label "both partitions written") (pages (40 * (16 + 64)) + pages (30 * (16 + 64)))
+        opened.Disk.writes;
+      Alcotest.(check int) (label "and re-read")
+        (opened_buf.Oodb_storage.Buffer_pool.misses + opened.Disk.writes)
+        (opened.Disk.seq_reads + opened.Disk.rand_reads);
+      let rec drain n = match Iterator.next_batch it with Some b -> drain (n + Oodb_exec.Batch.length b) | None -> n in
+      Alcotest.(check int) (label "every match served") matches (drain 0);
+      Iterator.close it;
+      Alcotest.(check bool) (label "no disk traffic after open") true (Disk.stats disk = opened);
+      Alcotest.(check bool) (label "no buffer traffic after open") true
+        (Oodb_storage.Buffer_pool.stats buffer = opened_buf))
+    [ 1; 4 ]
+
+(* Repeated keys on both sides make a many-to-many join, where one probe
+   tuple parks several outputs: spilled, it must return the in-memory
+   run's rows in the same order. *)
+let test_hash_join_spill_many_to_many () =
+  let d = keyed_db (List.init 23 (fun i -> Value.Int (i mod 4))) (List.init 17 (fun i -> Value.Int (i mod 3))) in
+  List.iter
+    (fun batch ->
+      let in_memory = lr_pairs (join_lr ~batch d l_eq_r) in
+      Alcotest.(check int) (Printf.sprintf "batch %d: matches" batch)
+        ((6 * 6) + (6 * 6) + (6 * 5)) (List.length in_memory);
+      Alcotest.(check (list (pair int int))) (Printf.sprintf "batch %d: spilled == in memory" batch)
+        in_memory
+        (lr_pairs (join_lr ~batch ~memory_bytes:0 d l_eq_r)))
+    [ 1; 4; 64 ]
+
 (* ------------------------------------------------------------------ *)
 (* Executor on optimizer output                                         *)
 
@@ -628,6 +685,10 @@ let () =
           Alcotest.test_case "hash join numeric boundary keys" `Quick test_hash_join_numeric_keys;
           Alcotest.test_case "hash join match order" `Quick test_hash_join_match_order;
           Alcotest.test_case "hash join OID keys" `Quick test_hash_join_oid_keys;
+          Alcotest.test_case "spilled hash join charges at open" `Quick
+            test_hash_join_spill_charged_at_open;
+          Alcotest.test_case "spilled many-to-many hash join" `Quick
+            test_hash_join_spill_many_to_many;
           Alcotest.test_case "set operations" `Quick test_setops;
           Alcotest.test_case "sort" `Quick test_sort;
           Alcotest.test_case "trim enforces properties" `Quick test_trim_enforces_properties;

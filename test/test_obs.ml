@@ -263,6 +263,35 @@ let test_profile_deltas_sum_to_totals () =
         [ ("q1", Q.q1); ("q2", Q.q2); ("q3", Q.q3); ("q4", Q.q4) ])
     [ 1; 64 ]
 
+(* Traced and untraced runs share one row path: the profiler returns the
+   untraced run's rows in the same order and its io_report field by
+   field, at any batch size. *)
+let test_profile_same_rows_and_report () =
+  let db = Lazy.force Helpers.small_db in
+  List.iter
+    (fun batch_size ->
+      let config = { Oodb_cost.Config.default with Oodb_cost.Config.batch_size } in
+      List.iter
+        (fun (name, q) ->
+          let plan = Opt.plan_exn (Opt.optimize (Db.catalog db) q) in
+          let rows, report, _ = Profile.run ~config db plan in
+          let rows', report' = Executor.run_measured ~config db plan in
+          let lbl s = Printf.sprintf "%s (batch %d): %s" name batch_size s in
+          Alcotest.(check bool) (lbl "same rows in the same order") true (rows = rows');
+          let field s f = Alcotest.(check int) (lbl s) (f report') (f report) in
+          field "rows" (fun r -> r.Executor.rows);
+          field "seq reads" (fun r -> r.Executor.seq_reads);
+          field "rand reads" (fun r -> r.Executor.rand_reads);
+          field "writes" (fun r -> r.Executor.writes);
+          field "buffer hits" (fun r -> r.Executor.buffer_hits);
+          field "buffer misses" (fun r -> r.Executor.buffer_misses);
+          field "buffer evictions" (fun r -> r.Executor.buffer_evictions);
+          Alcotest.(check int64) (lbl "simulated seconds")
+            (Int64.bits_of_float report'.Executor.simulated_seconds)
+            (Int64.bits_of_float report.Executor.simulated_seconds))
+        [ ("q1", Q.q1); ("q2", Q.q2); ("q3", Q.q3); ("q4", Q.q4); ("fig2", Q.fig2); ("fig3", Q.fig3) ])
+    [ 1; 64 ]
+
 let test_profile_qerror_perfect () =
   (* After refreshing catalog statistics from the stored data, a bare
      extent scan's estimate is the exact collection cardinality, so every
@@ -337,6 +366,8 @@ let () =
       ( "profile",
         [ Alcotest.test_case "exclusive deltas sum to io_report" `Quick
             test_profile_deltas_sum_to_totals;
+          Alcotest.test_case "same rows and io_report as untraced run" `Quick
+            test_profile_same_rows_and_report;
           Alcotest.test_case "perfect estimate has q-error 1.0" `Quick
             test_profile_qerror_perfect;
           Alcotest.test_case "q-error clamps" `Quick test_qerror_clamps ] );
