@@ -22,16 +22,10 @@ let bindings_of_operand = function
 
 let bindings_of_atom a = bindings_of_operand a.lhs @ bindings_of_operand a.rhs
 
+(* Binding lists here hold a handful of names: a list scan beats
+   allocating a hash table per call. *)
 let dedup bs =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun b ->
-      if Hashtbl.mem seen b then false
-      else begin
-        Hashtbl.add seen b ();
-        true
-      end)
-    bs
+  List.rev (List.fold_left (fun seen b -> if List.mem b seen then seen else b :: seen) [] bs)
 
 let bindings t = dedup (List.concat_map bindings_of_atom t)
 

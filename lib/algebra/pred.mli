@@ -29,6 +29,9 @@ val conjoin : t -> t -> t
 
 val bindings_of_operand : operand -> string list
 
+val dedup : string list -> string list
+(** The names without repeats, in first-occurrence order. *)
+
 val bindings : t -> string list
 (** Free bindings, no duplicates, in first-occurrence order. *)
 

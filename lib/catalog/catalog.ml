@@ -27,6 +27,13 @@ type t = {
       (* the digest and the epoch it was computed at: every mutation
          bumps the epoch and the schema and records are immutable, so a
          digest stays exact until the epoch moves *)
+  mutable answers_at : int;
+      (* epoch the three answer caches below hold for; -1 = none. The
+         estimator asks for a class's scannable collections and
+         cardinality once per identity atom it prices. *)
+  mutable collections_at : collection list;
+  scannables_at : (string, collection list) Hashtbl.t;
+  cardinality_at : (string, int option) Hashtbl.t;
 }
 
 let create schema =
@@ -37,7 +44,11 @@ let create schema =
     distinct_tbl = Hashtbl.create 32;
     set_size_tbl = Hashtbl.create 8;
     epoch = 0;
-    digest_at = None }
+    digest_at = None;
+    answers_at = -1;
+    collections_at = [];
+    scannables_at = Hashtbl.create 16;
+    cardinality_at = Hashtbl.create 16 }
 
 let schema t = t.schema
 
@@ -54,18 +65,39 @@ let add_collection t co =
   t.coll_order <- co :: t.coll_order;
   bump_epoch t
 
-let collections t = List.rev t.coll_order
+(* Empty the answer caches if the epoch moved since they were filled. *)
+let refresh_answers t =
+  if t.answers_at <> t.epoch then begin
+    t.collections_at <- List.rev t.coll_order;
+    Hashtbl.reset t.scannables_at;
+    Hashtbl.reset t.cardinality_at;
+    t.answers_at <- t.epoch
+  end
+
+let collections t =
+  refresh_answers t;
+  t.collections_at
 
 let find_collection t name = Hashtbl.find_opt t.colls name
 
+let cached t tbl key compute =
+  refresh_answers t;
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    Hashtbl.add tbl key v;
+    v
+
 let scannables_of_class t cls =
-  collections t
-  |> List.filter (fun co -> co.co_class = cls && co.co_kind <> Hidden)
+  cached t t.scannables_at cls (fun () ->
+      List.filter (fun co -> co.co_class = cls && co.co_kind <> Hidden) (collections t))
 
 let class_cardinality t cls =
-  match scannables_of_class t cls with
-  | [] -> None
-  | cos -> Some (List.fold_left (fun acc co -> max acc co.co_card) 0 cos)
+  cached t t.cardinality_at cls (fun () ->
+      match scannables_of_class t cls with
+      | [] -> None
+      | cos -> Some (List.fold_left (fun acc co -> max acc co.co_card) 0 cos))
 
 let set_distinct t ~cls ~field n =
   Hashtbl.replace t.distinct_tbl (cls, field) n;

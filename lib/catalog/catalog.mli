@@ -58,7 +58,11 @@ val digest : t -> Digest.t
     persisted entries survive process restarts safely. Computed once per
     epoch: repeated calls between mutations return the cached value. *)
 
-(** {1 Collections} *)
+(** {1 Collections}
+
+    [collections], [scannables_of_class] and [class_cardinality] are
+    computed once per epoch and class, like {!digest}: the estimator asks
+    for them once per identity atom it prices. *)
 
 val add_collection : t -> collection -> unit
 (** @raise Invalid_argument on duplicate names or unknown classes. *)

@@ -69,7 +69,7 @@ let rec iterator ?(config = Config.default) ?(wrap = fun _plan it -> it) db
 
 (* Row extraction, compiled once per plan: a root Alg-Project evaluates
    its expressions (each compiled once); any other root yields
-   binding/OID pairs. *)
+   binding/OID pairs, with the binding names taken once per schema. *)
 let row_function (plan : Engine.plan) : Env.t -> row =
   match plan.Engine.alg with
   | Physical.Alg_project ps ->
@@ -98,8 +98,28 @@ let row_function (plan : Engine.plan) : Env.t -> row =
     in
     fun env -> row env columns
   | _ ->
+    (* One column per binding of each schema the root emits; like a
+       projected column, it hands out its last (name, Ref) pair again
+       while the OID repeats, as an outer binding's does beside the
+       members of an unnested set. *)
+    let columns = Env.memo (Array.map (fun name -> ref (name, Value.Null))) in
     fun (env : Env.t) ->
-      List.mapi (fun i b -> (b, Value.Ref (Env.slot_oid env.Env.slots.(i)))) (Env.bindings env)
+      let columns = Env.get columns env.Env.schema in
+      let rec row i =
+        if i = Array.length columns then []
+        else
+          let oid = Env.slot_oid env.Env.slots.(i) and last = columns.(i) in
+          let pair =
+            match !last with
+            | _, Value.Ref o when Int.equal o oid -> !last
+            | name, _ ->
+              let pair = (name, Value.Ref oid) in
+              last := pair;
+              pair
+          in
+          pair :: row (i + 1)
+      in
+      row 0
 
 let rows_of plan envs = List.map (row_function plan) envs
 

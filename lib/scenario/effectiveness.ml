@@ -161,7 +161,9 @@ let sample_plans ?(per_goal = 12) ?(max_combos = 16) ?(max_depth = 64) outcome o
                               delivered = cand.Engine.cand_delivers })
                           (combinations ~cap:max_combos child_lists)
                     end)
-                  (ir.Engine.i_apply ctx ~required mx))
+                  (match ir.Engine.i_match ctx mx with
+                  | Some cost -> cost ~required
+                  | None -> []))
               irules)
           (Engine.group_exprs ctx g)
       in

@@ -663,10 +663,12 @@ module Make (M : MODEL) = struct
     cand_delivers : M.Pprop.t;
   }
 
+  type coster = required:M.Pprop.t -> candidate list
+
   type irule = {
     i_name : string;
     i_promise : int;
-    i_apply : ctx -> required:M.Pprop.t -> mexpr -> candidate list;
+    i_match : ctx -> mexpr -> coster option;
   }
 
   type enforcer = {
@@ -871,7 +873,32 @@ module Make (M : MODEL) = struct
       | None -> ()
       | Some p -> (Vec.get p.pv_cands idx).pc_disposition <- d
 
-  let optimize_physical ctx ~memo ~enabled_irules ~enabled_enforcers ~pruning ~guided
+  (* Implementation-rule matches, by mexpr table index: a coster per
+     enabled rule (position for position with the session's rule array;
+     [None] where the rule does not apply) and the memo generation they
+     were derived at (-1: never). Everything a rule can work out without
+     the goal's required properties is done once here, not once per
+     goal. *)
+  type matches = { mt_gen : int Vec.t; mt_costers : coster option array Vec.t }
+
+  (* The costers of [mid], re-derived when the logical memo has moved
+     since they were matched (a later root's closure may have added an
+     alternative to an input group, so a rule may newly apply) — the
+     same rule that re-searches stale physical-memo entries. *)
+  let costers ctx ~matches ~irules m mid =
+    let idx = Id.to_idx mid in
+    while Vec.length matches.mt_gen <= idx do
+      ignore (Vec.push matches.mt_gen (-1));
+      ignore (Vec.push matches.mt_costers [||])
+    done;
+    if Vec.get matches.mt_gen idx <> ctx.generation then begin
+      Vec.set matches.mt_costers idx
+        (Array.map (fun ((ir : irule), _) -> ir.i_match ctx m) irules);
+      Vec.set matches.mt_gen idx ctx.generation
+    end;
+    Vec.get matches.mt_costers idx
+
+  let optimize_physical ctx ~memo ~matches ~irules ~enabled_enforcers ~pruning ~guided
       ~initial_limit ~root ~required =
     let find_entry g p = Hashtbl.find_opt memo (phys_key ctx g p) in
     let add_entry g p e = Hashtbl.add memo (phys_key ctx g p) e in
@@ -1021,34 +1048,38 @@ module Make (M : MODEL) = struct
             let gd = cached_group ctx g in
             List.iter2
               (fun m mid ->
-                List.iter
-                  (fun ((ir : irule), counter) ->
+                let costers = costers ctx ~matches ~irules m mid in
+                Array.iteri
+                  (fun k ((ir : irule), counter) ->
                     counter.rc_tried <- counter.rc_tried + 1;
                     (match ctx.tracer with
                     | None -> ()
                     | Some f -> f (Irule_tried { rule = ir.i_name; group = g }));
-                    let cands = ir.i_apply ctx ~required m in
-                    counter.rc_fired <- counter.rc_fired + List.length cands;
-                    List.iter
-                      (fun cand ->
-                        (match ctx.tracer with
-                        | None -> ()
-                        | Some f ->
-                          f
-                            (Candidate_costed
-                               { rule = ir.i_name;
-                                 group = g;
-                                 alg = cand.cand_alg;
-                                 cost = cand.cand_cost }));
-                        let pidx =
-                          prov_log ctx ~group:g ~required ~rule:ir.i_name ~mexpr:mid
-                            ~alg:cand.cand_alg ~local_cost:cand.cand_cost
-                            ~inputs:cand.cand_inputs
-                        in
-                        if guided then deferred := (cand, pidx) :: !deferred
-                        else try_candidate (cand, pidx))
-                      cands)
-                  enabled_irules)
+                    match costers.(k) with
+                    | None -> ()
+                    | Some cost ->
+                      let cands = cost ~required in
+                      counter.rc_fired <- counter.rc_fired + List.length cands;
+                      List.iter
+                        (fun cand ->
+                          (match ctx.tracer with
+                          | None -> ()
+                          | Some f ->
+                            f
+                              (Candidate_costed
+                                 { rule = ir.i_name;
+                                   group = g;
+                                   alg = cand.cand_alg;
+                                   cost = cand.cand_cost }));
+                          let pidx =
+                            prov_log ctx ~group:g ~required ~rule:ir.i_name ~mexpr:mid
+                              ~alg:cand.cand_alg ~local_cost:cand.cand_cost
+                              ~inputs:cand.cand_inputs
+                          in
+                          if guided then deferred := (cand, pidx) :: !deferred
+                          else try_candidate (cand, pidx))
+                        cands)
+                  irules)
               gd.gcache gd.gcache_ids;
             if guided then
               List.stable_sort
@@ -1140,7 +1171,8 @@ module Make (M : MODEL) = struct
   type session = {
     ss_spec : spec;
     ss_trules : (trule * rule_counter) list; (* enabled rules with their counters *)
-    ss_irules : (irule * rule_counter) list;
+    ss_irules : (irule * rule_counter) array; (* in application order *)
+    ss_matches : matches;
     ss_enforcers : (enforcer * rule_counter) list;
     ss_pruning : bool;
     ss_guided : bool;
@@ -1212,9 +1244,12 @@ module Make (M : MODEL) = struct
         (* guided search applies rules in promise order (highest first, ties
            keep registration order), so cheap/high-yield algorithms tighten
            the branch-and-bound limit before expensive ones are costed *)
-        (if guided then
-           List.stable_sort (fun (a, _) (b, _) -> Int.compare b.i_promise a.i_promise) irules
-         else irules);
+        Array.of_list
+          (if guided then
+             List.stable_sort (fun (a, _) (b, _) -> Int.compare b.i_promise a.i_promise) irules
+           else irules);
+      ss_matches =
+        { mt_gen = Vec.create ~capacity:256 (); mt_costers = Vec.create ~capacity:256 () };
       ss_enforcers = resolve (fun r -> r.e_name) spec.enforcers;
       ss_pruning = pruning;
       ss_guided = guided;
@@ -1262,7 +1297,7 @@ module Make (M : MODEL) = struct
       Span.with_span s.ss_spans ~cat:"volcano" "physical-search"
         ~args:[ ("root_group", Json.Int (find ctx root)) ]
         (fun () ->
-          optimize_physical ctx ~memo:s.ss_phys ~enabled_irules:s.ss_irules
+          optimize_physical ctx ~memo:s.ss_phys ~matches:s.ss_matches ~irules:s.ss_irules
             ~enabled_enforcers:s.ss_enforcers ~pruning:s.ss_pruning ~guided:s.ss_guided
             ~initial_limit ~root:(find ctx root) ~required)
     in

@@ -223,6 +223,11 @@ module Make (M : MODEL) : sig
     cand_delivers : M.Pprop.t;
   }
 
+  type coster = required:M.Pprop.t -> candidate list
+  (** The costing step of an implementation rule that matched one
+      multi-expression: the candidates it offers a goal with the given
+      required properties (possibly none). *)
+
   type irule = {
     i_name : string;
     i_promise : int;
@@ -231,7 +236,15 @@ module Make (M : MODEL) : sig
             high-yield algorithms tighten the branch-and-bound limit
             before expensive alternatives are costed. Ignored — and
             invisible in results — outside guided mode. *)
-    i_apply : ctx -> required:M.Pprop.t -> mexpr -> candidate list;
+    i_match : ctx -> mexpr -> coster option;
+        (** The match step, as in Volcano, where a rule's applicability
+            condition and its cost function are separate: [None] when the
+            rule does not apply to the multi-expression, otherwise its
+            coster. The match does everything that does not depend on the
+            required properties (input scopes, join keys, output
+            cardinality, index and Mat-chain matches) once; the engine
+            calls it once per multi-expression and memo generation, keeps
+            the coster, and calls only the coster for each goal. *)
   }
 
   type enforcer = {

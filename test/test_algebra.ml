@@ -180,6 +180,23 @@ let prop_memory_subset_bindings =
       let all = Pred.bindings p in
       List.for_all (fun b -> List.mem b all) (Pred.memory_bindings p))
 
+(* The hash-table dedup [Pred.dedup] replaced, kept as its reference. *)
+let dedup_by_table bs =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun b ->
+      if Hashtbl.mem seen b then false
+      else begin
+        Hashtbl.add seen b ();
+        true
+      end)
+    bs
+
+let prop_dedup_matches_table =
+  QCheck2.Test.make ~name:"dedup keeps first occurrences, as the hash-table version" ~count:500
+    QCheck2.Gen.(list_size (int_bound 12) (oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "a.b"; "" ]))
+    (fun bs -> Pred.dedup bs = dedup_by_table bs)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -200,5 +217,10 @@ let () =
           Alcotest.test_case "figure 2 rendering" `Quick test_pp_fig2;
           Alcotest.test_case "mat-ref rendering" `Quick test_pp_mat_ref;
           Alcotest.test_case "set operators" `Quick test_set_ops_well_formed ] );
-      ("properties", qcheck [ prop_rename_id; prop_rename_compose; prop_memory_subset_bindings ])
+      ( "properties",
+        qcheck
+          [ prop_rename_id;
+            prop_rename_compose;
+            prop_memory_subset_bindings;
+            prop_dedup_matches_table ] )
     ]

@@ -149,6 +149,59 @@ let test_digest_follows_mutations () =
         (Digest.to_hex (Catalog.digest mutated)))
     steps
 
+(* Collections, scannable collections and class cardinalities are cached
+   per epoch: after every mutator, answers asked of a catalog whose caches
+   were warm must equal a fresh catalog's with the same contents. *)
+let test_answers_follow_mutations () =
+  let co name cls kind card =
+    { Catalog.co_name = name; co_class = cls; co_kind = kind; co_card = card;
+      co_obj_bytes = 100 }
+  in
+  let steps =
+    [ (fun c -> Catalog.add_collection c (co "Cities" "City" Catalog.Set 100));
+      (fun c -> Catalog.add_collection c (co "Persons" "Person" Catalog.Extent 1000));
+      (fun c -> Catalog.add_collection c (co "Plant.heap" "Plant" Catalog.Hidden 10));
+      (fun c -> Catalog.set_distinct c ~cls:"City" ~field:"name" 50);
+      (fun c -> Catalog.add_collection c (co "AllCities" "City" Catalog.Extent 500));
+      (fun c -> Catalog.set_avg_set_size c ~cls:"Task" ~field:"team_members" 4.5);
+      (fun c ->
+        Catalog.add_index c
+          { Catalog.ix_name = "by_name"; ix_coll = "Cities"; ix_path = [ "name" ];
+            ix_distinct = 7 });
+      (fun c -> Catalog.drop_index c "by_name");
+      (fun c -> Catalog.add_collection c (co "Tasks" "Task" Catalog.Set 20));
+      Catalog.bump_epoch ]
+  in
+  let answers c =
+    let names cos = String.concat "," (List.map (fun co -> co.Catalog.co_name) cos) in
+    names (Catalog.collections c)
+    :: List.map
+         (fun cls ->
+           Printf.sprintf "%s: [%s] %s" cls
+             (names (Catalog.scannables_of_class c cls))
+             (match Catalog.class_cardinality c cls with
+             | Some n -> string_of_int n
+             | None -> "none"))
+         [ "City"; "Person"; "Plant"; "Task"; "Employee" ]
+  in
+  let fresh k =
+    let c = Catalog.create schema in
+    List.iteri (fun i step -> if i < k then step c) steps;
+    c
+  in
+  let mutated = Catalog.create schema in
+  List.iteri
+    (fun i step ->
+      ignore (answers mutated);
+      step mutated;
+      Alcotest.(check (list string))
+        (Printf.sprintf "after step %d" (i + 1))
+        (answers (fresh (i + 1)))
+        (answers mutated))
+    steps;
+  Alcotest.(check (option int)) "largest collection wins" (Some 500)
+    (Catalog.class_cardinality mutated "City")
+
 let test_digest_tracks_statistics () =
   let c = OC.catalog_with_indexes () in
   let d0 = Catalog.digest c in
@@ -183,4 +236,6 @@ let () =
       ( "digest",
         [ Alcotest.test_case "cached digest follows every mutator" `Quick
             test_digest_follows_mutations;
+          Alcotest.test_case "cached answers follow every mutator" `Quick
+            test_answers_follow_mutations;
           Alcotest.test_case "statistic change and restore" `Quick test_digest_tracks_statistics ] ) ]

@@ -305,6 +305,124 @@ let test_unknown_rule_rejected () =
   Alcotest.check_raises "unknown rule" (Invalid_argument "Options.disable: unknown rule frobnicate")
     (fun () -> ignore (Options.disable "frobnicate" Options.default))
 
+(* ------------------------------------------------------------------ *)
+(* Golden optimizer pins                                                *)
+
+(* Memo size, plan and the exact bits of the winner's cost for the paper
+   queries (on the paper catalog) and one text per benchmark template (on
+   the scale-1 database's catalog, as the benchmark compiles them). A change to how the search is run
+   (rule scheduling, caching, closure bookkeeping) must leave every pin
+   bit-identical; a change to what it finds must re-record them. *)
+
+let golden_texts =
+  [ ("mayor-name", {|SELECT c.name FROM c IN Cities WHERE c.mayor.name == "Joe"|});
+    ( "employee-name",
+      {|SELECT e.name, e.age FROM e IN Employees WHERE e.name == "Fred" && e.age == 30|} );
+    ("task-time", {|SELECT t.name FROM t IN Tasks WHERE t.time == 100|});
+    ( "paper-q4",
+      {|SELECT t FROM t IN Tasks WHERE t.time == 100 && EXISTS (SELECT m FROM m IN t.team_members WHERE m.name == "Fred")|}
+    );
+    ( "q1-location",
+      {|SELECT e.name, e.job.name, e.dept.name FROM e IN Employees WHERE e.dept.plant.location == "Dallas"|}
+    );
+    ( "fig1-floor-join",
+      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3|}
+    );
+    ( "salary-by-floor",
+      {|SELECT e.name, e.salary FROM e IN Employees WHERE e.dept.floor == 3|} );
+    ( "team-age-unnest",
+      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE m.age > 40|} );
+    ( "emp-dept-job",
+      {|SELECT e.name, d.name, j.name FROM e IN Employees, d IN Departments, j IN Jobs WHERE e.dept == d && e.job == j && d.floor == 3 && j.level == 2|}
+    );
+    ( "city-person-country",
+      {|SELECT c.name, p.name, n.name FROM c IN Cities, p IN Persons, n IN Countries WHERE c.mayor == p && c.country == n && p.age > 60 && c.population < 500000|}
+    );
+    ( "emp-dept",
+      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3 && e.salary > 50000.0|}
+    );
+    ( "city-mat-chain",
+      {|SELECT c.name, c.mayor.name FROM c IN Cities WHERE c.mayor.age == 40 && c.country.capital.population > 800000 && c.population < 500000|}
+    );
+    ( "task-unnest",
+      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE t.time < 500 && m.age == 40 && m.dept.floor == 3|}
+    ) ]
+
+type opt_pin = {
+  catalog : string;
+  query : string;
+  groups : int;
+  mexprs : int;
+  plan_md5 : string;  (** digest of the rendered plan text *)
+  io : float;
+  cpu : float;
+}
+
+let opt_pin_to_string p =
+  Printf.sprintf
+    "{ catalog = %S; query = %S; groups = %d; mexprs = %d; plan_md5 = %S; io = %h; cpu = %h };"
+    p.catalog p.query p.groups p.mexprs p.plan_md5 p.io p.cpu
+
+let golden_opt_pins =
+  [ { catalog = "paper"; query = "q1"; groups = 16; mexprs = 49; plan_md5 = "8d46e35ecf8a95d21dd509dc9f0a6ccc"; io = 0x1.39fae147ae148p+6; cpu = 0x1.a64e147ae147bp+5 };
+    { catalog = "paper"; query = "q2"; groups = 5; mexprs = 9; plan_md5 = "8a2f35acfcae204deb6bf11d5d857428"; io = 0x1.eb851eb851eb8p-4; cpu = 0x1.3dd97f62b6ae8p-11 };
+    { catalog = "paper"; query = "q3"; groups = 6; mexprs = 10; plan_md5 = "0ff6288f2ee7a7b8780b7cbb83d44b56"; io = 0x1.1c28f5c28f5c2p-3; cpu = 0x1.dcc63f141205cp-10 };
+    { catalog = "paper"; query = "q4"; groups = 10; mexprs = 23; plan_md5 = "83fa75c0334368b23d9f2f62bf0e0d88"; io = 0x1.3428f5c28f5c2p+0; cpu = 0x1.8ced916872b02p-4 };
+    { catalog = "paper"; query = "fig2"; groups = 19; mexprs = 93; plan_md5 = "17407338e6716b86a4d8d6efe2ea2a5f"; io = 0x1.a5147ae147ae1p+6; cpu = 0x1.683205bc01a37p+3 };
+    { catalog = "paper"; query = "fig3"; groups = 4; mexprs = 6; plan_md5 = "96bbd0da183c05702f31776ed69523d2"; io = 0x1.11851eb851eb8p+6; cpu = 0x1.2d9p+7 };
+    { catalog = "scale-1"; query = "mayor-name"; groups = 6; mexprs = 10; plan_md5 = "56be2fa73466754edaff99696e03bce6"; io = 0x1.eb851eb851eb8p-4; cpu = 0x1.3dd97f62b6ae8p-10 };
+    { catalog = "scale-1"; query = "employee-name"; groups = 5; mexprs = 8; plan_md5 = "936488b948d246f01076efd93a569338"; io = 0x1.e28f5c28f5c29p+3; cpu = 0x1.bbd70a3d70a3ep-3 };
+    { catalog = "scale-1"; query = "task-time"; groups = 3; mexprs = 3; plan_md5 = "99b16d1ce092470a05b3110054e26719"; io = 0x1.70a3d70a3d70ap-2; cpu = 0x1.8d4fdf3b645a2p-8 };
+    { catalog = "scale-1"; query = "paper-q4"; groups = 11; mexprs = 24; plan_md5 = "2cba76195369e036f81d694b5cd9727b"; io = 0x1.3428f5c28f5c2p+0; cpu = 0x1.8e0ba1f4b1ee2p-4 };
+    { catalog = "scale-1"; query = "q1-location"; groups = 12; mexprs = 27; plan_md5 = "8d46e35ecf8a95d21dd509dc9f0a6ccc"; io = 0x1.39fae147ae148p+6; cpu = 0x1.a64e147ae147bp+5 };
+    { catalog = "scale-1"; query = "fig1-floor-join"; groups = 8; mexprs = 19; plan_md5 = "9c68ab861659bd5d9d18c492ef24f3c7"; io = 0x1.f8p+5; cpu = 0x1.5fa147ae147aep+5 };
+    { catalog = "scale-1"; query = "salary-by-floor"; groups = 6; mexprs = 10; plan_md5 = "e03ae3634fed6493b843634caff2992a"; io = 0x1.f8p+5; cpu = 0x1.5fa147ae147aep+5 };
+    { catalog = "scale-1"; query = "team-age-unnest"; groups = 7; mexprs = 11; plan_md5 = "a144bdcb799a6e6c26511b95d8bc96ba"; io = 0x1.012e147ae147bp+8; cpu = 0x1.1b1fae147ae14p+7 };
+    { catalog = "scale-1"; query = "emp-dept-job"; groups = 34; mexprs = 306; plan_md5 = "aeac014260004aabdce566bb6fa86308"; io = 0x1.147ae147ae147p+6; cpu = 0x1.88947ae147aep+5 };
+    { catalog = "scale-1"; query = "city-person-country"; groups = 36; mexprs = 335; plan_md5 = "b4f4d71159417023133dcf9c5215dd6e"; io = 0x1.47a8f5c28f5c3p+5; cpu = 0x1.57c12d77318fdp+3 };
+    { catalog = "scale-1"; query = "emp-dept"; groups = 13; mexprs = 53; plan_md5 = "bcefed421e9e30c21592d9d6d04110a5"; io = 0x1.f8p+5; cpu = 0x1.67a199999999ap+5 };
+    { catalog = "scale-1"; query = "city-mat-chain"; groups = 54; mexprs = 402; plan_md5 = "eeedc56ed96fff374b32afa6f8eaa48d"; io = 0x1.48ca3d70a3d7p+4; cpu = 0x1.445fda122fad7p+3 };
+    { catalog = "scale-1"; query = "task-unnest"; groups = 29; mexprs = 138; plan_md5 = "eb881912dbc83dc2a6ed25ecda112ca2"; io = 0x1.195c28f5c28f6p+6; cpu = 0x1.1c8104816f007p+6 } ]
+
+let same_opt_pin a b =
+  a.groups = b.groups && a.mexprs = b.mexprs && String.equal a.plan_md5 b.plan_md5
+  && Int64.equal (Int64.bits_of_float a.io) (Int64.bits_of_float b.io)
+  && Int64.equal (Int64.bits_of_float a.cpu) (Int64.bits_of_float b.cpu)
+
+let test_golden_optimizer_pins () =
+  let pin catalog c (query, q) =
+    let o = Opt.optimize c q in
+    let p = Opt.plan_exn o in
+    { catalog;
+      query;
+      groups = o.Opt.stats.Engine.groups;
+      mexprs = o.Opt.stats.Engine.mexprs;
+      plan_md5 = Digest.to_hex (Digest.string (Format.asprintf "%a" Engine.pp_plan p));
+      io = p.Engine.cost.Cost.io;
+      cpu = p.Engine.cost.Cost.cpu }
+  in
+  let scale1 = Oodb_exec.Db.catalog (Oodb_workloads.Datagen.generate ()) in
+  let actual =
+    List.map (pin "paper" (cat ())) Q.all
+    @ List.map
+        (fun (name, text) -> pin "scale-1" scale1 (name, Zql.Simplify.compile_exn scale1 text))
+        golden_texts
+  in
+  let mismatches =
+    List.filter
+      (fun a ->
+        match
+          List.find_opt (fun g -> g.catalog = a.catalog && g.query = a.query) golden_opt_pins
+        with
+        | Some g -> not (same_opt_pin g a)
+        | None -> true)
+      actual
+  in
+  if mismatches <> [] then
+    Alcotest.failf "optimizer output moved off its golden pins; actual:\n%s"
+      (String.concat "\n" (List.map opt_pin_to_string mismatches));
+  Alcotest.(check int) "every pin exercised" (List.length golden_opt_pins) (List.length actual)
+
 let () =
   Alcotest.run "optimizer"
     [ ( "query1",
@@ -337,4 +455,6 @@ let () =
           Alcotest.test_case "set operators end-to-end" `Quick test_set_operators_optimize_and_run;
           Alcotest.test_case "cross product" `Quick test_cross_product;
           Alcotest.test_case "deep path stress" `Quick test_deep_path_stress;
-          Alcotest.test_case "unknown rule rejected" `Quick test_unknown_rule_rejected ] ) ]
+          Alcotest.test_case "unknown rule rejected" `Quick test_unknown_rule_rejected ] );
+      ( "golden",
+        [ Alcotest.test_case "memo size, plan and cost bits" `Quick test_golden_optimizer_pins ] ) ]

@@ -130,6 +130,43 @@ let test_mixed_tuple_and_batch_consumption () =
   Helpers.check_same_rows "mixed consumption = batch consumption"
     (Executor.rows_of plan whole) (Executor.rows_of plan mixed)
 
+(* A plan without a root projection yields each binding paired with its
+   object's OID. The row function hands a repeated pair out again, so
+   its rows must still equal, under plain [=] and in order, the pairs
+   built afresh from each tuple, at batch sizes 64 and 1. *)
+let test_unprojected_rows () =
+  let db = Lazy.force Helpers.medium_db in
+  let fresh_row (env : Oodb_exec.Env.t) =
+    List.mapi
+      (fun i b -> (b, Value.Ref (Oodb_exec.Env.slot_oid env.Oodb_exec.Env.slots.(i))))
+      (Oodb_exec.Env.bindings env)
+  in
+  let unprojected =
+    List.filter_map
+      (fun (name, q) ->
+        let plan = Opt.plan_exn (Opt.optimize (Db.catalog db) q) in
+        match plan.Open_oodb.Model.Engine.alg with
+        | Open_oodb.Physical.Alg_project _ -> None
+        | _ -> Some (name, plan))
+      Q.all
+  in
+  Alcotest.(check bool) "fig3 has no root projection" true (List.mem_assoc "fig3" unprojected);
+  List.iter
+    (fun (name, plan) ->
+      List.iter
+        (fun bs ->
+          let config = config_of bs in
+          let expected =
+            List.map fresh_row
+              (Oodb_exec.Iterator.to_list (Executor.iterator ~config db plan))
+          in
+          let rows = Executor.run ~config db plan in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at batch %d: %d rows equal" name bs (List.length rows))
+            true (rows = expected))
+        [ 64; 1 ])
+    unprojected
+
 let () =
   Alcotest.run "vectorized"
     [ ( "workload",
@@ -138,7 +175,8 @@ let () =
           Alcotest.test_case "medium catalog, batch sizes {1,7,64,1024}" `Quick
             test_workload_batch_invariance_medium;
           Alcotest.test_case "alternate rule configurations" `Quick
-            test_rule_configs_batch_invariant ] );
+            test_rule_configs_batch_invariant;
+          Alcotest.test_case "unprojected rows equal fresh pairs" `Quick test_unprojected_rows ] );
       ( "fuzz",
         [ Alcotest.test_case "seeded random plans batch-invariant" `Quick
             test_fuzz_batch_invariance ] );

@@ -106,35 +106,39 @@ let sorter_cost = 8.0
 let impl_leaf =
   { E.i_name = "impl-leaf";
     i_promise = 10;
-    i_apply =
-      (fun _ctx ~required m ->
+    i_match =
+      (fun _ctx m ->
         match m.E.mop with
         | Toy.Op.Leaf s ->
-          ignore required;
-          [ { E.cand_alg = Toy.Alg.Scan s;
-              cand_inputs = [];
-              cand_cost = scan_cost;
-              cand_delivers = false };
-            { E.cand_alg = Toy.Alg.Sorted_scan s;
-              cand_inputs = [];
-              cand_cost = sorted_scan_cost;
-              cand_delivers = true } ]
-        | Toy.Op.Cat -> []) }
+          Some
+            (fun ~required ->
+              ignore required;
+              [ { E.cand_alg = Toy.Alg.Scan s;
+                  cand_inputs = [];
+                  cand_cost = scan_cost;
+                  cand_delivers = false };
+                { E.cand_alg = Toy.Alg.Sorted_scan s;
+                  cand_inputs = [];
+                  cand_cost = sorted_scan_cost;
+                  cand_delivers = true } ])
+        | Toy.Op.Cat -> None) }
 
 let impl_cat =
   { E.i_name = "impl-cat";
     i_promise = 5;
-    i_apply =
-      (fun _ctx ~required m ->
+    i_match =
+      (fun _ctx m ->
         match m.E.mop, m.E.minputs with
         | Toy.Op.Cat, [ l; r ] ->
           (* concatenation preserves nothing: it cannot deliver sorted *)
-          ignore required;
-          [ { E.cand_alg = Toy.Alg.Concat;
-              cand_inputs = [ (l, false); (r, false) ];
-              cand_cost = 1.0;
-              cand_delivers = false } ]
-        | _ -> []) }
+          Some
+            (fun ~required ->
+              ignore required;
+              [ { E.cand_alg = Toy.Alg.Concat;
+                  cand_inputs = [ (l, false); (r, false) ];
+                  cand_cost = 1.0;
+                  cand_delivers = false } ])
+        | _ -> None) }
 
 let sorter =
   { E.e_name = "sorter";
@@ -179,9 +183,11 @@ let test_unachievable_property () =
   let r =
     E.run ~disabled:[ "sorter" ]
       { (spec ()) with E.implementations = [ impl_cat;
-          { impl_leaf with E.i_apply = (fun ctx ~required m ->
-                List.filter (fun c -> c.E.cand_alg <> Toy.Alg.Sorted_scan "ab")
-                  (impl_leaf.E.i_apply ctx ~required m)) } ] }
+          { impl_leaf with E.i_match = (fun ctx m ->
+                Option.map (fun cost ~required ->
+                    List.filter (fun c -> c.E.cand_alg <> Toy.Alg.Sorted_scan "ab")
+                      (cost ~required))
+                  (impl_leaf.E.i_match ctx m)) } ] }
       (leaf "ab") ~required:true
   in
   Alcotest.(check bool) "no plan" true (r.E.plan = None)
@@ -297,6 +303,88 @@ let test_guided_prunes_subgoals () =
   Alcotest.(check bool) "guided records pruning work" true
     (guided.E.stats.E.pruned_candidates + guided.E.stats.E.pruned_subgoals > 0)
 
+(* A merge can kill a multi-expression still waiting in the closure's
+   queue. Here cat(b,a) and cat(a,b) start in separate groups; when
+   commute on cat(a,b) finds cat(b,a), their groups merge, so
+   cat(cat(b,a),c) becomes a duplicate of cat(cat(a,b),c) and dies in
+   the queue. The closure still expands it when it is popped: skipping
+   such entries leaves groups, mexprs and plans as they are here, but on
+   the benchmark's join templates it changes the order in which
+   multi-expressions are created, and with it their ids, the lineage and
+   memo exports. *)
+let test_dead_queued_mexpr () =
+  let e =
+    cat (cat (cat (leaf "a") (leaf "b")) (leaf "c")) (cat (cat (leaf "b") (leaf "a")) (leaf "c"))
+  in
+  let r = E.run (spec ()) e ~required:false in
+  let s = r.E.stats in
+  Alcotest.(check int) "groups" 6 s.E.groups;
+  Alcotest.(check int) "mexprs" 8 s.E.mexprs;
+  Alcotest.(check int) "trules fired" 1 s.E.trule_fired;
+  Alcotest.(check int) "every pop is a closure step" 9 s.E.closure_steps;
+  Alcotest.(check int) "the dead entry is tried too" 9 s.E.trule_tried;
+  Alcotest.(check (list (triple string int int))) "per-rule tried and fired"
+    [ ("commute", 9, 1); ("impl-cat", 8, 5); ("impl-leaf", 8, 6); ("sorter", 6, 0) ]
+    (E.rule_counters r.E.ctx);
+  Alcotest.(check (float 0.0)) "winner cost" 65.0 (plan_cost r)
+
+(* Implementation-rule matches are kept per multi-expression and memo
+   generation. Root B's closure merges leaf "x" into root A's input
+   group (alias rewrites x to y, which A already holds), so cat-x, which
+   needs an x on its left, newly applies to A's cat. Re-solving A after
+   registering B must see it, exactly as if B had been registered before
+   A was first solved. *)
+let test_rematch_after_register () =
+  let alias =
+    { E.t_name = "alias";
+      t_apply =
+        (fun _ctx m ->
+          match m.E.mop with
+          | Toy.Op.Leaf "x" -> [ E.Node (Toy.Op.Leaf "y", []) ]
+          | _ -> []) }
+  in
+  let cat_x =
+    { E.i_name = "cat-x";
+      i_promise = 5;
+      i_match =
+        (fun ctx m ->
+          match m.E.mop, m.E.minputs with
+          | Toy.Op.Cat, [ l; r ] ->
+            if List.exists (fun m' -> m'.E.mop = Toy.Op.Leaf "x") (E.group_exprs ctx l) then
+              Some
+                (fun ~required:_ ->
+                  [ { E.cand_alg = Toy.Alg.Concat;
+                      cand_inputs = [ (l, false); (r, false) ];
+                      cand_cost = 0.25;
+                      cand_delivers = false } ])
+            else None
+          | _ -> None) }
+  in
+  let spec =
+    { (spec ~trules:[ alias ] ()) with
+      E.implementations = [ impl_leaf; impl_cat; cat_x ] }
+  in
+  let a = cat (leaf "y") (leaf "z") and b = leaf "x" in
+  let solved_then_registered =
+    let s = E.session spec in
+    let ra = E.register s a in
+    let before = E.solve s ra ~required:false in
+    Alcotest.(check (float 0.0)) "before B: scan, scan, concat" 21.0 (plan_cost before);
+    ignore (E.register s b);
+    E.solve s ra ~required:false
+  in
+  let registered_first =
+    let s = E.session spec in
+    let ra = E.register s a in
+    ignore (E.register s b);
+    E.solve s ra ~required:false
+  in
+  Alcotest.(check (float 0.0)) "cat-x applies after B" 20.25 (plan_cost registered_first);
+  Alcotest.(check (float 0.0)) "re-solve sees the new match" (plan_cost registered_first)
+    (plan_cost solved_then_registered);
+  Alcotest.(check bool) "same plan" true
+    (solved_then_registered.E.plan = registered_first.E.plan)
+
 let () =
   Alcotest.run "volcano"
     [ ( "search",
@@ -312,7 +400,11 @@ let () =
           Alcotest.test_case "group merging" `Quick test_group_merge;
           Alcotest.test_case "rule disabling" `Quick test_disabled_rule;
           Alcotest.test_case "logical property derivation" `Quick test_lprops;
-          Alcotest.test_case "memo dump" `Quick test_memo_dump ] );
+          Alcotest.test_case "memo dump" `Quick test_memo_dump;
+          Alcotest.test_case "merge kills a queued mexpr" `Quick test_dead_queued_mexpr ] );
+      ( "session",
+        [ Alcotest.test_case "re-solve after register re-matches rules" `Quick
+            test_rematch_after_register ] );
       ( "representation",
         [ Alcotest.test_case "packed id round trips" `Quick test_packed_ids;
           Alcotest.test_case "rule counters sorted & deterministic" `Quick
