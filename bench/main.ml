@@ -312,80 +312,71 @@ let ablation_guidance () =
 
 (* Wide-join search scaling ------------------------------------------- *)
 
-(* How optimization time and memo size grow with join width, under the
-   guided (promise-ordered, cost-bounded) search and under the
-   exhaustive default. One cold run per width: at these scales the
-   signal is orders of magnitude, not microseconds. The exhaustive side
-   is skipped beyond [exhaustive_max_width] — it measures ~16s at width
-   10 and grows ~15x per width — so the sweep stays inside a CI budget
-   while the guided side still covers the headline width. *)
+(* How optimization time and memo size grow with join width. One cold
+   run per width: at these scales the signal is orders of magnitude, not
+   microseconds. Width 10 takes about 20 s and width 11 over 250 s, so
+   the sweep stops at 10 to stay inside a CI budget. *)
 let scale_widths = [ 4; 6; 8; 10 ]
-
-let exhaustive_max_width = 8
 
 let search_scale_measurements () =
   List.map
     (fun width ->
       let q = Q.join_chain width in
-      let time options =
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        let o = Opt.optimize ~options cat q in
-        (Unix.gettimeofday () -. t0, o)
-      in
-      let guided_s, o = time (Options.with_guided Options.default) in
-      let exhaustive_s =
-        if width <= exhaustive_max_width then fst (time Options.default) else Float.nan
-      in
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      let o = Opt.optimize cat q in
       let st = o.Opt.stats in
       { History.s_width = width;
-        s_opt_seconds = guided_s;
-        s_exhaustive_seconds = exhaustive_s;
+        s_opt_seconds = Unix.gettimeofday () -. t0;
         s_groups = st.Engine.groups;
         s_mexprs = st.Engine.mexprs;
         s_candidates = st.Engine.candidates;
-        s_pruned = st.Engine.pruned_candidates + st.Engine.pruned_subgoals })
+        s_pruned = st.Engine.pruned_candidates })
     scale_widths
 
 let pp_search_scale rows =
-  Format.printf "%6s %12s %12s %8s %8s %8s %8s@." "width" "guided [s]" "exhaust [s]"
-    "groups" "mexprs" "plans" "pruned";
+  Format.printf "%6s %12s %8s %8s %8s %8s@." "width" "opt [s]" "groups" "mexprs" "plans"
+    "pruned";
   List.iter
     (fun (s : History.scale_rec) ->
-      Format.printf "%6d %12.3f %12s %8d %8d %8d %8d@." s.History.s_width
-        s.History.s_opt_seconds
-        (if Float.is_nan s.History.s_exhaustive_seconds then "-"
-         else Printf.sprintf "%.3f" s.History.s_exhaustive_seconds)
+      Format.printf "%6d %12.3f %8d %8d %8d %8d@." s.History.s_width s.History.s_opt_seconds
         s.History.s_groups s.History.s_mexprs s.History.s_candidates s.History.s_pruned)
     rows
 
 let search_scale () =
-  section "Wide-join scaling: guided search over n-way join chains";
+  section "Wide-join scaling: search over n-way join chains";
   let rows = search_scale_measurements () in
   pp_search_scale rows;
   rows
 
 (* Standalone CI smoke mode: run the sweep and fail if the widest chain
-   blew the time budget (OODB_SCALE_BUDGET seconds, default 120). *)
+   blew the time budget (OODB_SCALE_BUDGET seconds, default 120). A
+   budget that is not a finite positive number is a usage error (exit
+   2): a typo must not turn the gate into one that always passes. *)
 let search_scale_gate () =
   let budget =
     match Sys.getenv_opt "OODB_SCALE_BUDGET" with
-    | Some s -> (try float_of_string s with _ -> 120.0)
-    | None -> 120.0
+    | None -> Ok 120.0
+    | Some s -> (
+      match float_of_string_opt s with
+      | Some b when Float.is_finite b && b > 0.0 -> Ok b
+      | _ -> Error s)
   in
-  let rows = search_scale () in
-  let worst =
-    List.fold_left (fun m (s : History.scale_rec) -> Float.max m s.History.s_opt_seconds) 0.0
-      rows
-  in
-  if worst > budget then begin
-    Format.printf "FAIL: slowest guided width took %.1fs (budget %.1fs)@." worst budget;
-    1
-  end
-  else begin
-    Format.printf "ok: slowest guided width took %.1fs (budget %.1fs)@." worst budget;
-    0
-  end
+  match budget with
+  | Error s ->
+    Format.eprintf "OODB_SCALE_BUDGET=%S: expected a finite number of seconds > 0@." s;
+    2
+  | Ok budget ->
+    let rows = search_scale () in
+    let worst =
+      List.fold_left
+        (fun m (s : History.scale_rec) -> Float.max m s.History.s_opt_seconds)
+        0.0 rows
+    in
+    let ok = worst <= budget in
+    Format.printf "%s: slowest width took %.1fs (budget %.1fs)@."
+      (if ok then "ok" else "FAIL") worst budget;
+    if ok then 0 else 1
 
 let ablation_warm_start () =
   section "Extension: Lesson-7 warm-start assembly (opt-in; beyond the paper)";
@@ -708,9 +699,7 @@ let whynot_smoke () =
     time "q1-merge-disabled"
       (Options.disable "merge-join" Options.default)
       (Provenance.Force_join "merge");
-    time "chain8-guided-hash-pruned"
-      (Options.with_guided Options.default)
-      (Provenance.Force_join "hash") ]
+    time "chain8-hash-lost" Options.default (Provenance.Force_join "hash") ]
 
 (* Bench history: the regression gate's input ------------------------- *)
 

@@ -551,8 +551,8 @@ let feedback_cmd =
       const feedback_run $ feedback_json_arg $ feedback_clear_arg $ scale_arg
       $ skewed_arg)
 
-let explain_run paper text disabled window no_pruning batch_size scale analyze why
-    guided skewed feedback memo_out memo_dot =
+let explain_run paper text disabled window no_pruning batch_size scale analyze why skewed
+    feedback memo_out memo_dot =
   let db =
     if skewed then Datagen.generate_skewed ~scale ()
     else Oodb_workloads.Datagen.generate ~scale ()
@@ -564,7 +564,6 @@ let explain_run paper text disabled window no_pruning batch_size scale analyze w
     1
   | Ok (q, required) ->
     let options = options_of ?batch_size disabled window no_pruning in
-    let options = if guided then Options.with_guided options else options in
     let options =
       if not feedback then options
       else
@@ -660,13 +659,6 @@ let why_flag_arg =
               multi-expression, per-step costs and cardinality estimates with their \
               source (model or feedback).")
 
-let guided_arg =
-  Arg.(
-    value & flag
-    & info [ "guided" ]
-        ~doc:"Use cost-bounded guided search (promise-ordered rules, cheapest-first \
-              candidates, subgoal domination).")
-
 let memo_out_arg =
   Arg.(
     value & opt (some string) None
@@ -693,14 +685,14 @@ let explain_cmd =
           export the memo as deterministic JSON or Graphviz DOT.")
     Term.(
       const explain_run $ paper_arg $ query_pos $ disable_arg $ window_arg $ no_pruning_arg
-      $ batch_size_arg $ scale_arg $ analyze_flag_arg $ why_flag_arg $ guided_arg
-      $ skewed_arg $ feedback_arg $ memo_out_arg $ memo_dot_arg)
+      $ batch_size_arg $ scale_arg $ analyze_flag_arg $ why_flag_arg $ skewed_arg
+      $ feedback_arg $ memo_out_arg $ memo_dot_arg)
 
 (* ------------------------------------------------------------------ *)
 (* why-not: counterfactual plan-shape classification                     *)
 
-let why_not_run paper text chain disabled window no_pruning no_indexes guided skewed
-    feedback scale force_index force_join force_scan force_alg json =
+let why_not_run paper text chain disabled window no_pruning no_indexes skewed feedback
+    scale force_index force_join force_scan force_alg json =
   let shape =
     match force_index, force_join, force_scan, force_alg with
     | Some ix, None, None, None -> Ok (Provenance.Force_index ix)
@@ -732,7 +724,6 @@ let why_not_run paper text chain disabled window no_pruning no_indexes guided sk
       1
     | Ok (q, required) -> (
       let options = options_of disabled window no_pruning in
-      let options = if guided then Options.with_guided options else options in
       let options =
         if not feedback then options
         else
@@ -760,7 +751,7 @@ let chain_arg =
     value & opt (some int) None
     & info [ "chain" ] ~docv:"W"
         ~doc:"Use the built-in $(docv)-way chain-join query instead of ZQL text or \
-              $(b,--paper) (the guided-search pruning demo).")
+              $(b,--paper) (a wide search space with many pruned candidates).")
 
 let force_index_arg =
   Arg.(
@@ -805,9 +796,8 @@ let why_not_cmd =
           margin). The query is optimized with provenance recording on.")
     Term.(
       const why_not_run $ paper_arg $ query_pos $ chain_arg $ disable_arg $ window_arg
-      $ no_pruning_arg $ no_indexes_arg $ guided_arg $ skewed_arg $ feedback_arg
-      $ scale_arg $ force_index_arg $ force_join_arg $ force_scan_arg $ force_alg_arg
-      $ why_not_json_arg)
+      $ no_pruning_arg $ no_indexes_arg $ skewed_arg $ feedback_arg $ scale_arg
+      $ force_index_arg $ force_join_arg $ force_scan_arg $ force_alg_arg $ why_not_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench-compare: the regression gate over BENCH_history.jsonl          *)
@@ -1197,7 +1187,7 @@ let join_width_arg =
     value & opt (some int) None
     & info [ "join-width" ] ~docv:"W"
         ~doc:"Append a $(docv)-way chain-join query (name [wide]) to every scenario's query \
-              set — the wide-join scaling knob for the guided-search differentials.")
+              set — the wide-join scaling knob for the differential variants.")
 
 let gen_run seed n join_width zql_out out =
   (match zql_out with

@@ -26,15 +26,8 @@ let order_unless_introduced required outs =
 (* ------------------------------------------------------------------ *)
 (* Get => File Scan                                                     *)
 
-(* Promise values order rule application under guided search: rules that
-   cheaply complete a plan (leaf scans, pointer chases) run first so the
-   branch-and-bound limit tightens before the expensive alternatives
-   (sort-hungry merge joins) are even costed. Only the relative order
-   among rules matching the same operator matters. *)
-
 let file_scan cfg cat =
   { Engine.i_name = "file-scan";
-    i_promise = 100;
     i_match =
       (fun _ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -120,7 +113,6 @@ let residual_on_root root atoms =
 
 let collapse_index_scan cfg cat =
   { Engine.i_name = "collapse-index-scan";
-    i_promise = 90;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -201,7 +193,6 @@ let collapse_index_scan cfg cat =
 
 let filter cfg =
   { Engine.i_name = "filter";
-    i_promise = 50;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -238,7 +229,6 @@ let in_scope scope bs = bset (List.filter (fun b -> List.mem b scope) bs)
 
 let hash_join cfg cat =
   { Engine.i_name = "hash-join";
-    i_promise = 60;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -302,7 +292,6 @@ let order_of_operand = function
 
 let merge_join cfg cat =
   { Engine.i_name = "merge-join";
-    i_promise = 40;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -376,7 +365,6 @@ let merge_join cfg cat =
 
 let pointer_join cfg cat =
   { Engine.i_name = "pointer-join";
-    i_promise = 70;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -522,7 +510,6 @@ let assembly_coster cfg cat ctx ~window ~input_group paths =
    collection fits the buffer pool. *)
 let warm_assembly cfg cat =
   { Engine.i_name = "warm-assembly";
-    i_promise = 55;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -567,7 +554,6 @@ let warm_assembly cfg cat =
 
 let mat_assembly cfg cat =
   { Engine.i_name = "mat-assembly";
-    i_promise = 50;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -605,7 +591,6 @@ let mat_assembly cfg cat =
 
 let alg_project cfg cat =
   { Engine.i_name = "alg-project";
-    i_promise = 50;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -637,7 +622,6 @@ let alg_project cfg cat =
 
 let alg_unnest cfg cat =
   { Engine.i_name = "alg-unnest";
-    i_promise = 50;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with
@@ -664,7 +648,6 @@ let alg_unnest cfg cat =
 
 let hash_setop cfg cat =
   { Engine.i_name = "hash-setop";
-    i_promise = 50;
     i_match =
       (fun ctx m ->
         match m.Engine.mop, m.Engine.minputs with

@@ -51,8 +51,8 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty)
   let result =
     Oodb_util.Span.with_span spans ~cat:"optimizer" "optimize" (fun () ->
         Engine.run ~disabled:options.Options.disabled ~pruning:options.Options.pruning
-          ~guided:options.Options.guided ~initial_limit ?closure_fuel ?trace ?spans
-          ?typing:(typing_hook options cat) ?provenance spec (expr_of_logical expr) ~required)
+          ~initial_limit ?closure_fuel ?trace ?spans ?typing:(typing_hook options cat)
+          ?provenance spec (expr_of_logical expr) ~required)
   in
   let t1 = Sys.time () in
   lint options cat ~required result.Engine.plan;
@@ -66,8 +66,7 @@ let optimize_batch ?(options = Options.default) ?closure_fuel ?trace ?spans cat 
   let spec = spec options cat in
   let s =
     Engine.session ~disabled:options.Options.disabled ~pruning:options.Options.pruning
-      ~guided:options.Options.guided ?closure_fuel ?trace ?spans
-      ?typing:(typing_hook options cat) spec
+      ?closure_fuel ?trace ?spans ?typing:(typing_hook options cat) spec
   in
   (* Register every root before solving any of them: the shared memo then
      reaches its full logical closure once, and a subexpression two
@@ -109,11 +108,11 @@ let cost outcome = (plan_exn outcome).Engine.cost
 
 let pp_stats ppf (s : Engine.stats) =
   Format.fprintf ppf
-    "groups=%d mexprs=%d rules fired/tried=%d/%d candidates=%d pruned=%d+%d enforcers=%d \
+    "groups=%d mexprs=%d rules fired/tried=%d/%d candidates=%d pruned=%d enforcers=%d \
      memo hits=%d"
     s.Engine.groups s.Engine.mexprs s.Engine.trule_fired s.Engine.trule_tried
-    s.Engine.candidates s.Engine.pruned_candidates s.Engine.pruned_subgoals
-    s.Engine.enforcer_uses s.Engine.phys_memo_hits
+    s.Engine.candidates s.Engine.pruned_candidates s.Engine.enforcer_uses
+    s.Engine.phys_memo_hits
 
 let explain outcome =
   match outcome.plan with

@@ -2,7 +2,6 @@ type t = {
   config : Oodb_cost.Config.t;
   disabled : string list;
   pruning : bool;
-  guided : bool;
   normalize : bool;
   verify : bool;
   cache : bool;
@@ -13,15 +12,10 @@ let default =
   { config = Oodb_cost.Config.default;
     disabled = [ "warm-assembly" ];
     pruning = true;
-    guided = false;
     normalize = true;
     verify = true;
     cache = true;
     feedback_qerror_limit = 16.0 }
-
-let with_guided t = { t with guided = true }
-
-let without_guided t = { t with guided = false }
 
 let without_cache t = { t with cache = false }
 
@@ -49,6 +43,3 @@ let with_config config t = { t with config }
 
 let with_feedback fb t =
   { t with config = { t.config with Oodb_cost.Config.feedback = Some fb } }
-
-let without_feedback t =
-  { t with config = { t.config with Oodb_cost.Config.feedback = None } }

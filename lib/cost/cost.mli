@@ -22,15 +22,14 @@ val sub : t -> t -> t
 
 val slack : t
 (** One nanosecond ({!total}); the tolerance the search engine adds to
-    a branch-and-bound limit before discarding a candidate or subgoal.
-    Limits propagate through {!sub}, whose componentwise rounding
+    a branch-and-bound limit before discarding a candidate or memoized
+    plan. Limits propagate through {!sub}, whose componentwise rounding
     drifts from the exact algebraic value by ulps ([1e-17]-ish at
     second-scale costs); a discard exactly at the boundary would then
     drop plans the unpruned enumeration keeps, breaking the winner-cost
-    contracts that the pruned search equals the unpruned one and guided
-    search equals the exhaustive one. [1e-9] is ~8 orders
-    of magnitude above the drift and far below any modelled cost
-    difference between genuinely distinct plans. *)
+    contract that the pruned search equals the unpruned one. [1e-9] is
+    ~8 orders of magnitude above the drift and far below any modelled
+    cost difference between genuinely distinct plans. *)
 
 val sum : t list -> t
 
@@ -44,8 +43,8 @@ val compare : t -> t -> int
     it meets first — and a parent plan folds the chosen child's io and
     cpu into its own sums, so two tied children perturb the parent's
     total at the ulp level. The tie-break makes the winner independent
-    of enumeration order, which both winner-cost contracts (pruned
-    equals unpruned, guided equals exhaustive) rely on. *)
+    of enumeration order, which the winner-cost contract (pruned equals
+    unpruned) relies on. *)
 
 val ( <= ) : t -> t -> bool
 

@@ -126,31 +126,6 @@ let cost_json (c : Cost.t) =
       ("cpu", Json.float c.Cost.cpu);
       ("total", Json.float (Cost.total c)) ]
 
-let rec why_json ?est step =
-  let child_ests =
-    match est with
-    | Some (e : Cardest.t)
-      when List.length e.Cardest.children = List.length step.ws_children ->
-      List.map Option.some e.Cardest.children
-    | _ -> List.map (fun _ -> None) step.ws_children
-  in
-  Json.Obj
-    ([ ("alg", Json.String (Physical.to_string step.ws_alg));
-       ("rule", Json.String step.ws_rule);
-       ("group", Json.Int step.ws_group);
-       ("cost", cost_json step.ws_cost);
-       ("local_cost", cost_json step.ws_local);
-       ("trules", Json.List (List.map (fun r -> Json.String r) step.ws_trules));
-       ( "children",
-         Json.List (List.map2 (fun e c -> why_json ?est:e c) child_ests step.ws_children)
-       ) ]
-    @
-    match est with
-    | None -> []
-    | Some e ->
-      [ ("est_rows", Json.float e.Cardest.card);
-        ("est_source", Json.String (if e.Cardest.fed then "feedback" else "model")) ])
-
 (* ------------------------------------------------------------------ *)
 (* Why-not: counterfactual classification                              *)
 
@@ -249,7 +224,7 @@ type verdict =
       local_cost : Cost.t;
       limit : Cost.t;  (* the bound in force at the decision point *)
       margin : Cost.t;  (* amount over the bound (before slack) *)
-      mode : string;  (* "candidate" | "subgoal" | "abandoned" *)
+      mode : string;  (* "candidate" | "abandoned" *)
     }
 
 type classification = { cl_shape : shape; cl_verdict : verdict; cl_dropped : int }
@@ -309,8 +284,7 @@ let classify_verdict options (o : Optimizer.outcome) shape =
       in
       let pruned_of (cr : Engine.cand_record) =
         match cr.Engine.cr_disposition with
-        | Engine.Pruned_candidate { limit; margin } -> Some (cr, limit, margin, "candidate")
-        | Engine.Pruned_subgoal { limit; margin; _ } -> Some (cr, limit, margin, "subgoal")
+        | Engine.Pruned_candidate { limit; margin } -> Some (cr, limit, margin)
         | Engine.Kept _ | Engine.Abandoned -> None
       in
       (* Upward walk from goals the shape *won*: the shape itself
@@ -389,9 +363,9 @@ let classify_verdict options (o : Optimizer.outcome) shape =
              carrying it. *)
           match List.filter_map pruned_of matching @ walk_pruned with
           | _ :: _ as pruned ->
-            let cr, limit, margin, mode =
+            let cr, limit, margin =
               List.fold_left
-                (fun ((_, _, m, _) as best) ((_, _, m', _) as cand) ->
+                (fun ((_, _, m) as best) ((_, _, m') as cand) ->
                   if Cost.compare m' m < 0 then cand else best)
                 (List.hd pruned) (List.tl pruned)
             in
@@ -402,7 +376,7 @@ let classify_verdict options (o : Optimizer.outcome) shape =
                 local_cost = cr.Engine.cr_local_cost;
                 limit;
                 margin;
-                mode }
+                mode = "candidate" }
           | [] ->
             let cr = List.hd matching in
             Pruned_away
@@ -419,16 +393,15 @@ let classify ?(options = Options.default) ?replay (o : Optimizer.outcome) shape 
   else begin
     let verdict = classify_verdict options o shape in
     let dropped = Engine.provenance_dropped o.Optimizer.memo in
-    (* Escalation: under exhaustive branch-and-bound, a prune (or an
-       unexplored subgoal that makes the shape look never-derived) is
-       just a short-circuited cost comparison — the bound is admissible,
-       so re-running without pruning completes every alternative and
-       turns the verdict into a true derived-but-lost gap. Guided-mode
-       refusals are a real death mode and are never second-guessed. *)
+    (* Escalation: under branch-and-bound, a prune (or an unexplored
+       subgoal that makes the shape look never-derived) is just a
+       short-circuited cost comparison — the bound is admissible, so
+       re-running without pruning completes every alternative and turns
+       the verdict into a true derived-but-lost gap. *)
     let verdict, dropped =
       match verdict, replay with
       | (Pruned_away _ | Never_derived { disabled = []; rules = _ :: _ }), Some replay
-        when options.Options.pruning && not options.Options.guided -> (
+        when options.Options.pruning -> (
         let options' = { options with Options.pruning = false } in
         let o' = replay options' in
         if not (available o') then (verdict, dropped)
@@ -563,14 +536,6 @@ let disposition_json = function
     Json.Obj
       [ ("pruned_candidate", Json.Obj [ ("limit", cost_json limit); ("margin", cost_json margin) ])
       ]
-  | Engine.Pruned_subgoal { subgoal; subgoal_required; limit; margin } ->
-    Json.Obj
-      [ ( "pruned_subgoal",
-          Json.Obj
-            [ ("subgoal", Json.Int subgoal);
-              ("required", Json.String (Format.asprintf "%a" Physprop.pp subgoal_required));
-              ("limit", cost_json limit);
-              ("margin", cost_json margin) ] ) ]
   | Engine.Abandoned -> Json.String "abandoned"
 
 let mexpr_id_json mid = Json.String (Format.asprintf "%a" Volcano.Id.pp mid)
@@ -680,8 +645,7 @@ let memo_dot (o : Optimizer.outcome) ~required =
       | Some m -> (
         match cr.Engine.cr_disposition with
         | Engine.Kept _ -> Hashtbl.replace kept m ()
-        | Engine.Pruned_candidate _ | Engine.Pruned_subgoal _ ->
-          Hashtbl.replace pruned m ()
+        | Engine.Pruned_candidate _ -> Hashtbl.replace pruned m ()
         | Engine.Abandoned -> ()))
     cands;
   pr "digraph memo {\n";

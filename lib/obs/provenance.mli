@@ -59,8 +59,6 @@ val pp_why : ?est:Cardest.t -> Format.formatter -> why_step -> unit
     rule, derivation chain, per-step cost and (when [est] is given)
     estimated rows with their source. *)
 
-val why_json : ?est:Cardest.t -> why_step -> Json.t
-
 (** {2 Why-not: counterfactual classification} *)
 
 (** The alternative plan shape being asked about. *)
@@ -72,12 +70,7 @@ type shape =
 
 val alg_label : Physical.t -> string
 
-val shape_to_string : shape -> string
-
 val shape_matches : shape -> Physical.t -> bool
-
-val producing_rules : shape -> string list
-(** The implementation rules/enforcers that could produce the shape. *)
 
 val shape_of_alg : Physical.t -> shape
 (** The most specific shape matching an algorithm — how the
@@ -111,7 +104,7 @@ type verdict =
       local_cost : Cost.t;
       limit : Cost.t;
       margin : Cost.t;
-      mode : string;  (** ["candidate"] | ["subgoal"] | ["abandoned"] *)
+      mode : string;  (** ["candidate"] | ["abandoned"] *)
     }
       (** every matching candidate died under the branch-and-bound limit;
           the record replays the bound and margin of the closest call *)
@@ -134,13 +127,11 @@ val classify :
     [replay], when given, re-optimizes the same query under modified
     options with provenance recording on (a replay without lineage
     leaves the verdict unescalated). It is used for one escalation
-    only: under exhaustive (non-guided) branch-and-bound, a prune is a
-    short-circuited cost comparison, so a pruned (or blocked-path
-    never-derived) verdict is
+    only: under branch-and-bound, a prune is a short-circuited cost
+    comparison, so a pruned (or blocked-path never-derived) verdict is
     re-derived with [pruning = false]; if the completed search shows
     the alternative losing on cost, the verdict upgrades to
-    {!Derived_but_lost} with the true gap. Guided-mode refusals are
-    reported as {!Pruned_away} and never second-guessed.
+    {!Derived_but_lost} with the true gap.
 
     [Error] when provenance was not recorded. *)
 
@@ -152,8 +143,6 @@ val pp_classification : Format.formatter -> classification -> unit
 val classification_json : classification -> Json.t
 
 (** {2 Memo export} *)
-
-val memo_schema_version : int
 
 val memo_json : Optimizer.outcome -> required:Physprop.t -> Json.t
 (** Deterministic JSON dump of the group/mexpr DAG with lineage edges,

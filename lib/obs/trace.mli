@@ -21,20 +21,6 @@ val sink : t -> Engine.event -> unit
 
 (** {1 Aggregates} *)
 
-type group_stat = {
-  g_mexprs : int;  (** multi-expressions added to the group *)
-  g_trules_fired : int;
-  g_candidates : int;
-  g_prunes : int;
-  g_subgoal_prunes : int;  (** subgoals never expanded (guided search) *)
-  g_enforcer_inserts : int;
-  g_memo_hits : int;
-}
-
-val per_group : t -> (int * group_stat) list
-(** Sorted by group id. Groups that merged retain separate entries under
-    the id current when the events fired. *)
-
 type totals = {
   groups_created : int;
   mexprs_added : int;
@@ -44,7 +30,6 @@ type totals = {
   irules_tried : int;
   candidates : int;
   prunes : int;
-  subgoal_prunes : int;
   enforcers_tried : int;
   enforcer_offers : int;
   enforcer_inserts : int;
@@ -66,8 +51,6 @@ val events : t -> (int * Engine.event) list
 
 (** {1 Rendering} *)
 
-val pp_event : Format.formatter -> Engine.event -> unit
-
 val pp_timeline : ?limit:int -> ?prov_dropped:int -> Format.formatter -> t -> unit
 (** Sequence-numbered event lines, oldest first; [limit] keeps only the
     last [limit] retained events. {e Leads} with a WARNING line whenever
@@ -81,6 +64,8 @@ val pp_rules : Format.formatter -> (string * int * int) list -> unit
     [Engine.rule_counters]. *)
 
 val pp_groups : Format.formatter -> t -> unit
+(** Per-group activity, sorted by group id. Groups that merged retain
+    separate entries under the id current when the events fired. *)
 
 val pp_summary : Format.formatter -> t -> unit
 

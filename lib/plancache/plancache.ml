@@ -61,9 +61,9 @@ let dir t = t.cache_dir
    a renamed, truncated or old-format file degrades to a miss. Plans and
    stats are pure data (no closures), which is what makes Marshal safe
    here — the memo [ctx] is not, and is deliberately not cached. *)
-(* v3: Engine.stats gained pruned_candidates/pruned_subgoals, changing
-   the marshalled entry layout; v2 files degrade to misses. *)
-let magic = "oodb-plancache-v3"
+(* v4: Engine.stats lost a counter, changing the marshalled entry
+   layout; v2 and v3 files degrade to misses. *)
+let magic = "oodb-plancache-v4"
 
 let entry_path d hex = Filename.concat d (hex ^ ".plan")
 

@@ -54,7 +54,7 @@ type kind =
   | V_options of Options.t
   | V_same_cost of Options.t
       (** a search that changes how fast the winner is found, never
-          which winner (pruning off, guided search): the winner must cost
+          which winner (pruning off): the winner must cost
           {e exactly} what the default configuration's winner costs, and
           execute to the same rows *)
   | V_cache  (** cold then warm through a fresh plan cache *)
@@ -72,7 +72,6 @@ let variants () =
     ("batch-64", V_options (Options.with_batch_size 64 base));
     ("no-pruning", V_same_cost { base with Options.pruning = false });
     ("window-1", V_options (Options.with_assembly_window 1 base));
-    ("guided", V_same_cost (Options.with_guided base));
     ("cache-warm", V_cache);
     ("feedback", V_feedback) ]
   @ List.filter_map

@@ -2,12 +2,11 @@
     its ZQL {e text} (so the lexer/parser/simplifier are on the path),
     optimized and executed under the default configuration, then
     re-optimized and re-executed under each variant configuration —
-    batch sizes 1 and 64, pruning off, assembly window 1, guided
-    (promise-ordered, cost-bounded) search, individual rule toggles, a
-    cold-then-warm plan cache, and a feedback-harvesting round trip.
-    The pruning-off and guided variants additionally demand plan
+    batch sizes 1 and 64, pruning off, assembly window 1, individual
+    rule toggles, a cold-then-warm plan cache, and a feedback-harvesting
+    round trip. The pruning-off variant additionally demands plan
     presence and [Cost.compare]-equal winner {e cost} with the default
-    (branch-and-bound, exhaustive-order) search, not just row parity —
+    (branch-and-bound) search, not just row parity —
     the guard on the bound's float-level contract ([Cost.slack],
     lexicographic [Cost.compare]). Every winner passes
     {!Oodb_verify.Verify.plan}; every memo passes
@@ -36,8 +35,8 @@ type report = {
 type kind =
   | V_options of Open_oodb.Options.t
   | V_same_cost of Open_oodb.Options.t
-      (** a search that must not change the winner (pruning off, guided
-          search): a plan exactly when the default finds one, at a
+      (** a search that must not change the winner (pruning off): a
+          plan exactly when the default finds one, at a
           [Cost.compare]-equal winner cost, with equal rows *)
   | V_cache
   | V_feedback

@@ -171,7 +171,7 @@ let rich_query rng spec =
    outgoing and incoming references as the schema allows (classes may
    repeat — self-join chains are the point). The join-order search space
    then grows with [width] alone, which makes this the scaling knob for
-   the wide-join benchmarks and the guided-search differential tests.
+   the wide-join benchmarks and the search-scaling tests.
    Generated schemas always give the anchor class at least one outgoing
    reference, and any edge once used offers its reverse, so the chain
    always reaches the full width. *)

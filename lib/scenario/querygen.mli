@@ -22,7 +22,7 @@ val join_chain_query : width:int -> Oodb_util.Prng.t -> Schemagen.t -> Zql.Ast.q
 (** A [width]-way chain of reference-equality joins rooted at the anchor
     class, zigzagging between outgoing and incoming references (classes
     may repeat). The join-order search space grows with [width] alone —
-    the scaling knob for wide-join benchmarks and guided-search tests. *)
+    the scaling knob for wide-join benchmarks and search-scaling tests. *)
 
 val n_random : int
 

@@ -125,7 +125,6 @@ module Make (M : MODEL) = struct
     | Irule_tried of { rule : string; group : group }
     | Candidate_costed of { rule : string; group : group; alg : M.Alg.t; cost : M.Cost.t }
     | Pruned of { group : group; alg : M.Alg.t; cost : M.Cost.t; limit : M.Cost.t }
-    | Subgoal_pruned of { group : group; required : M.Pprop.t }
     | Enforcer_tried of { rule : string; group : group }
     | Enforcer_offered of { rule : string; group : group; alg : M.Alg.t; cost : M.Cost.t }
     | Enforcer_inserted of { group : group; alg : M.Alg.t }
@@ -221,7 +220,6 @@ module Make (M : MODEL) = struct
     mutable s_trule_tried : int;
     mutable s_candidates : int;
     mutable s_pruned_candidates : int;
-    mutable s_pruned_subgoals : int;
     mutable s_enforcer_uses : int;
     mutable s_phys_memo_hits : int;
     mutable s_closure_steps : int;
@@ -233,24 +231,15 @@ module Make (M : MODEL) = struct
   (* ------------------------------------------------------------------ *)
   (* Provenance side-tables                                              *)
 
-  (* How a logged physical candidate died (or didn't). [margin] is always
-     the amount by which the bound was exceeded at the decision point
-     (positive = over budget), before the [Cost.slack] tolerance:
-     [Pruned_candidate] compares the candidate's local cost against the
-     limit in force; [Pruned_subgoal] is the committed cost overrun when
-     the remaining budget for a child goal went negative. [Abandoned]
-     covers candidates that never completed for any other reason — the
-     delivered property did not satisfy the requirement, or a child goal
-     found no plan within its budget. *)
+  (* How a logged physical candidate died (or didn't). [margin] is the
+     amount by which the candidate's local cost exceeded the limit in
+     force (positive = over budget), before the [Cost.slack] tolerance.
+     [Abandoned] covers candidates that never completed for any other
+     reason — the delivered property did not satisfy the requirement, or
+     a child goal found no plan within its budget. *)
   type disposition =
     | Kept of M.Cost.t (* full plan cost when the candidate completed *)
     | Pruned_candidate of { limit : M.Cost.t; margin : M.Cost.t }
-    | Pruned_subgoal of {
-        subgoal : group;
-        subgoal_required : M.Pprop.t;
-        limit : M.Cost.t;
-        margin : M.Cost.t;
-      }
     | Abandoned
 
   (* One row of the candidate log: a physical candidate (or enforcer
@@ -667,7 +656,6 @@ module Make (M : MODEL) = struct
 
   type irule = {
     i_name : string;
-    i_promise : int;
     i_match : ctx -> mexpr -> coster option;
   }
 
@@ -697,7 +685,6 @@ module Make (M : MODEL) = struct
     trule_tried : int;
     candidates : int;
     pruned_candidates : int;
-    pruned_subgoals : int;
     enforcer_uses : int;
     phys_memo_hits : int;
     closure_steps : int;
@@ -816,13 +803,13 @@ module Make (M : MODEL) = struct
 
   let cost_le a b = M.Cost.compare a b <= 0
 
-  (* Bound checks that *discard* work (prune a candidate, skip a
-     subgoal, refuse to return a memoized plan) tolerate [Cost.slack]
-     over the limit: limits are propagated through [Cost.sub], whose
-     rounding drifts from the exact algebraic value by ulps, and an
-     exact check at the boundary would make the bounded search drop
-     plans the exhaustive enumeration keeps. Anything surviving the
-     slackened bound still faces the exact [compare] in [consider]. *)
+  (* Bound checks that *discard* work (prune a candidate, refuse to
+     return a memoized plan) tolerate [Cost.slack] over the limit:
+     limits are propagated through [Cost.sub], whose rounding drifts
+     from the exact algebraic value by ulps, and an exact check at the
+     boundary would make the bounded search drop plans the unpruned
+     enumeration keeps. Anything surviving the slackened bound still
+     faces the exact [compare] in [consider]. *)
   let bounded_le a limit = M.Cost.compare a (M.Cost.add limit M.Cost.slack) <= 0
 
   (* The physical memo key packs (group index, interned required-property
@@ -898,8 +885,8 @@ module Make (M : MODEL) = struct
     end;
     Vec.get matches.mt_costers idx
 
-  let optimize_physical ctx ~memo ~matches ~irules ~enabled_enforcers ~pruning ~guided
-      ~initial_limit ~root ~required =
+  let optimize_physical ctx ~memo ~matches ~irules ~enabled_enforcers ~pruning ~initial_limit
+      ~root ~required =
     let find_entry g p = Hashtbl.find_opt memo (phys_key ctx g p) in
     let add_entry g p e = Hashtbl.add memo (phys_key ctx g p) e in
     let rec optimize g required limit =
@@ -972,22 +959,7 @@ module Make (M : MODEL) = struct
                 | Some p when pidx >= 0 -> Hashtbl.replace p.pv_winners goal_key pidx
                 | Some _ | None -> ())
             in
-            (* Guided mode may skip a subgoal outright when the budget
-               left after the candidate's own cost is already negative:
-               any child plan has non-negative cost, so the candidate is
-               provably dominated and the subgoal is never expanded. The
-               exhaustive mode reaches the same conclusion by recursing
-               into the subgoal and failing — same winner, more work. *)
-            let subgoal_dominated remaining =
-              guided && pruning && M.Cost.compare (M.Cost.add remaining M.Cost.slack) M.Cost.zero < 0
-            in
-            let prune_subgoal child cprops =
-              ctx.ms.s_pruned_subgoals <- ctx.ms.s_pruned_subgoals + 1;
-              match ctx.tracer with
-              | None -> ()
-              | Some f -> f (Subgoal_pruned { group = find ctx child; required = cprops })
-            in
-            let try_candidate (cand, pidx) =
+            let try_candidate cand pidx =
               ctx.ms.s_candidates <- ctx.ms.s_candidates + 1;
               if M.Pprop.satisfies ~delivered:cand.cand_delivers ~required then begin
                 let limit0 = current_limit () in
@@ -1011,22 +983,10 @@ module Make (M : MODEL) = struct
                     | [] -> Some (List.rev acc_plans, acc_cost)
                     | (child, cprops) :: rest -> (
                       let remaining = M.Cost.sub (current_limit ()) acc_cost in
-                      if subgoal_dominated remaining then begin
-                        prune_subgoal child cprops;
-                        prov_set ctx pidx
-                          (Pruned_subgoal
-                             { subgoal = find ctx child;
-                               subgoal_required = cprops;
-                               limit = current_limit ();
-                               margin = M.Cost.sub M.Cost.zero remaining });
-                        None
-                      end
-                      else
-                        match optimize child cprops remaining with
-                        | None -> None
-                        | Some cplan ->
-                          opt_children (M.Cost.add acc_cost cplan.cost) (cplan :: acc_plans)
-                            rest)
+                      match optimize child cprops remaining with
+                      | None -> None
+                      | Some cplan ->
+                        opt_children (M.Cost.add acc_cost cplan.cost) (cplan :: acc_plans) rest)
                   in
                   match opt_children cand.cand_cost [] cand.cand_inputs with
                   | None -> ()
@@ -1040,11 +1000,8 @@ module Make (M : MODEL) = struct
                 end
               end
             in
-            (* Candidates are produced rule by rule (promise order, when
-               guided); guided search then costs them cheapest-local-cost
-               first, so the branch-and-bound limit tightens before the
-               expensive alternatives are considered. *)
-            let deferred = ref [] in
+            (* Candidates are produced in memo order, rule by rule in
+               session order, and each is costed as it is produced. *)
             let gd = cached_group ctx g in
             List.iter2
               (fun m mid ->
@@ -1076,16 +1033,10 @@ module Make (M : MODEL) = struct
                               ~alg:cand.cand_alg ~local_cost:cand.cand_cost
                               ~inputs:cand.cand_inputs
                           in
-                          if guided then deferred := (cand, pidx) :: !deferred
-                          else try_candidate (cand, pidx))
+                          try_candidate cand pidx)
                         cands)
                   irules)
               gd.gcache gd.gcache_ids;
-            if guided then
-              List.stable_sort
-                (fun (a, _) (b, _) -> M.Cost.compare a.cand_cost b.cand_cost)
-                (List.rev !deferred)
-              |> List.iter try_candidate;
             (* Enforcers: achieve [required] by gluing a property-enforcing
                algorithm on top of a plan for weaker requirements. *)
             List.iter
@@ -1107,31 +1058,16 @@ module Make (M : MODEL) = struct
                         ~local_cost:ecost
                         ~inputs:[ (g, weaker) ]
                     in
-                    let remaining = M.Cost.sub (current_limit ()) ecost in
-                    if subgoal_dominated remaining then begin
-                      prov_set ctx pidx
-                        (Pruned_subgoal
-                           { subgoal = g;
-                             subgoal_required = weaker;
-                             limit = current_limit ();
-                             margin = M.Cost.sub M.Cost.zero remaining });
-                      prune_subgoal g weaker
-                    end
-                    else
-                      match optimize g weaker remaining with
+                    match optimize g weaker (M.Cost.sub (current_limit ()) ecost) with
+                    | None -> ()
+                    | Some sub ->
+                      ctx.ms.s_enforcer_uses <- ctx.ms.s_enforcer_uses + 1;
+                      (match ctx.tracer with
                       | None -> ()
-                      | Some sub ->
-                        ctx.ms.s_enforcer_uses <- ctx.ms.s_enforcer_uses + 1;
-                        (match ctx.tracer with
-                        | None -> ()
-                        | Some f -> f (Enforcer_inserted { group = g; alg }));
-                        let total = M.Cost.add ecost sub.cost in
-                        prov_set ctx pidx (Kept total);
-                        consider pidx
-                          { alg;
-                            children = [ sub ];
-                            cost = total;
-                            delivered = required })
+                      | Some f -> f (Enforcer_inserted { group = g; alg }));
+                      let total = M.Cost.add ecost sub.cost in
+                      prov_set ctx pidx (Kept total);
+                      consider pidx { alg; children = [ sub ]; cost = total; delivered = required })
                   offers)
               enabled_enforcers;
             entry.best <- !best;
@@ -1175,7 +1111,6 @@ module Make (M : MODEL) = struct
     ss_matches : matches;
     ss_enforcers : (enforcer * rule_counter) list;
     ss_pruning : bool;
-    ss_guided : bool;
     ss_closure_fuel : int option; (* budget over the whole session's closure steps *)
     ss_spans : Span.t option; (* search-phase spans; None is the nil-sink fast path *)
     ss_ctx : ctx;
@@ -1184,9 +1119,8 @@ module Make (M : MODEL) = struct
 
   let default_provenance_cap = 1 lsl 20
 
-  let session ?(disabled = []) ?(pruning = true) ?(guided = false) ?closure_fuel ?trace
-      ?spans ?typing ?(provenance = false) ?(provenance_cap = default_provenance_cap)
-      spec =
+  let session ?(disabled = []) ?(pruning = true) ?closure_fuel ?trace ?spans ?typing
+      ?(provenance = false) ?(provenance_cap = default_provenance_cap) spec =
     let enabled name = not (List.mem name disabled) in
     let prov =
       if not provenance then None
@@ -1221,7 +1155,6 @@ module Make (M : MODEL) = struct
             s_trule_tried = 0;
             s_candidates = 0;
             s_pruned_candidates = 0;
-            s_pruned_subgoals = 0;
             s_enforcer_uses = 0;
             s_phys_memo_hits = 0;
             s_closure_steps = 0;
@@ -1237,22 +1170,13 @@ module Make (M : MODEL) = struct
         (fun r -> if enabled (name_of r) then Some (r, rule_counter ctx (name_of r)) else None)
         rules
     in
-    let irules = resolve (fun r -> r.i_name) spec.implementations in
     { ss_spec = spec;
       ss_trules = resolve (fun r -> r.t_name) spec.transformations;
-      ss_irules =
-        (* guided search applies rules in promise order (highest first, ties
-           keep registration order), so cheap/high-yield algorithms tighten
-           the branch-and-bound limit before expensive ones are costed *)
-        Array.of_list
-          (if guided then
-             List.stable_sort (fun (a, _) (b, _) -> Int.compare b.i_promise a.i_promise) irules
-           else irules);
+      ss_irules = Array.of_list (resolve (fun r -> r.i_name) spec.implementations);
       ss_matches =
         { mt_gen = Vec.create ~capacity:256 (); mt_costers = Vec.create ~capacity:256 () };
       ss_enforcers = resolve (fun r -> r.e_name) spec.enforcers;
       ss_pruning = pruning;
-      ss_guided = guided;
       ss_closure_fuel = closure_fuel;
       ss_spans = spans;
       ss_ctx = ctx;
@@ -1280,7 +1204,6 @@ module Make (M : MODEL) = struct
       trule_tried = ctx.ms.s_trule_tried;
       candidates = ctx.ms.s_candidates;
       pruned_candidates = ctx.ms.s_pruned_candidates;
-      pruned_subgoals = ctx.ms.s_pruned_subgoals;
       enforcer_uses = ctx.ms.s_enforcer_uses;
       phys_memo_hits = ctx.ms.s_phys_memo_hits;
       closure_steps = ctx.ms.s_closure_steps;
@@ -1298,16 +1221,16 @@ module Make (M : MODEL) = struct
         ~args:[ ("root_group", Json.Int (find ctx root)) ]
         (fun () ->
           optimize_physical ctx ~memo:s.ss_phys ~matches:s.ss_matches ~irules:s.ss_irules
-            ~enabled_enforcers:s.ss_enforcers ~pruning:s.ss_pruning ~guided:s.ss_guided
-            ~initial_limit ~root:(find ctx root) ~required)
+            ~enabled_enforcers:s.ss_enforcers ~pruning:s.ss_pruning ~initial_limit
+            ~root:(find ctx root) ~required)
     in
     { plan; stats = snapshot_stats ctx; root = find ctx root; ctx }
 
-  let run ?disabled ?pruning ?guided ?(initial_limit = M.Cost.infinite) ?closure_fuel
-      ?trace ?spans ?typing ?provenance ?provenance_cap spec expr ~required =
+  let run ?disabled ?pruning ?(initial_limit = M.Cost.infinite) ?closure_fuel ?trace ?spans
+      ?typing ?provenance ?provenance_cap spec expr ~required =
     let s =
-      session ?disabled ?pruning ?guided ?closure_fuel ?trace ?spans ?typing ?provenance
-        ?provenance_cap spec
+      session ?disabled ?pruning ?closure_fuel ?trace ?spans ?typing ?provenance ?provenance_cap
+        spec
     in
     let root = register s expr in
     solve s ~initial_limit root ~required

@@ -102,13 +102,13 @@ module type MODEL = sig
 
     val slack : t
     (** Tolerance for branch-and-bound {e discard} decisions: a
-        candidate, subgoal or memoized plan is refused only when it
-        exceeds the limit by more than [slack]; anything at the boundary
-        survives to the exact [compare] that picks the winner. Limits
-        are propagated with [sub], whose componentwise rounding can
-        drift from the exact algebraic value by a few ulps — without
-        slack that drift makes the bounded search discard plans the
-        exhaustive enumeration keeps (observed as one-ulp winner-cost
+        candidate or memoized plan is refused only when it exceeds the
+        limit by more than [slack]; anything at the boundary survives
+        to the exact [compare] that picks the winner. Limits are
+        propagated with [sub], whose componentwise rounding can drift
+        from the exact algebraic value by a few ulps — without slack
+        that drift makes the bounded search discard plans the unpruned
+        enumeration keeps (observed as one-ulp winner-cost
         differences). Pick [slack] far above the rounding drift and far
         below any real cost difference; [zero] is sound for optimality
         up to [slack] but loses exact-winner parity. *)
@@ -165,11 +165,6 @@ module Make (M : MODEL) : sig
     | Pruned of { group : group; alg : M.Alg.t; cost : M.Cost.t; limit : M.Cost.t }
         (** branch-and-bound: the candidate's local cost already exceeds
             the current limit, so its inputs are never optimized *)
-    | Subgoal_pruned of { group : group; required : M.Pprop.t }
-        (** guided search: the budget left for this input subgoal was
-            already negative, so the subgoal was never expanded (the
-            exhaustive search would have recursed and failed — same
-            winner, more work) *)
     | Enforcer_tried of { rule : string; group : group }
     | Enforcer_offered of { rule : string; group : group; alg : M.Alg.t; cost : M.Cost.t }
     | Enforcer_inserted of { group : group; alg : M.Alg.t }
@@ -230,12 +225,6 @@ module Make (M : MODEL) : sig
 
   type irule = {
     i_name : string;
-    i_promise : int;
-        (** scheduling hint for guided search: rules with higher promise
-            are applied first (ties keep registration order), so cheap or
-            high-yield algorithms tighten the branch-and-bound limit
-            before expensive alternatives are costed. Ignored — and
-            invisible in results — outside guided mode. *)
     i_match : ctx -> mexpr -> coster option;
         (** The match step, as in Volcano, where a rule's applicability
             condition and its cost function are separate: [None] when the
@@ -277,9 +266,6 @@ module Make (M : MODEL) : sig
     candidates : int;  (** implementation candidates costed *)
     pruned_candidates : int;
         (** candidates whose local cost already exceeded the limit *)
-    pruned_subgoals : int;
-        (** input subgoals never expanded because the remaining budget
-            was negative (guided search only; always 0 otherwise) *)
     enforcer_uses : int;
     phys_memo_hits : int;
     closure_steps : int;  (** multi-expressions popped during logical closure *)
@@ -315,7 +301,6 @@ module Make (M : MODEL) : sig
   val session :
     ?disabled:string list ->
     ?pruning:bool ->
-    ?guided:bool ->
     ?closure_fuel:int ->
     ?trace:(event -> unit) ->
     ?spans:Oodb_util.Span.t ->
@@ -337,17 +322,6 @@ module Make (M : MODEL) : sig
       [trace], the off state is a nil-sink fast path. [provenance_cap]
       (default [2^20]) bounds the candidate log; rows beyond it are
       counted in [stats.prov_dropped] instead of stored.
-
-      [guided] (default [false]) turns on cost-bounded guided search:
-      implementation rules are applied in [i_promise] order, all
-      candidates of a goal are costed cheapest-local-cost first (so the
-      branch-and-bound limit tightens before expensive alternatives),
-      and an input subgoal whose remaining budget is already negative is
-      skipped without being expanded. Guided search returns plans with
-      exactly the same cost as the exhaustive search (skipping a
-      dominated subgoal only avoids work the exhaustive search performs
-      and then discards, since costs are non-negative) — it changes how
-      fast the winner is found, never which winner.
 
       [closure_fuel] is a budget over
       the session's total closure steps (all [register] calls share it).
@@ -388,7 +362,6 @@ module Make (M : MODEL) : sig
   val run :
     ?disabled:string list ->
     ?pruning:bool ->
-    ?guided:bool ->
     ?initial_limit:M.Cost.t ->
     ?closure_fuel:int ->
     ?trace:(event -> unit) ->
@@ -424,23 +397,15 @@ module Make (M : MODEL) : sig
       (one row per physical candidate or enforcer offer, with its final
       disposition). All of it is read-only after a solve. *)
 
-  (** How a logged candidate ended. [margin] is the amount by which the
-      bound was exceeded at the decision point (before the [Cost.slack]
-      tolerance): for [Pruned_candidate] the candidate's local cost
-      versus the limit then in force; for [Pruned_subgoal] the committed
-      cost overrun when the remaining budget for the named subgoal went
-      negative (guided mode only). [Abandoned] candidates never
-      completed for another reason — the delivered property failed the
-      requirement, or a child goal found no plan within its budget. *)
+  (** How a logged candidate ended. For [Pruned_candidate], [margin] is
+      the amount by which the candidate's local cost exceeded the limit
+      then in force (before the [Cost.slack] tolerance). [Abandoned]
+      candidates never completed for another reason — the delivered
+      property failed the requirement, or a child goal found no plan
+      within its budget. *)
   type disposition =
     | Kept of M.Cost.t  (** completed with this full plan cost *)
     | Pruned_candidate of { limit : M.Cost.t; margin : M.Cost.t }
-    | Pruned_subgoal of {
-        subgoal : group;
-        subgoal_required : M.Pprop.t;
-        limit : M.Cost.t;
-        margin : M.Cost.t;
-      }
     | Abandoned
 
   type lineage = {
@@ -500,8 +465,6 @@ module Make (M : MODEL) : sig
       derivation of the implemented expression. *)
 
   val pp_plan : Format.formatter -> plan -> unit
-
-  val plan_to_tree : plan -> Oodb_util.Pretty.tree
 
   val pp_memo : Format.formatter -> ctx -> unit
   (** Dump of all groups and their multi-expressions. *)

@@ -271,7 +271,6 @@ let sample_query name opt exec =
 let sample_scale width opt =
   { History.s_width = width;
     s_opt_seconds = opt;
-    s_exhaustive_seconds = opt *. 3.0;
     s_groups = 1 lsl width;
     s_mexprs = 100 * width;
     s_candidates = 10 * width;
@@ -285,7 +284,7 @@ let sample_record ?(sha = "abc1234") ?(opt = 0.002) ?(exec = 0.010) () =
     r_queries = [ sample_query "q1" opt exec; sample_query "q2" opt exec ];
     r_search_scale = [ sample_scale 4 0.01; sample_scale 10 2.0 ];
     r_provenance_overhead_pct = 2.5;
-    r_whynot_smoke = [ ("q1-merge-lost", 0.004); ("chain8-guided-hash-pruned", 0.12) ] }
+    r_whynot_smoke = [ ("q1-merge-lost", 0.004); ("chain8-hash-lost", 0.12) ] }
 
 let test_history_roundtrip () =
   let r = sample_record () in
@@ -350,17 +349,30 @@ let test_history_roundtrip () =
         (r'.History.r_whynot_smoke = [])
     | Error e -> Alcotest.fail ("v3 record rejected: " ^ e))
   | _ -> Alcotest.fail "to_json is not an object");
-  (* An over-budget width's nan exhaustive time survives as nan. *)
-  let nan_scale =
-    { (sample_record ()) with
-      History.r_search_scale =
-        [ { (sample_scale 12 30.0) with History.s_exhaustive_seconds = Float.nan } ] }
-  in
-  (match History.of_json (History.to_json nan_scale) with
-  | Ok r' ->
-    Alcotest.(check bool) "nan exhaustive_seconds survives as nan" true
-      (Float.is_nan (List.hd r'.History.r_search_scale).History.s_exhaustive_seconds)
-  | Error e -> Alcotest.fail ("nan scale round-trip failed: " ^ e));
+  (* Older records' scale rows carry an exhaustive_seconds key (null for
+     a width skipped as over budget); the decoder ignores it. *)
+  (match History.to_json r with
+  | Json.Obj fields ->
+    let old_row v =
+      match History.scale_json (sample_scale 12 30.0) with
+      | Json.Obj row -> Json.Obj (row @ [ ("exhaustive_seconds", v) ])
+      | j -> j
+    in
+    let old =
+      Json.Obj
+        (List.map
+           (function
+             | "search_scale", _ ->
+               ("search_scale", Json.List [ old_row Json.Null; old_row (Json.float 90.0) ])
+             | kv -> kv)
+           fields)
+    in
+    (match History.of_json old with
+    | Ok r' ->
+      Alcotest.(check bool) "exhaustive_seconds is ignored" true
+        (r'.History.r_search_scale = [ sample_scale 12 30.0; sample_scale 12 30.0 ])
+    | Error e -> Alcotest.fail ("old scale rows rejected: " ^ e))
+  | _ -> Alcotest.fail "to_json is not an object");
   (* Version gate: a record from the future must be rejected. *)
   match History.to_json r with
   | Json.Obj fields ->
@@ -450,11 +462,11 @@ let test_history_gate () =
       r_search_scale = [ sample_scale 4 0.01; sample_scale 10 6.0 ] }
   in
   let c = History.compare_records ~old_rec ~new_rec:scale_slow () in
-  Alcotest.(check bool) "guided scaling regression flagged" true (History.regressed c);
+  Alcotest.(check bool) "scaling regression flagged" true (History.regressed c);
   (match List.filter (fun d -> d.History.d_regressed) c.History.c_deltas with
   | [ d ] ->
     Alcotest.(check string) "reported under the chain name" "chain10" d.History.d_query;
-    Alcotest.(check string) "as the guided metric" "guided_opt_seconds" d.History.d_metric
+    Alcotest.(check string) "as the optimization-time metric" "opt_seconds" d.History.d_metric
   | ds -> Alcotest.failf "expected exactly the chain10 delta, got %d" (List.length ds))
 
 (* ------------------------------------------------------------------ *)

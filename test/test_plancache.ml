@@ -111,23 +111,6 @@ let test_fingerprint_sensitivity () =
   let cat2 = OC.catalog () in
   distinct "catalog content splits entries" (fp cat Q.q2) (fp cat2 Q.q2)
 
-let test_fingerprint_guided_meta () =
-  (* guided search is meta — it changes how fast the winner is found,
-     never which winner — so it must share plan-cache entries with the
-     exhaustive configuration *)
-  let cat = OC.catalog_with_indexes () in
-  Alcotest.(check bool) "guided on/off share the fingerprint" true
-    (Fingerprint.equal (fp cat Q.q1)
-       (fp ~options:(Options.with_guided Options.default) cat Q.q1));
-  Alcotest.(check bool) "guided+required order still splits on order" false
-    (Fingerprint.equal (fp cat Q.q3)
-       (fp
-          ~options:(Options.with_guided Options.default)
-          ~required:
-            { Physprop.empty with
-              Physprop.order = Some { Physprop.ord_binding = "c"; ord_field = Some "name" } }
-          cat Q.q3))
-
 let test_fingerprint_epoch () =
   let cat = OC.catalog_with_indexes () in
   let before = fp cat Q.q1 in
@@ -294,18 +277,21 @@ let test_disk_persistence () =
   Alcotest.(check bool) "corrupt entry re-optimized" false o.Plancache.cached;
   check_same_plan "and identical to the cold plan" cold.Plancache.plan o.Plancache.plan;
   (* the format-version gate: the very entry pc1 stored, filed under the
-     same name but tagged with the previous format's magic, is a miss *)
+     same name but tagged with a previous format's magic, is a miss *)
   let e =
     match Plancache.entries pc1 with [ e ] -> e | _ -> Alcotest.fail "expected one entry"
   in
-  let oc = open_out_bin file in
-  Marshal.to_channel oc ("oodb-plancache-v2", e) [];
-  close_out oc;
-  let pc4 = Plancache.create ~dir () in
-  let o = Plancache.optimize pc4 cat Q.q1 in
-  Alcotest.(check bool) "previous-format entry re-optimized" false o.Plancache.cached;
-  Alcotest.(check int) "not served from disk" 0 (Plancache.stats pc4).Plancache.disk_hits;
-  check_same_plan "and identical to the cold plan" cold.Plancache.plan o.Plancache.plan
+  List.iter
+    (fun old_magic ->
+      let oc = open_out_bin file in
+      Marshal.to_channel oc (old_magic, e) [];
+      close_out oc;
+      let pc4 = Plancache.create ~dir () in
+      let o = Plancache.optimize pc4 cat Q.q1 in
+      Alcotest.(check bool) (old_magic ^ " entry re-optimized") false o.Plancache.cached;
+      Alcotest.(check int) "not served from disk" 0 (Plancache.stats pc4).Plancache.disk_hits;
+      check_same_plan "and identical to the cold plan" cold.Plancache.plan o.Plancache.plan)
+    [ "oodb-plancache-v2"; "oodb-plancache-v3" ]
 
 (* The disk tier revalidates entries before serving them (a stale plan
    unmarshals fine but may no longer typecheck against the live
@@ -528,8 +514,7 @@ let () =
             test_fingerprint_conjunct_order;
           Alcotest.test_case "sensitivity to plan-relevant inputs" `Quick
             test_fingerprint_sensitivity;
-          Alcotest.test_case "catalog epoch & statistics" `Quick test_fingerprint_epoch;
-          Alcotest.test_case "guided flag is meta" `Quick test_fingerprint_guided_meta ] );
+          Alcotest.test_case "catalog epoch & statistics" `Quick test_fingerprint_epoch ] );
       ( "fuzz",
         [ Alcotest.test_case "fingerprint properties over random queries" `Quick
             test_fuzz_fingerprints;

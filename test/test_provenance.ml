@@ -4,14 +4,13 @@
    - the lineage-replay contract: re-optimizing with only the
      transformation rules recorded in the winner's derivation re-derives
      a plan of Cost.compare-equal cost, for every workload query, on
-     both catalogs, under both the exhaustive and the guided search;
-   - the three pinned death modes classify as themselves: a disabled
-     merge-join is never-derived, the skewed-catalog file scan is
+     both catalogs, with and without branch-and-bound pruning;
+   - the pinned death modes classify as themselves: a disabled
+     merge-join is never-derived, and the skewed-catalog file scan is
      derived-but-lost (with the io/cpu gap of the feedback-corrected
-     index plan), and a hash join on the guided width-8 chain is pruned
-     (and stays pruned — guided refusals are never second-guessed);
-   - under exhaustive branch-and-bound a prune is a short-circuited
-     cost comparison, so classify escalates it via replay to the true
+     index plan);
+   - under branch-and-bound a prune is a short-circuited cost
+     comparison, so classify escalates it via replay to the true
      derived-but-lost gap, and without a replay closure reports the
      candidate prune with the bound in force;
    - the memo export is deterministic: two separate optimizations of
@@ -89,7 +88,8 @@ let test_lineage_basics () =
 let test_lineage_replay () =
   let catalogs = [ ("indexed", OC.catalog_with_indexes ()); ("plain", OC.catalog ()) ] in
   let variants =
-    [ ("exhaustive", Options.default); ("guided", Options.with_guided Options.default) ]
+    [ ("default", Options.default);
+      ("no-pruning", { Options.default with Options.pruning = false }) ]
   in
   List.iter
     (fun (cname, cat) ->
@@ -196,24 +196,6 @@ let test_whynot_derived_but_lost () =
       true
       (r > 2.0 && r < 50.0)
   | v -> Alcotest.fail ("expected derived-but-lost, got " ^ Provenance.verdict_label v)
-
-let test_whynot_pruned () =
-  let cat = OC.catalog_with_indexes () in
-  let q = Q.join_chain 8 in
-  let options = Options.with_guided Options.default in
-  let outcome = Opt.optimize ~options ~provenance:true cat q in
-  let replay options = Opt.optimize ~options ~provenance:true cat q in
-  match
-    verdict_of "pruned"
-      (Provenance.classify ~options ~replay outcome (Provenance.Force_join "hash"))
-  with
-  | Provenance.Pruned_away { limit; mode; _ } ->
-    (* Guided refusals are reported as refusals even though a replay
-       closure was supplied — the escalation is exhaustive-mode only. *)
-    Alcotest.(check bool) "a real bound was in force" true (Cost.is_finite limit);
-    Alcotest.(check bool) "prune mode recorded" true
-      (mode = "candidate" || mode = "subgoal")
-  | v -> Alcotest.fail ("expected pruned, got " ^ Provenance.verdict_label v)
 
 let test_whynot_escalation () =
   (* Under exhaustive branch-and-bound the merge join on q1 is cut off
@@ -339,9 +321,8 @@ let test_recording_replays_default () =
   in
   let search_counts (s : Engine.stats) =
     [ s.Engine.groups; s.Engine.mexprs; s.Engine.trule_fired; s.Engine.trule_tried;
-      s.Engine.candidates; s.Engine.pruned_candidates; s.Engine.pruned_subgoals;
-      s.Engine.enforcer_uses; s.Engine.phys_memo_hits; s.Engine.closure_steps;
-      Bool.to_int s.Engine.closure_complete ]
+      s.Engine.candidates; s.Engine.pruned_candidates; s.Engine.enforcer_uses;
+      s.Engine.phys_memo_hits; s.Engine.closure_steps; Bool.to_int s.Engine.closure_complete ]
   in
   let rules o =
     List.map
@@ -406,7 +387,6 @@ let () =
             test_whynot_never_derived;
           Alcotest.test_case "derived-but-lost on the skewed catalog" `Slow
             test_whynot_derived_but_lost;
-          Alcotest.test_case "pruned under the guided chain-8 search" `Slow test_whynot_pruned;
           Alcotest.test_case "exhaustive prunes escalate via replay" `Quick
             test_whynot_escalation;
           Alcotest.test_case "the winner's own shape is chosen" `Quick test_whynot_chosen ] );

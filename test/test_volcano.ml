@@ -105,7 +105,6 @@ let sorter_cost = 8.0
 
 let impl_leaf =
   { E.i_name = "impl-leaf";
-    i_promise = 10;
     i_match =
       (fun _ctx m ->
         match m.E.mop with
@@ -125,7 +124,6 @@ let impl_leaf =
 
 let impl_cat =
   { E.i_name = "impl-cat";
-    i_promise = 5;
     i_match =
       (fun _ctx m ->
         match m.E.mop, m.E.minputs with
@@ -217,11 +215,28 @@ let test_disabled_rule () =
   let r = E.run ~disabled:[ "commute" ] (spec ()) (cat (leaf "a") (leaf "b")) ~required:false in
   Alcotest.(check int) "no commuted form" 3 r.E.stats.E.mexprs
 
+(* Branch-and-bound only skips work the unpruned search performs and
+   then discards: the winner costs exactly the same, for every
+   required-property goal, and the bound does refuse candidates. *)
 let test_pruning_equivalence () =
-  let e = cat (cat (leaf "a") (leaf "b")) (cat (leaf "c") (leaf "d")) in
-  let with_pruning = E.run ~pruning:true (spec ()) e ~required:true in
-  let without = E.run ~pruning:false (spec ()) e ~required:true in
-  Alcotest.(check (float 1e-9)) "same optimum" (plan_cost without) (plan_cost with_pruning)
+  let exprs =
+    [ leaf "ab";
+      cat (leaf "a") (leaf "b");
+      cat (cat (leaf "a") (leaf "b")) (cat (leaf "c") (leaf "d"));
+      cat (leaf "a") (cat (leaf "bc") (leaf "d")) ]
+  in
+  List.iter
+    (fun required ->
+      List.iter
+        (fun e ->
+          let with_pruning = E.run ~pruning:true (spec ()) e ~required in
+          let without = E.run ~pruning:false (spec ()) e ~required in
+          Alcotest.(check (float 0.0)) "same optimum" (plan_cost without)
+            (plan_cost with_pruning);
+          Alcotest.(check bool) "the bound refuses candidates" true
+            (with_pruning.E.stats.E.pruned_candidates > 0))
+        exprs)
+    [ false; true ]
 
 let test_memo_hits () =
   (* shared sub-expression: the same leaf appears twice *)
@@ -270,39 +285,6 @@ let test_rule_counters_sorted () =
   Alcotest.(check bool) "bit-identical across identical runs" true
     (counters = E.rule_counters r'.E.ctx)
 
-let test_guided_equivalence () =
-  (* guided search (promise-ordered rules, cost-sorted candidates,
-     bound-propagating subgoals) must return a winner with exactly the
-     exhaustive winner's cost, for every required-property goal *)
-  let exprs =
-    [ leaf "ab";
-      cat (leaf "a") (leaf "b");
-      cat (cat (leaf "a") (leaf "b")) (cat (leaf "c") (leaf "d"));
-      cat (leaf "a") (cat (leaf "bc") (leaf "d")) ]
-  in
-  List.iter
-    (fun required ->
-      List.iter
-        (fun e ->
-          let exhaustive = E.run ~guided:false (spec ()) e ~required in
-          let guided = E.run ~guided:true (spec ()) e ~required in
-          Alcotest.(check (float 0.0)) "identical winner cost" (plan_cost exhaustive)
-            (plan_cost guided);
-          Alcotest.(check bool) "guided expands no more candidates" true
-            (guided.E.stats.E.candidates <= exhaustive.E.stats.E.candidates))
-        exprs)
-    [ false; true ]
-
-let test_guided_prunes_subgoals () =
-  (* with a finite initial limit the guided search's bound propagation
-     refuses dominated subgoals outright *)
-  let e = cat (cat (leaf "a") (leaf "b")) (cat (leaf "c") (leaf "d")) in
-  let exhaustive = E.run ~guided:false (spec ()) e ~required:true in
-  let guided = E.run ~guided:true (spec ()) e ~required:true in
-  Alcotest.(check (float 0.0)) "identical winner cost" (plan_cost exhaustive) (plan_cost guided);
-  Alcotest.(check bool) "guided records pruning work" true
-    (guided.E.stats.E.pruned_candidates + guided.E.stats.E.pruned_subgoals > 0)
-
 (* A merge can kill a multi-expression still waiting in the closure's
    queue. Here cat(b,a) and cat(a,b) start in separate groups; when
    commute on cat(a,b) finds cat(b,a), their groups merge, so
@@ -345,7 +327,6 @@ let test_rematch_after_register () =
   in
   let cat_x =
     { E.i_name = "cat-x";
-      i_promise = 5;
       i_match =
         (fun ctx m ->
           match m.E.mop, m.E.minputs with
@@ -408,7 +389,4 @@ let () =
       ( "representation",
         [ Alcotest.test_case "packed id round trips" `Quick test_packed_ids;
           Alcotest.test_case "rule counters sorted & deterministic" `Quick
-            test_rule_counters_sorted ] );
-      ( "guided",
-        [ Alcotest.test_case "guided == exhaustive winner cost" `Quick test_guided_equivalence;
-          Alcotest.test_case "guided prunes dominated work" `Quick test_guided_prunes_subgoals ] ) ]
+            test_rule_counters_sorted ] ) ]
