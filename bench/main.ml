@@ -22,12 +22,11 @@ module Executor = Oodb_exec.Executor
 module Greedy = Oodb_baselines.Greedy
 module Naive = Oodb_baselines.Naive
 module Json = Oodb_util.Json
+module Clock = Oodb_util.Clock
 module Metrics = Oodb_obs.Metrics
 module Profile = Oodb_obs.Profile
 module Feedback = Oodb_obs.Feedback
 module Report = Oodb_obs.Report
-module History = Oodb_obs.History
-module Provenance = Oodb_obs.Provenance
 module Plancache = Oodb_plancache.Plancache
 
 let section title =
@@ -318,29 +317,47 @@ let ablation_guidance () =
    the sweep stops at 10 to stay inside a CI budget. *)
 let scale_widths = [ 4; 6; 8; 10 ]
 
+type scale_row = {
+  s_width : int;  (* joined collections *)
+  s_opt_seconds : float;  (* one cold optimization *)
+  s_groups : int;
+  s_mexprs : int;
+  s_candidates : int;  (* physical plans costed (the paper's "plans") *)
+  s_pruned : int;  (* candidates refused by bound propagation *)
+}
+
 let search_scale_measurements () =
   List.map
     (fun width ->
       let q = Q.join_chain width in
       Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       let o = Opt.optimize cat q in
       let st = o.Opt.stats in
-      { History.s_width = width;
-        s_opt_seconds = Unix.gettimeofday () -. t0;
+      { s_width = width;
+        s_opt_seconds = Clock.now () -. t0;
         s_groups = st.Engine.groups;
         s_mexprs = st.Engine.mexprs;
         s_candidates = st.Engine.candidates;
         s_pruned = st.Engine.pruned_candidates })
     scale_widths
 
+let scale_json s =
+  Json.Obj
+    [ ("width", Json.Int s.s_width);
+      ("opt_seconds", Json.float s.s_opt_seconds);
+      ("memo_groups", Json.Int s.s_groups);
+      ("memo_mexprs", Json.Int s.s_mexprs);
+      ("plans", Json.Int s.s_candidates);
+      ("pruned", Json.Int s.s_pruned) ]
+
 let pp_search_scale rows =
   Format.printf "%6s %12s %8s %8s %8s %8s@." "width" "opt [s]" "groups" "mexprs" "plans"
     "pruned";
   List.iter
-    (fun (s : History.scale_rec) ->
-      Format.printf "%6d %12.3f %8d %8d %8d %8d@." s.History.s_width s.History.s_opt_seconds
-        s.History.s_groups s.History.s_mexprs s.History.s_candidates s.History.s_pruned)
+    (fun s ->
+      Format.printf "%6d %12.3f %8d %8d %8d %8d@." s.s_width s.s_opt_seconds s.s_groups
+        s.s_mexprs s.s_candidates s.s_pruned)
     rows
 
 let search_scale () =
@@ -369,9 +386,7 @@ let search_scale_gate () =
   | Ok budget ->
     let rows = search_scale () in
     let worst =
-      List.fold_left
-        (fun m (s : History.scale_rec) -> Float.max m s.History.s_opt_seconds)
-        0.0 rows
+List.fold_left (fun m s -> Float.max m s.s_opt_seconds) 0.0 rows
     in
     let ok = worst <= budget in
     Format.printf "%s: slowest width took %.1fs (budget %.1fs)@."
@@ -444,11 +459,11 @@ let vectorized_measurements ?(trials = 5) () =
     let config = { Config.default with Config.batch_size } in
     ignore (Executor.run ~config d plan);
     Gc.full_major ();
-    let t0 = Sys.time () in
+    let t0 = Clock.now () in
     for _ = 1 to reps do
       ignore (Executor.run ~config d plan)
     done;
-    (Sys.time () -. t0) /. float_of_int reps
+    (Clock.now () -. t0) /. float_of_int reps
   in
   let per_query =
     List.map
@@ -456,9 +471,9 @@ let vectorized_measurements ?(trials = 5) () =
         let plan = Opt.plan_exn (Opt.optimize dcat q) in
         let config = { Config.default with Config.batch_size = 1 } in
         ignore (Executor.run ~config d plan);
-        let t0 = Sys.time () in
+        let t0 = Clock.now () in
         ignore (Executor.run ~config d plan);
-        let once = Sys.time () -. t0 in
+        let once = Clock.now () -. t0 in
         let reps = max 5 (min 100_000 (int_of_float (0.1 /. Float.max once 1e-6))) in
         let t1 = ref infinity and t64 = ref infinity in
         for _ = 1 to trials do
@@ -644,169 +659,6 @@ let feedback_loop () =
     r_cold.Executor.simulated_seconds r_warm.Executor.simulated_seconds
     (r_cold.Executor.simulated_seconds /. Float.max 1e-9 r_warm.Executor.simulated_seconds)
 
-(* Provenance overhead and why-not smoke ------------------------------ *)
-
-(* Optimizer wall time on the width-8 chain join with provenance
-   recording requested (the replay every explanation runs) vs the
-   default unrecorded search, min over interleaved trials. The 5% gate
-   is advisory (report-only): the number lands in the history record so
-   drifts are visible, but a noisy CI box never fails on it. *)
-let provenance_overhead_budget_pct = 5.0
-
-let provenance_overhead ?(trials = 5) () =
-  let q = Q.join_chain 8 in
-  (* CPU time, not wall time: the diff of two ~0.2s measurements is
-     exactly where scheduler jitter would otherwise dominate the
-     statistic. *)
-  let time provenance =
-    Gc.full_major ();
-    let t0 = Sys.time () in
-    ignore (Opt.optimize ~provenance cat q);
-    Sys.time () -. t0
-  in
-  let on = ref infinity and off = ref infinity in
-  for _ = 1 to trials do
-    off := Float.min !off (time false);
-    on := Float.min !on (time true)
-  done;
-  let pct = if !off > 0. then 100. *. (!on -. !off) /. !off else Float.nan in
-  Format.printf
-    "provenance overhead (chain-8, min of %d): on %.4fs vs off %.4fs = %+.1f%%%s@."
-    trials !on !off pct
-    (if pct > provenance_overhead_budget_pct then
-       Printf.sprintf "  WARNING: over the %.0f%% budget (report-only)"
-         provenance_overhead_budget_pct
-     else "");
-  pct
-
-(* Wall seconds of representative why-not classifications (optimize +
-   classify), one per death mode — the explanation path must stay
-   interactive. *)
-let whynot_smoke () =
-  let time name options shape =
-    let q = if String.length name >= 5 && String.sub name 0 5 = "chain" then Q.join_chain 8 else Q.q1 in
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let replay options = Opt.optimize ~options ~provenance:true cat q in
-    (match Provenance.classify ~options ~replay (replay options) shape with
-    | Ok _ -> ()
-    | Error e -> Format.printf "  why-not smoke %s failed: %s@." name e);
-    let dt = Unix.gettimeofday () -. t0 in
-    Format.printf "  why-not %-24s %.4fs@." name dt;
-    (name, dt)
-  in
-  [ time "q1-merge-lost" Options.default (Provenance.Force_join "merge");
-    time "q1-merge-disabled"
-      (Options.disable "merge-join" Options.default)
-      (Provenance.Force_join "merge");
-    time "chain8-hash-lost" Options.default (Provenance.Force_join "hash") ]
-
-(* Bench history: the regression gate's input ------------------------- *)
-
-let git_sha () =
-  match Sys.getenv_opt "OODB_GIT_SHA" with
-  | Some s when s <> "" -> s
-  | _ -> (
-    try
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-      let line = try input_line ic with End_of_file -> "" in
-      ignore (Unix.close_process_in ic);
-      if line = "" then "unknown" else line
-    with _ -> "unknown")
-
-let iso_date () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-
-let median xs =
-  match List.sort Float.compare xs with
-  | [] -> nan
-  | sorted -> List.nth sorted (List.length sorted / 2)
-
-(* One schema-versioned record for BENCH_history.jsonl: per-query
-   min/median optimization and execution wall times (min over interleaved
-   trials, the same noise discipline as the vectorized section), the
-   search's memo size and rule work (stable across runs — a drift means
-   the optimizer changed, not the machine), and a deterministic
-   cold+warm plan-cache sweep whose hit rate is exactly 0.5 when the
-   cache works. *)
-let history_record ?(trials = 5) ~scale () =
-  let d = Lazy.force db in
-  let dcat = Db.catalog d in
-  let time f =
-    Gc.full_major ();
-    let t0 = Sys.time () in
-    let v = f () in
-    (Sys.time () -. t0, v)
-  in
-  let queries =
-    List.map
-      (fun (name, q) ->
-        let outcome = Opt.optimize dcat q in
-        let plan = Opt.plan_exn outcome in
-        ignore (Executor.run d plan);
-        (* One profiled pass for plan quality; the timing trials below
-           stay unprofiled so interposition cost never contaminates them. *)
-        let _, _, prof = Profile.run d plan in
-        let _, mean_qerror = Feedback.plan_quality prof in
-        let opt_times = ref [] and exec_times = ref [] and rows = ref 0 in
-        for _ = 1 to trials do
-          let dt, _ = time (fun () -> Opt.optimize dcat q) in
-          opt_times := dt :: !opt_times;
-          let dt, rs = time (fun () -> Executor.run d plan) in
-          exec_times := dt :: !exec_times;
-          rows := List.length rs
-        done;
-        { History.q_name = name;
-          q_opt_min = List.fold_left Float.min infinity !opt_times;
-          q_opt_median = median !opt_times;
-          q_exec_min = List.fold_left Float.min infinity !exec_times;
-          q_exec_median = median !exec_times;
-          q_rows = !rows;
-          q_groups = outcome.Opt.stats.Engine.groups;
-          q_rules_fired = outcome.Opt.stats.Engine.trule_fired;
-          q_mean_qerror = mean_qerror })
-      [ ("q1", Q.q1); ("q2", Q.q2); ("q3", Q.q3); ("q4", Q.q4) ]
-  in
-  let cache_hit_rate =
-    let pc = Plancache.create () in
-    let qs = List.map snd Q.all in
-    ignore (Plancache.optimize_all pc cat qs);
-    ignore (Plancache.optimize_all pc cat qs);
-    let s = Plancache.stats pc in
-    float_of_int s.Plancache.hits /. float_of_int (s.Plancache.hits + s.Plancache.misses)
-  in
-  { History.r_git_sha = git_sha ();
-    r_date = iso_date ();
-    r_batch_size = Config.default.Config.batch_size;
-    r_cache_hit_rate = cache_hit_rate;
-    r_queries = queries;
-    r_search_scale = scale;
-    r_provenance_overhead_pct = provenance_overhead ();
-    r_whynot_smoke = whynot_smoke () }
-
-let history_path () =
-  match Sys.getenv_opt "OODB_BENCH_HISTORY" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_history.jsonl"
-
-let append_history ~scale () =
-  let r = history_record ~scale () in
-  let path = history_path () in
-  History.append path r;
-  Format.printf "appended %s record %s (%s) to %s@."
-    (match Sys.getenv_opt "OODB_BATCH_SIZE" with
-    | Some b -> "batch-size-" ^ b
-    | None -> "default")
-    r.History.r_git_sha r.History.r_date path;
-  List.iter
-    (fun (q : History.query_rec) ->
-      Format.printf "  %-4s opt min %.6fs median %.6fs | exec min %.6fs median %.6fs | %d rows, %d groups@."
-        q.History.q_name q.History.q_opt_min q.History.q_opt_median q.History.q_exec_min
-        q.History.q_exec_median q.History.q_rows q.History.q_groups)
-    r.History.r_queries
-
 (* Optimization-time microbenchmarks ---------------------------------- *)
 
 let bechamel_benchmarks () =
@@ -933,7 +785,7 @@ let json_results ~scale path =
         ("plan_cache", plan_cache);
         ("vectorized", vectorized);
         ("feedback_loop", feedback_loop);
-        ("search_scale", Json.List (List.map History.scale_json scale));
+        ("search_scale", Json.List (List.map scale_json scale));
         ("workload", Report.workload_json ~registry reports) ]
   in
   let oc = open_out path in
@@ -944,14 +796,8 @@ let json_results ~scale path =
 
 let () =
   if Array.exists (fun a -> a = "--search-scale") Sys.argv then exit (search_scale_gate ());
-  if Array.exists (fun a -> a = "--history") Sys.argv then begin
-    append_history ~scale:(search_scale_measurements ()) ();
-    exit 0
-  end;
   if Array.exists (fun a -> a = "--json") Sys.argv then begin
-    let scale = search_scale () in
-    json_results ~scale "BENCH_results.json";
-    append_history ~scale ();
+    json_results ~scale:(search_scale ()) "BENCH_results.json";
     exit 0
   end;
   Format.printf "Open OODB query optimizer: reproduction of the SIGMOD'93 evaluation@.";
@@ -975,5 +821,4 @@ let () =
   feedback_loop ();
   bechamel_benchmarks ();
   json_results ~scale "BENCH_results.json";
-  append_history ~scale ();
   Format.printf "@.done.@."

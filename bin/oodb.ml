@@ -18,7 +18,8 @@
      oodb why-not --paper q1 --force-join merge    where the alternative died
      oodb optimize --paper q1 --trace      ... with search tracing
      oodb stats [-o FILE]                  full machine-readable workload report
-     oodb bench-compare OLD [NEW]          regression gate over bench history records
+     oodb bench-record RUN...              history lines from saved zqlbench runs
+     oodb bench-compare BASE CAND          regression gate over benchmark histories
      oodb greedy --paper q4                the ObjectStore-style greedy baseline
      oodb analyze --scale 0.2              refresh catalog statistics from data
      oodb gen --seed 42 --scenarios 100    seeded scenarios + differential fuzzing
@@ -800,66 +801,65 @@ let why_not_cmd =
       $ force_index_arg $ force_join_arg $ force_scan_arg $ force_alg_arg $ why_not_json_arg)
 
 (* ------------------------------------------------------------------ *)
-(* bench-compare: the regression gate over BENCH_history.jsonl          *)
+(* bench-record and bench-compare: the benchmark history                *)
 
-let bench_compare_run old_path new_path threshold min_seconds report_only =
-  let newest_first path =
-    match History.load path with
-    | Error e -> Error e
-    | Ok [] -> Error (path ^ ": empty history")
-    | Ok rs -> Ok (List.rev rs)
+let git_describe () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let line = Option.value ~default:"" (In_channel.input_line ic) in
+    ignore (Unix.close_process_in ic);
+    if line = "" then "unknown" else line
+
+let bench_record_run runs =
+  let sha = git_describe () in
+  let date =
+    let tm = Unix.gmtime (Unix.time ()) in
+    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
+      tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
   in
-  let pair =
-    match new_path with
-    | None -> (
-      (* one file: compare its last record against the one before *)
-      match newest_first old_path with
-      | Error e -> Error e
-      | Ok (newest :: prev :: _) -> Ok (prev, newest)
-      | Ok _ -> Error (old_path ^ ": need at least two records to compare"))
-    | Some np -> (
-      match newest_first old_path, newest_first np with
-      | Error e, _ | _, Error e -> Error e
-      | Ok (o :: _), Ok (n :: _) -> Ok (o, n)
-      | Ok [], _ | _, Ok [] -> assert false)
+  let records =
+    List.map
+      (fun path ->
+        match In_channel.with_open_text path In_channel.input_all with
+        | exception Sys_error e -> Error e
+        | text -> Result.map_error (fun e -> path ^ ": " ^ e) (History.of_capture ~sha ~date text))
+      runs
   in
-  match pair with
+  match List.partition_map (function Ok r -> Left r | Error e -> Right e) records with
+  | records, [] ->
+    List.iter (fun r -> print_endline (Json.to_string ~minify:true (History.to_json r))) records;
+    0
+  | _, e :: _ ->
+    Format.eprintf "error: %s@." e;
+    2
+
+let bench_record_cmd =
+  Cmd.v
+    (Cmd.info "bench-record"
+       ~doc:
+         "Print one benchmark-history line per saved zqlbench stdout: the result on its last \
+          line, the workload and seed from its traffic line, the commit from git describe \
+          and the date. Append the output to BENCH_history.jsonl. Nothing is printed unless \
+          every run parses.")
+    Term.(
+      const bench_record_run
+      $ Arg.(non_empty & pos_all string [] & info [] ~docv:"RUN" ~doc:"Saved zqlbench stdout."))
+
+let bench_compare_run baseline candidate report_only =
+  let ( let* ) = Result.bind in
+  match
+    let* bounds = History.bounds "BENCHMARK.json" in
+    let* baseline = History.load baseline in
+    let* candidate = History.load candidate in
+    Ok (History.compare ~bounds ~baseline ~candidate)
+  with
   | Error e ->
     Format.eprintf "error: %s@." e;
     2
-  | Ok (old_rec, new_rec) ->
-    let c =
-      History.compare_records ?threshold ?min_seconds ~old_rec ~new_rec ()
-    in
+  | Ok c ->
     Format.printf "%a" History.pp_comparison c;
     if History.regressed c && not report_only then 1 else 0
-
-let bench_old_pos =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"OLD" ~doc:"Baseline history file (JSONL).")
-
-let bench_new_pos =
-  Arg.(
-    value
-    & pos 1 (some string) None
-    & info [] ~docv:"NEW"
-        ~doc:"History file with the candidate record; when omitted, $(i,OLD)'s last two \
-              records are compared against each other.")
-
-let threshold_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "threshold" ] ~docv:"R"
-        ~doc:"Relative slowdown that counts as a regression (default 0.5 = +50%).")
-
-let min_seconds_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "min-seconds" ] ~docv:"S"
-        ~doc:"Absolute slowdown floor in seconds (default 0.001); smaller deltas are \
-              noise, never regressions.")
 
 let report_only_arg =
   Arg.(
@@ -872,12 +872,18 @@ let bench_compare_cmd =
   Cmd.v
     (Cmd.info "bench-compare"
        ~doc:
-         "Compare the newest benchmark-history records of two JSONL files (or the last \
-          two records of one file) and exit 1 when a per-query min wall time regressed \
-          beyond both the relative threshold and the absolute floor.")
+         "Compare a candidate benchmark history with a baseline, per workload and metric, \
+          newest record against newest record. The end-to-end metrics are judged by their \
+          bounds in ./BENCHMARK.json, a rise in the failed share or a wrong answer also \
+          regresses, and per-layer metrics are printed only. Exits 0 when nothing \
+          regressed, 1 on a regression and 2 on unreadable input.")
     Term.(
-      const bench_compare_run $ bench_old_pos $ bench_new_pos $ threshold_arg
-      $ min_seconds_arg $ report_only_arg)
+      const bench_compare_run
+      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"BASELINE"
+               ~doc:"Baseline history (JSONL).")
+      $ Arg.(required & pos 1 (some string) None & info [] ~docv:"CANDIDATE"
+               ~doc:"Candidate history (JSONL), as printed by bench-record.")
+      $ report_only_arg)
 
 let greedy_run paper text =
   let cat = OC.catalog_with_indexes () in
@@ -1249,7 +1255,7 @@ let effectiveness_run seed n sample out =
   let mismatches = ref 0 in
   let reports =
     List.init n (fun index ->
-        let t0 = Sys.time () in
+        let t0 = Oodb_util.Clock.now () in
         let sc = Scenario.generate ~seed ~index () in
         let r = Effectiveness.run ~sample sc in
         List.iter
@@ -1257,7 +1263,7 @@ let effectiveness_run seed n sample out =
             mismatches := !mismatches + s.Effectiveness.s_row_mismatches)
           r.Effectiveness.e_scores;
         Printf.eprintf "scenario %d: scored in %.1fs\n%!" index
-          (Sys.time () -. t0);
+          (Oodb_util.Clock.now () -. t0);
         Effectiveness.report_json r)
   in
   emit_json out
@@ -1289,5 +1295,5 @@ let () =
   let info = Cmd.info "oodb" ~version:"1.0.0" ~doc in
   exit (Cmd.eval' (Cmd.group info
           [ catalog_cmd; rules_cmd; optimize_cmd; optimize_all_cmd; memo_cmd; run_cmd;
-            feedback_cmd; explain_cmd; why_not_cmd; bench_compare_cmd; greedy_cmd;
+            feedback_cmd; explain_cmd; why_not_cmd; bench_record_cmd; bench_compare_cmd; greedy_cmd;
             analyze_cmd; stats_cmd; lint_cmd; certify_cmd; gen_cmd; effectiveness_cmd ]))

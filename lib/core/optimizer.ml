@@ -47,14 +47,14 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty)
     ?(initial_limit = Cost.infinite) ?closure_fuel ?trace ?spans ?provenance cat expr =
   let expr = prepare options cat expr in
   let spec = spec options cat in
-  let t0 = Sys.time () in
+  let t0 = Oodb_util.Clock.now () in
   let result =
     Oodb_util.Span.with_span spans ~cat:"optimizer" "optimize" (fun () ->
         Engine.run ~disabled:options.Options.disabled ~pruning:options.Options.pruning
           ~initial_limit ?closure_fuel ?trace ?spans ?typing:(typing_hook options cat)
           ?provenance spec (expr_of_logical expr) ~required)
   in
-  let t1 = Sys.time () in
+  let t1 = Oodb_util.Clock.now () in
   lint options cat ~required result.Engine.plan;
   { plan = result.Engine.plan;
     stats = result.Engine.stats;
@@ -77,16 +77,16 @@ let optimize_batch ?(options = Options.default) ?closure_fuel ?trace ?spans cat 
     List.map
       (fun (q, _required) ->
         let q = prepare options cat q in
-        let t0 = Sys.time () in
+        let t0 = Oodb_util.Clock.now () in
         let root = Engine.register s (expr_of_logical q) in
-        (root, Sys.time () -. t0))
+        (root, Oodb_util.Clock.now () -. t0))
       queries
   in
   List.map2
     (fun (root, register_seconds) (_q, required) ->
-      let t0 = Sys.time () in
+      let t0 = Oodb_util.Clock.now () in
       let result = Engine.solve s root ~required in
-      let t1 = Sys.time () in
+      let t1 = Oodb_util.Clock.now () in
       lint options cat ~required result.Engine.plan;
       { plan = result.Engine.plan;
         stats = result.Engine.stats;

@@ -126,17 +126,6 @@ let observe_hist t name v =
   | Some (Mhisto h) -> histo_observe h v
   | Some m -> kind_clash name m "histogram"
 
-let time t name f =
-  let t0 = Sys.time () in
-  let record () = observe t name (Sys.time () -. t0) in
-  match f () with
-  | v ->
-    record ();
-    v
-  | exception e ->
-    record ();
-    raise e
-
 type value =
   | Counter of int
   | Gauge of float

@@ -37,10 +37,6 @@ val observe_hist : t -> string -> float -> unit
     {!percentile} snapshots are exact for single-sample, all-equal and
     overflow-bucket distributions. *)
 
-val time : t -> string -> (unit -> 'a) -> 'a
-(** Run the thunk, {!observe} its wall-clock duration under the given
-    timer name. The duration is recorded even when the thunk raises. *)
-
 (** {1 Snapshots} *)
 
 type hsnap = {

@@ -94,9 +94,11 @@ let run ?(verify = false) ?(config = Config.default) ?spans ?registry db plan =
   let store = Db.store db in
   let disk = Store.disk store and buffer = Store.buffer store in
   let cells : (Engine.plan * cell) list ref = ref [] in
-  (* Span boundaries use the very same [Sys.time] readings as the wall
-     accumulator, so per-operator span durations sum to [wall_seconds]
-     exactly, not merely within clock jitter. *)
+  (* Span boundaries use the very same readings of the collector's clock
+     as the wall accumulator, so per-operator span durations sum to
+     [wall_seconds] exactly, not merely within clock jitter, and lie on
+     the collector's timeline. *)
+  let now = match spans with Some s -> Span.clock s | None -> Oodb_util.Clock.now in
   let span_begin name args t0 =
     match spans with
     | None -> ()
@@ -107,10 +109,10 @@ let run ?(verify = false) ?(config = Config.default) ?spans ?registry db plan =
   in
   let measure cell ~name ~args f =
     let d0 = Disk.stats disk and b0 = Buffer_pool.stats buffer in
-    let t0 = Sys.time () in
+    let t0 = now () in
     span_begin name args t0;
     let finish () =
-      let t1 = Sys.time () in
+      let t1 = now () in
       cell.wall <- cell.wall +. (t1 -. t0);
       cell.disk <- add_disk cell.disk (Disk.sub (Disk.stats disk) d0);
       cell.buf <- add_buf cell.buf (Buffer_pool.sub (Buffer_pool.stats buffer) b0);

@@ -40,7 +40,9 @@ type node = {
   est_rows : float;  (** the optimizer's estimate, re-derived by {!Cardest} *)
   actual_rows : int;
   batches : int;  (** [next_batch] calls, including the final [None] *)
-  wall_seconds : float;  (** inclusive CPU seconds ([Sys.time]) *)
+  wall_seconds : float;
+      (** inclusive seconds on the monotonic clock ({!Oodb_util.Clock}),
+          or on the span collector's clock when [spans] is given *)
   exclusive_seconds : float;
       (** [wall_seconds] minus the children's — sums to the root's
           inclusive time over the tree (clamped at 0 against rounding) *)

@@ -260,6 +260,11 @@ let classify_verdict options (o : Optimizer.outcome) shape =
         { rules;
           disabled = List.filter (fun r -> List.mem r options.Options.disabled) rules }
     | _ -> (
+      (* A goal whose winner has the shape was won by the shape, whichever
+         of its matches won it. *)
+      let shape_won (cr : Engine.cand_record) (w : Engine.cand_record) =
+        w.Engine.cr_index = cr.Engine.cr_index || shape_matches shape w.Engine.cr_alg
+      in
       let lost_of (cr : Engine.cand_record) =
         match kept_cost cr with
         | None -> None
@@ -267,7 +272,7 @@ let classify_verdict options (o : Optimizer.outcome) shape =
           match
             Engine.winner_of ctx cr.Engine.cr_group ~required:cr.Engine.cr_required
           with
-          | Some w when w.Engine.cr_index <> cr.Engine.cr_index -> (
+          | Some w when not (shape_won cr w) -> (
             match kept_cost w with
             | Some wcost -> Some (cr, alt_cost, w, wcost)
             | None -> None)
@@ -279,7 +284,7 @@ let classify_verdict options (o : Optimizer.outcome) shape =
         match
           Engine.winner_of ctx cr.Engine.cr_group ~required:cr.Engine.cr_required
         with
-        | Some w -> w.Engine.cr_index = cr.Engine.cr_index
+        | Some w -> shape_won cr w
         | None -> false
       in
       let pruned_of (cr : Engine.cand_record) =

@@ -36,8 +36,6 @@ val collect :
     optimize and execute phases (category ["pipeline"]) around the
     engine's and profiler's finer spans. *)
 
-val io_report_json : Oodb_exec.Executor.io_report -> Json.t
-
 val stats_json : Engine.stats -> Json.t
 
 val to_json : t -> Json.t

@@ -7,6 +7,7 @@ module Physprop = Open_oodb.Physprop
 module Metrics = Oodb_obs.Metrics
 module Span = Oodb_obs.Span
 module Json = Oodb_util.Json
+module Clock = Oodb_util.Clock
 
 type quality = {
   q_execs : int;
@@ -303,7 +304,7 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty) ?qerror_l
       (Optimizer.optimize ~options ~required ?trace:(trace_of registry) ?spans cat expr)
   end
   else begin
-    let t0 = Sys.time () in
+    let t0 = Clock.now () in
     let disk_before = t.disk_hits in
     let rejects_before = t.disk_rejects in
     let qevict_before = t.qerror_evictions in
@@ -316,7 +317,7 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty) ?qerror_l
           lookup ~validate:(entry_typechecks cat) ?qerror_limit t fp)
     in
     (* Latency to a hit/miss verdict: fingerprinting plus both tiers. *)
-    mhist registry "plancache/lookup_seconds" (Sys.time () -. t0);
+    mhist registry "plancache/lookup_seconds" (Clock.now () -. t0);
     if t.disk_rejects > rejects_before then mincr registry "plancache/disk_reject";
     if t.qerror_evictions > qevict_before then
       mincr registry "plancache/qerror_eviction";
@@ -324,7 +325,7 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty) ?qerror_l
     | Some e ->
       mincr registry "plancache/hit";
       if t.disk_hits > disk_before then mincr registry "plancache/disk_hit";
-      { plan = e.e_plan; stats = e.e_stats; opt_seconds = Sys.time () -. t0; cached = true }
+      { plan = e.e_plan; stats = e.e_stats; opt_seconds = Clock.now () -. t0; cached = true }
     | None ->
       mincr registry "plancache/miss";
       let cold =
@@ -333,7 +334,7 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty) ?qerror_l
       let evicted = insert_counting t fp (entry_of_cold (Fingerprint.to_hex fp) cold) in
       mincr registry "plancache/insert";
       if Option.is_some evicted then mincr registry "plancache/eviction";
-      { (outcome_of_cold cold) with opt_seconds = Sys.time () -. t0 }
+      { (outcome_of_cold cold) with opt_seconds = Clock.now () -. t0 }
   end
 
 let optimize_all ?(options = Options.default) ?(required = Physprop.empty) ?qerror_limit
@@ -352,7 +353,7 @@ let optimize_all ?(options = Options.default) ?(required = Physprop.empty) ?qerr
       List.concat
         (List.mapi
            (fun i q ->
-             let t0 = Sys.time () in
+             let t0 = Clock.now () in
              let fp =
                Span.with_span spans ~cat:"plancache" "fingerprint" (fun () ->
                    Fingerprint.make ~catalog:cat ~options ~required q)
@@ -363,7 +364,7 @@ let optimize_all ?(options = Options.default) ?(required = Physprop.empty) ?qerr
                Span.with_span spans ~cat:"plancache" "cache-lookup" (fun () ->
                    lookup ~validate:(entry_typechecks cat) ?qerror_limit t fp)
              in
-             mhist registry "plancache/lookup_seconds" (Sys.time () -. t0);
+             mhist registry "plancache/lookup_seconds" (Clock.now () -. t0);
              if t.disk_rejects > rejects_before then
                mincr registry "plancache/disk_reject";
              if t.qerror_evictions > qevict_before then
@@ -375,12 +376,12 @@ let optimize_all ?(options = Options.default) ?(required = Physprop.empty) ?qerr
                  Some
                    { plan = e.e_plan;
                      stats = e.e_stats;
-                     opt_seconds = Sys.time () -. t0;
+                     opt_seconds = Clock.now () -. t0;
                      cached = true };
                []
              | None ->
                mincr registry "plancache/miss";
-               [ (i, q, fp, Sys.time () -. t0) ])
+               [ (i, q, fp, Clock.now () -. t0) ])
            qs)
     in
     (match misses with

@@ -14,9 +14,6 @@ val create : int -> t
 val copy : t -> t
 (** Independent copy continuing from the same state. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 

@@ -14,8 +14,10 @@ type t = {
   mutable stack : string list; (* names of currently open spans *)
 }
 
-let create ?(clock = Sys.time) () =
+let create ?(clock = Clock.now) () =
   { clock; epoch = clock (); events = []; count = 0; stack = [] }
+
+let clock t = t.clock
 
 let depth t = List.length t.stack
 

@@ -9,11 +9,12 @@
     a collected stream is well-formed by construction ({!with_span}
     guarantees it even across exceptions).
 
-    The clock defaults to [Sys.time] — the same processor clock the
-    profiler uses — so span durations and profiler wall times are
-    directly comparable; pass explicit [ts] values to share the exact
-    same readings. Timestamps are stored relative to the collector's
-    creation. *)
+    The clock defaults to {!Clock.now}, the monotonic clock every timer
+    reads. The profiler stamps its operator spans with readings of the
+    collector's own clock, so span durations and profiler wall times
+    are directly comparable; pass explicit [ts] values to share the
+    exact same readings. Timestamps are stored relative to the
+    collector's creation. *)
 
 type event = {
   ev_ph : [ `B | `E ];
@@ -26,6 +27,9 @@ type event = {
 type t
 
 val create : ?clock:(unit -> float) -> unit -> t
+
+val clock : t -> unit -> float
+(** The collector's clock: raw readings to pass as [ts]. *)
 
 val begin_ : ?args:(string * Json.t) list -> ?ts:float -> t -> cat:string -> string -> unit
 (** Open a span. [ts] is a raw clock reading (defaults to reading the

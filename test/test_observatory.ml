@@ -1,6 +1,6 @@
 (* The performance observatory: hierarchical spans (Chrome trace-event
    export), latency histograms with exact degenerate-case percentiles,
-   and the bench-history regression gate.
+   and the benchmark history with its regression gate.
 
    The load-bearing invariants:
    - a collected span stream is well-formed (every [`E] closes the most
@@ -8,9 +8,11 @@
      every query at every batch granularity;
    - per-operator span durations, paired up by the ["op_id"] argument,
      sum to the profiler's own inclusive wall times (the two share the
-     exact same clock readings);
-   - the regression gate flags a genuine 2x slowdown and stays quiet on
-     both identical records and sub-floor noise. *)
+     exact same readings of the collector's clock);
+   - a history record is zqlbench's result line, exactly as printed,
+     and the gate judges end-to-end metrics by BENCHMARK.json's bounds:
+     it flags a move past a bound, a rise in the failed share and wrong
+     answers, and never a per-layer metric. *)
 
 module Json = Oodb_util.Json
 module Span = Oodb_obs.Span
@@ -230,7 +232,7 @@ let test_spans_agree_with_profiler () =
         (Span.events spans);
       (* Inclusive wall time per profile node must equal the summed span
          durations for that op_id. Both sides are built from the same
-         [Sys.time] readings; only the epoch subtraction can wobble. *)
+         clock readings; only the epoch subtraction can wobble. *)
       let rec walk (n : Profile.node) =
         let spanned = Option.value ~default:0.0 (Hashtbl.find_opt by_op n.Profile.op_id) in
         Alcotest.(check (float 1e-6))
@@ -242,6 +244,29 @@ let test_spans_agree_with_profiler () =
       in
       walk prof)
     [ 1; 64 ]
+
+(* A collector built the way the ZQL-to-rows benchmark builds its own,
+   on the monotonic clock: the profiler's operator spans must land on
+   its timeline, inside the span that encloses the execution. *)
+let test_profile_on_collector_clock () =
+  let db = Lazy.force Helpers.small_db in
+  let plan = Opt.plan_exn (Opt.optimize (Db.catalog db) Q.q1) in
+  let spans = Span.create ~clock:(fun () -> Int64.to_float (Monotonic_clock.now ()) *. 1e-9) () in
+  ignore (Span.with_span (Some spans) ~cat:"bench" "exec" (fun () -> Profile.run ~spans db plan));
+  let events = Span.events spans in
+  let first = List.hd events and last = List.nth events (List.length events - 1) in
+  Alcotest.(check (pair string string)) "the enclosing span opens and closes the stream"
+    ("exec", "exec") (first.Span.ev_name, last.Span.ev_name);
+  Alcotest.(check bool) "operator spans recorded" true (List.length events > 2);
+  ignore
+    (List.fold_left
+       (fun prev (e : Span.event) ->
+         let ts = e.Span.ev_ts in
+         if ts < prev || ts < first.Span.ev_ts || ts > last.Span.ev_ts then
+           Alcotest.failf "%s at %.6fs: outside [%.6f, %.6f] or before %.6f" e.Span.ev_name ts
+             first.Span.ev_ts last.Span.ev_ts prev;
+         ts)
+       neg_infinity events)
 
 let test_batch_rows_histogram () =
   let registry = Metrics.create () in
@@ -257,217 +282,115 @@ let test_batch_rows_histogram () =
 (* ------------------------------------------------------------------ *)
 (* Bench history                                                        *)
 
-let sample_query name opt exec =
-  { History.q_name = name;
-    q_opt_min = opt;
-    q_opt_median = opt *. 1.1;
-    q_exec_min = exec;
-    q_exec_median = exec *. 1.2;
-    q_rows = 42;
-    q_groups = 17;
-    q_rules_fired = 23;
-    q_mean_qerror = 1.5 }
+(* A saved zqlbench stdout, as bench-record reads it: the traffic line
+   names the workload and seed, and the last line is the result. *)
+let capture =
+  {|traffic: workload=lookup-hot seed=1 ops=12603 queries=12597 stat_writes=6 distinct_texts=200
+traffic: per_template mayor-name=4199 employee-name=3150 task-time=4199 paper-q4=1049
+checks: 200 distinct texts checked against the reference, 127 non-empty
+qps                                         13438.5 1/s
+{"correct": true, "attempted": 12803, "failed": 0, "metrics": {"qps": {"value": 13438.499394085928, "unit": "1/s"}, "latency_p50_ms": {"value": 0.035270997614134103, "unit": "ms"}, "latency_p90_ms": {"value": 0.17061700054910034, "unit": "ms"}, "setup_s": {"value": 0.26896503700118046, "unit": "s"}, "peak_heap_mb": {"value": 175.36778259277344, "unit": "MB"}, "sim_disk_s_per_query": {"value": 1.2982103192211016, "unit": "s"}}}
+|}
 
-let sample_scale width opt =
-  { History.s_width = width;
-    s_opt_seconds = opt;
-    s_groups = 1 lsl width;
-    s_mexprs = 100 * width;
-    s_candidates = 10 * width;
-    s_pruned = 5 * width }
-
-let sample_record ?(sha = "abc1234") ?(opt = 0.002) ?(exec = 0.010) () =
-  { History.r_git_sha = sha;
-    r_date = "2026-08-05T12:00:00Z";
-    r_batch_size = 64;
-    r_cache_hit_rate = 0.5;
-    r_queries = [ sample_query "q1" opt exec; sample_query "q2" opt exec ];
-    r_search_scale = [ sample_scale 4 0.01; sample_scale 10 2.0 ];
-    r_provenance_overhead_pct = 2.5;
-    r_whynot_smoke = [ ("q1-merge-lost", 0.004); ("chain8-hash-lost", 0.12) ] }
+let record_of ?(sha = "abc1234") text =
+  match History.of_capture ~sha ~date:"2026-10-18T12:00:00Z" text with
+  | Ok r -> r
+  | Error e -> Alcotest.fail ("capture rejected: " ^ e)
 
 let test_history_roundtrip () =
-  let r = sample_record () in
-  (match History.of_json (History.to_json r) with
-  | Ok r' -> Alcotest.(check bool) "record survives to_json/of_json" true (r = r')
-  | Error e -> Alcotest.fail ("round-trip failed: " ^ e));
-  (* An unprofiled run's nan mean_qerror encodes as null and reads back
-     as nan; a v1 record (field absent entirely) reads as nan too. *)
-  let q = { (sample_query "q1" 0.002 0.010) with History.q_mean_qerror = Float.nan } in
-  let nan_rec = { (sample_record ()) with History.r_queries = [ q ] } in
-  (match History.of_json (History.to_json nan_rec) with
-  | Ok r' ->
-    Alcotest.(check bool) "nan mean_qerror survives as nan" true
-      (Float.is_nan (List.hd r'.History.r_queries).History.q_mean_qerror)
-  | Error e -> Alcotest.fail ("nan round-trip failed: " ^ e));
-  (match History.to_json nan_rec with
-  | Json.Obj fields ->
-    let v1 =
-      Json.Obj
-        (List.map
-           (function
-             | "schema_version", _ -> ("schema_version", Json.Int 1)
-             | kv -> kv)
-           fields)
-    in
-    (match History.of_json v1 with
-    | Ok r' ->
-      Alcotest.(check bool) "v1 record still loads" true
-        (Float.is_nan (List.hd r'.History.r_queries).History.q_mean_qerror)
-    | Error e -> Alcotest.fail ("v1 record rejected: " ^ e));
-    (* A v2 record carries no search_scale; it must load as []. *)
-    let v2 =
-      Json.Obj
-        (List.filter_map
-           (function
-             | "schema_version", _ -> Some ("schema_version", Json.Int 2)
-             | "search_scale", _ -> None
-             | kv -> Some kv)
-           fields)
-    in
-    (match History.of_json v2 with
-    | Ok r' ->
-      Alcotest.(check bool) "v2 record loads with empty search_scale" true
-        (r'.History.r_search_scale = [])
-    | Error e -> Alcotest.fail ("v2 record rejected: " ^ e));
-    (* A v3 record predates the provenance fields; they must load as
-       nan / []. *)
-    let v3 =
-      Json.Obj
-        (List.filter_map
-           (function
-             | "schema_version", _ -> Some ("schema_version", Json.Int 3)
-             | ("provenance_overhead_pct" | "whynot_smoke"), _ -> None
-             | kv -> Some kv)
-           fields)
-    in
-    (match History.of_json v3 with
-    | Ok r' ->
-      Alcotest.(check bool) "v3 record loads with nan overhead" true
-        (Float.is_nan r'.History.r_provenance_overhead_pct);
-      Alcotest.(check bool) "v3 record loads with empty whynot_smoke" true
-        (r'.History.r_whynot_smoke = [])
-    | Error e -> Alcotest.fail ("v3 record rejected: " ^ e))
-  | _ -> Alcotest.fail "to_json is not an object");
-  (* Older records' scale rows carry an exhaustive_seconds key (null for
-     a width skipped as over budget); the decoder ignores it. *)
-  (match History.to_json r with
-  | Json.Obj fields ->
-    let old_row v =
-      match History.scale_json (sample_scale 12 30.0) with
-      | Json.Obj row -> Json.Obj (row @ [ ("exhaustive_seconds", v) ])
-      | j -> j
-    in
-    let old =
-      Json.Obj
-        (List.map
-           (function
-             | "search_scale", _ ->
-               ("search_scale", Json.List [ old_row Json.Null; old_row (Json.float 90.0) ])
-             | kv -> kv)
-           fields)
-    in
-    (match History.of_json old with
-    | Ok r' ->
-      Alcotest.(check bool) "exhaustive_seconds is ignored" true
-        (r'.History.r_search_scale = [ sample_scale 12 30.0; sample_scale 12 30.0 ])
-    | Error e -> Alcotest.fail ("old scale rows rejected: " ^ e))
-  | _ -> Alcotest.fail "to_json is not an object");
-  (* Version gate: a record from the future must be rejected. *)
-  match History.to_json r with
-  | Json.Obj fields ->
-    let bumped =
-      Json.Obj
-        (List.map
-           (function
-             | "schema_version", _ -> ("schema_version", Json.Int 99)
-             | kv -> kv)
-           fields)
-    in
-    (match History.of_json bumped with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "schema_version 99 accepted")
-  | _ -> Alcotest.fail "to_json is not an object"
+  let r = record_of capture in
+  Alcotest.(check string) "workload" "lookup-hot" r.History.workload;
+  Alcotest.(check int) "seed" 1 r.History.seed;
+  Alcotest.(check (list string)) "every end-to-end metric, by name"
+    [ "latency_p50_ms"; "latency_p90_ms"; "peak_heap_mb"; "qps"; "setup_s";
+      "sim_disk_s_per_query" ]
+    (List.map fst r.History.metrics);
+  Alcotest.(check bool) "qps exactly as printed" true
+    (List.assoc "qps" r.History.metrics = (13438.499394085928, "1/s"));
+  match Result.bind (Json.of_string (Json.to_string ~minify:true (History.to_json r))) History.of_json with
+  | Ok r' -> Alcotest.(check bool) "record survives a history line" true (r = r')
+  | Error e -> Alcotest.fail ("round-trip failed: " ^ e)
 
-let test_history_append_load () =
+let test_history_capture () =
+  let lines = String.split_on_char '\n' (String.trim capture) in
+  let without p = String.concat "\n" (List.filter (fun l -> not (p l)) lines) in
+  let rejected label text =
+    match History.of_capture ~sha:"x" ~date:"d" text with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (label ^ " accepted")
+  in
+  rejected "a capture without a traffic line"
+    (without (String.starts_with ~prefix:"traffic: workload="));
+  rejected "a capture without a final JSON line"
+    (without (String.starts_with ~prefix:"{"));
+  rejected "an empty capture" ""
+
+let test_history_load () =
+  let line r = Json.to_string ~minify:true (History.to_json r) in
+  let a = record_of ~sha:"aaa" capture and b = record_of ~sha:"bbb" capture in
   let path = Filename.temp_file "oodb_bench" ".jsonl" in
-  History.append path (sample_record ~sha:"aaa" ());
-  History.append path (sample_record ~sha:"bbb" ~exec:0.011 ());
+  let write text = Out_channel.with_open_text path (fun oc -> output_string oc text) in
+  write (line a ^ "\n\n" ^ line b ^ "\n");
   (match History.load path with
-  | Ok [ a; b ] ->
-    Alcotest.(check string) "first sha" "aaa" a.History.r_git_sha;
-    Alcotest.(check string) "second sha" "bbb" b.History.r_git_sha
-  | Ok l -> Alcotest.fail (Printf.sprintf "expected 2 records, got %d" (List.length l))
+  | Ok [ a'; b' ] ->
+    Alcotest.(check (list string)) "oldest first, blank lines skipped" [ "aaa"; "bbb" ]
+      [ a'.History.sha; b'.History.sha ]
+  | Ok l -> Alcotest.failf "expected 2 records, got %d" (List.length l)
   | Error e -> Alcotest.fail ("load failed: " ^ e));
-  (* A corrupt line fails the load with its line number. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"schema_version\": \"nope\"}\n";
-  close_out oc;
+  (* A line that is not a record fails the load with its line number. *)
+  write (line a ^ "\n\n" ^ line b ^ "\n{\"schema_version\": 4}\n");
   (match History.load path with
   | Error e ->
-    Alcotest.(check bool)
-      (Printf.sprintf "error names line 3 (%s)" e)
-      true
-      (String.exists (fun c -> c = '3') e)
-  | Ok _ -> Alcotest.fail "corrupt line accepted");
+    Alcotest.(check bool) (Printf.sprintf "error names line 4 (%s)" e) true
+      (String.starts_with ~prefix:(path ^ ":4:") e)
+  | Ok _ -> Alcotest.fail "a bad line was accepted");
   Sys.remove path
 
+let scale m f (r : History.record) =
+  { r with
+    History.metrics =
+      List.map (fun (n, (v, u)) -> if n = m then (n, (f v, u)) else (n, (v, u))) r.History.metrics }
+
 let test_history_gate () =
-  let old_rec = sample_record ~sha:"old" ~opt:0.002 ~exec:0.010 () in
-  (* Identical records: clean. *)
+  let bounds =
+    match History.bounds "../BENCHMARK.json" with
+    | Ok b -> b
+    | Error e -> Alcotest.fail ("BENCHMARK.json: " ^ e)
+  in
+  let untraced = record_of ~sha:"old" capture in
+  let traced =
+    { untraced with
+      History.metrics = [ ("exec.share", (0.6, "ratio")); ("zql.compile_us", (5.0, "us")) ] }
+  in
+  let baseline = [ untraced; traced ] in
+  let gate label candidate =
+    let c = History.compare ~bounds ~baseline ~candidate in
+    (label, History.regressed c, c)
+  in
+  let expect (label, regressed, _) want = Alcotest.(check bool) label want regressed in
+  let (_, _, c) as same = gate "identical records" baseline in
+  expect same false;
+  Alcotest.(check int) "every metric and both failed shares compared" 10
+    (List.length c.History.c_deltas);
+  expect (gate "qps -30%" [ scale "qps" (fun v -> v *. 0.7) untraced ]) true;
+  expect (gate "qps -20%" [ scale "qps" (fun v -> v *. 0.8) untraced ]) false;
+  expect (gate "latency_p90_ms +30%" [ scale "latency_p90_ms" (fun v -> v *. 1.3) untraced ]) true;
+  expect (gate "latency_p90_ms +20%" [ scale "latency_p90_ms" (fun v -> v *. 1.2) untraced ]) false;
+  expect (gate "a higher failed share" [ { untraced with History.failed = 3 } ]) true;
+  expect (gate "wrong answers" [ { untraced with History.correct = false } ]) true;
+  expect
+    (gate "a per-layer metric tripled" [ scale "exec.share" (fun v -> v *. 3.) traced ])
+    false;
+  (* Missing workloads and metrics are listed, not silently skipped. *)
+  let report_scan = { untraced with History.workload = "report-scan" } in
   let c =
-    History.compare_records ~old_rec ~new_rec:{ old_rec with History.r_git_sha = "new" } ()
+    History.compare ~bounds ~baseline:(report_scan :: baseline)
+      ~candidate:
+        [ { traced with History.metrics = ("volcano.search_ms", (1.0, "ms")) :: traced.History.metrics } ]
   in
-  Alcotest.(check bool) "identical records do not regress" false (History.regressed c);
-  (* A genuine 2x execution slowdown (10ms -> 20ms) clears both the
-     relative threshold and the absolute floor. *)
-  let slow = sample_record ~sha:"slow" ~opt:0.002 ~exec:0.020 () in
-  let c = History.compare_records ~old_rec ~new_rec:slow () in
-  Alcotest.(check bool) "2x slowdown regresses" true (History.regressed c);
-  let flagged =
-    List.filter (fun d -> d.History.d_regressed) c.History.c_deltas
-  in
-  Alcotest.(check int) "both queries' exec metric flagged" 2 (List.length flagged);
-  List.iter
-    (fun d ->
-      Alcotest.(check string) "the exec metric is what regressed"
-        "exec_min_seconds" d.History.d_metric;
-      Alcotest.(check (float 1e-9)) "ratio is 2" 2.0 d.History.d_ratio)
-    flagged;
-  (* A 2.5x ratio on a 0.1ms baseline is under the absolute floor:
-     sub-millisecond wobble must never fail a build. *)
-  let tiny_old = sample_record ~sha:"t0" ~opt:0.0001 ~exec:0.0001 () in
-  let tiny_new = sample_record ~sha:"t1" ~opt:0.00025 ~exec:0.00025 () in
-  let c = History.compare_records ~old_rec:tiny_old ~new_rec:tiny_new () in
-  Alcotest.(check bool) "sub-floor blow-up does not regress" false (History.regressed c);
-  (* ...unless the caller lowers the floor. *)
-  let c =
-    History.compare_records ~min_seconds:1e-6 ~old_rec:tiny_old ~new_rec:tiny_new ()
-  in
-  Alcotest.(check bool) "lowered floor flags it" true (History.regressed c);
-  (* Query-set drift is reported, not silently ignored. *)
-  let dropped =
-    { old_rec with
-      History.r_git_sha = "drift";
-      r_queries = [ sample_query "q1" 0.002 0.010; sample_query "q9" 0.002 0.010 ] }
-  in
-  let c = History.compare_records ~old_rec ~new_rec:dropped () in
-  Alcotest.(check (list string)) "missing queries listed" [ "q2" ] c.History.c_missing;
-  Alcotest.(check (list string)) "added queries listed" [ "q9" ] c.History.c_added;
-  (* A wide-join scaling blow-up is gated like any other wall time:
-     width 10 going 2.0s -> 6.0s is a chain10 regression. *)
-  let scale_slow =
-    { old_rec with
-      History.r_git_sha = "scale";
-      r_search_scale = [ sample_scale 4 0.01; sample_scale 10 6.0 ] }
-  in
-  let c = History.compare_records ~old_rec ~new_rec:scale_slow () in
-  Alcotest.(check bool) "scaling regression flagged" true (History.regressed c);
-  (match List.filter (fun d -> d.History.d_regressed) c.History.c_deltas with
-  | [ d ] ->
-    Alcotest.(check string) "reported under the chain name" "chain10" d.History.d_query;
-    Alcotest.(check string) "as the optimization-time metric" "opt_seconds" d.History.d_metric
-  | ds -> Alcotest.failf "expected exactly the chain10 delta, got %d" (List.length ds))
+  Alcotest.(check (list string)) "missing workloads listed" [ "report-scan" ] c.History.c_missing;
+  Alcotest.(check (list (pair string string))) "metrics without a baseline listed"
+    [ ("lookup-hot", "volcano.search_ms") ] c.History.c_unmatched
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic JSON                                                   *)
@@ -537,13 +460,15 @@ let () =
             test_chrome_export_balanced;
           Alcotest.test_case "durations agree with the profiler" `Quick
             test_spans_agree_with_profiler;
+          Alcotest.test_case "profiler spans on the collector's clock" `Quick
+            test_profile_on_collector_clock;
           Alcotest.test_case "batch-rows histogram" `Quick
             test_batch_rows_histogram ] );
       ( "history",
-        [ Alcotest.test_case "record round-trip and version gate" `Quick
-            test_history_roundtrip;
-          Alcotest.test_case "append and load JSONL" `Quick
-            test_history_append_load;
+        [ Alcotest.test_case "zqlbench record round-trip" `Quick test_history_roundtrip;
+          Alcotest.test_case "bench-record capture parsing" `Quick test_history_capture;
+          Alcotest.test_case "load skips blank lines and names a bad one" `Quick
+            test_history_load;
           Alcotest.test_case "regression gate" `Quick test_history_gate ] );
       ( "rendering",
         [ Alcotest.test_case "deterministic JSON" `Quick test_json_deterministic;

@@ -301,7 +301,9 @@ let test_unknown_rule_rejected () =
 
 (* Memo size, plan and the exact bits of the winner's cost for the paper
    queries (on the paper catalog) and one text per benchmark template (on
-   the scale-1 database's catalog, as the benchmark compiles them). A change to how the search is run
+   the scale-1 database's catalog, as the benchmark compiles them), at
+   batch sizes 64 and 1 given explicitly, so [OODB_BATCH_SIZE] cannot move
+   them. A change to how the search is run
    (rule scheduling, caching, closure bookkeeping) must leave every pin
    bit-identical; a change to what it finds must re-record them. *)
 
@@ -375,14 +377,39 @@ let golden_opt_pins =
     { catalog = "scale-1"; query = "city-mat-chain"; groups = 54; mexprs = 402; plan_md5 = "eeedc56ed96fff374b32afa6f8eaa48d"; io = 0x1.48ca3d70a3d7p+4; cpu = 0x1.445fda122fad7p+3 };
     { catalog = "scale-1"; query = "task-unnest"; groups = 29; mexprs = 138; plan_md5 = "eb881912dbc83dc2a6ed25ecda112ca2"; io = 0x1.195c28f5c28f6p+6; cpu = 0x1.1c8104816f007p+6 } ]
 
+(* The same texts at batch size 1: the CPU share of each operator is no
+   longer amortized over a batch, so every [cpu] moves and task-unnest
+   picks another plan. *)
+let golden_opt_pins_batch1 =
+  [ { catalog = "paper"; query = "q1"; groups = 16; mexprs = 49; plan_md5 = "8d46e35ecf8a95d21dd509dc9f0a6ccc"; io = 0x1.39fae147ae148p+6; cpu = 0x1.0ca3d70a3d70ap+6 };
+    { catalog = "paper"; query = "q2"; groups = 5; mexprs = 9; plan_md5 = "8a2f35acfcae204deb6bf11d5d857428"; io = 0x1.eb851eb851eb8p-4; cpu = 0x1.0624dd2f1a9fcp-10 };
+    { catalog = "paper"; query = "q3"; groups = 6; mexprs = 10; plan_md5 = "0ff6288f2ee7a7b8780b7cbb83d44b56"; io = 0x1.1c28f5c28f5c2p-3; cpu = 0x1.89374bc6a7efap-9 };
+    { catalog = "paper"; query = "q4"; groups = 10; mexprs = 23; plan_md5 = "83fa75c0334368b23d9f2f62bf0e0d88"; io = 0x1.3428f5c28f5c2p+0; cpu = 0x1.3b645a1cac084p-3 };
+    { catalog = "paper"; query = "fig2"; groups = 19; mexprs = 93; plan_md5 = "17407338e6716b86a4d8d6efe2ea2a5f"; io = 0x1.a5147ae147ae1p+6; cpu = 0x1.e8395810624dep+3 };
+    { catalog = "paper"; query = "fig3"; groups = 4; mexprs = 6; plan_md5 = "96bbd0da183c05702f31776ed69523d2"; io = 0x1.11851eb851eb8p+6; cpu = 0x1.9p+7 };
+    { catalog = "scale-1"; query = "mayor-name"; groups = 6; mexprs = 10; plan_md5 = "56be2fa73466754edaff99696e03bce6"; io = 0x1.eb851eb851eb8p-4; cpu = 0x1.0624dd2f1a9fcp-9 };
+    { catalog = "scale-1"; query = "employee-name"; groups = 5; mexprs = 8; plan_md5 = "936488b948d246f01076efd93a569338"; io = 0x1.e28f5c28f5c29p+3; cpu = 0x1.4cccccccccccep-2 };
+    { catalog = "scale-1"; query = "task-time"; groups = 3; mexprs = 3; plan_md5 = "99b16d1ce092470a05b3110054e26719"; io = 0x1.70a3d70a3d70ap-2; cpu = 0x1.47ae147ae147bp-7 };
+    { catalog = "scale-1"; query = "paper-q4"; groups = 11; mexprs = 24; plan_md5 = "2cba76195369e036f81d694b5cd9727b"; io = 0x1.3428f5c28f5c2p+0; cpu = 0x1.3c504816f006ap-3 };
+    { catalog = "scale-1"; query = "q1-location"; groups = 12; mexprs = 27; plan_md5 = "8d46e35ecf8a95d21dd509dc9f0a6ccc"; io = 0x1.39fae147ae148p+6; cpu = 0x1.0ca3d70a3d70ap+6 };
+    { catalog = "scale-1"; query = "fig1-floor-join"; groups = 8; mexprs = 19; plan_md5 = "9c68ab861659bd5d9d18c492ef24f3c7"; io = 0x1.f8p+5; cpu = 0x1.c147ae147ae15p+5 };
+    { catalog = "scale-1"; query = "salary-by-floor"; groups = 6; mexprs = 10; plan_md5 = "e03ae3634fed6493b843634caff2992a"; io = 0x1.f8p+5; cpu = 0x1.c147ae147ae15p+5 };
+    { catalog = "scale-1"; query = "team-age-unnest"; groups = 7; mexprs = 11; plan_md5 = "a144bdcb799a6e6c26511b95d8bc96ba"; io = 0x1.012e147ae147bp+8; cpu = 0x1.8533333333333p+7 };
+    { catalog = "scale-1"; query = "emp-dept-job"; groups = 34; mexprs = 306; plan_md5 = "aeac014260004aabdce566bb6fa86308"; io = 0x1.147ae147ae147p+6; cpu = 0x1.f3ae147ae147ap+5 };
+    { catalog = "scale-1"; query = "city-person-country"; groups = 36; mexprs = 335; plan_md5 = "b4f4d71159417023133dcf9c5215dd6e"; io = 0x1.47a8f5c28f5c3p+5; cpu = 0x1.07083126e978ep+4 };
+    { catalog = "scale-1"; query = "emp-dept"; groups = 13; mexprs = 53; plan_md5 = "bcefed421e9e30c21592d9d6d04110a5"; io = 0x1.f8p+5; cpu = 0x1.cbe147ae147afp+5 };
+    { catalog = "scale-1"; query = "city-mat-chain"; groups = 54; mexprs = 402; plan_md5 = "eeedc56ed96fff374b32afa6f8eaa48d"; io = 0x1.48ca3d70a3d7p+4; cpu = 0x1.da661f9f01b86p+3 };
+    { catalog = "scale-1"; query = "task-unnest"; groups = 29; mexprs = 138; plan_md5 = "b6c1d0b9151ff9995dda385a7a5b7502"; io = 0x1.195c28f5c28f6p+6; cpu = 0x1.8e6d916872b02p+6 } ]
+
 let same_opt_pin a b =
   a.groups = b.groups && a.mexprs = b.mexprs && String.equal a.plan_md5 b.plan_md5
   && Int64.equal (Int64.bits_of_float a.io) (Int64.bits_of_float b.io)
   && Int64.equal (Int64.bits_of_float a.cpu) (Int64.bits_of_float b.cpu)
 
-let test_golden_optimizer_pins () =
+let check_golden_optimizer_pins ~scale1 ~batch_size pins =
+  let options = Options.with_batch_size batch_size Options.default in
   let pin catalog c (query, q) =
-    let o = Opt.optimize c q in
+    let o = Opt.optimize ~options c q in
     let p = Opt.plan_exn o in
     { catalog;
       query;
@@ -392,7 +419,6 @@ let test_golden_optimizer_pins () =
       io = p.Engine.cost.Cost.io;
       cpu = p.Engine.cost.Cost.cpu }
   in
-  let scale1 = Oodb_exec.Db.catalog (Oodb_workloads.Datagen.generate ()) in
   let actual =
     List.map (pin "paper" (cat ())) Q.all
     @ List.map
@@ -403,16 +429,24 @@ let test_golden_optimizer_pins () =
     List.filter
       (fun a ->
         match
-          List.find_opt (fun g -> g.catalog = a.catalog && g.query = a.query) golden_opt_pins
+          List.find_opt (fun g -> g.catalog = a.catalog && g.query = a.query) pins
         with
         | Some g -> not (same_opt_pin g a)
         | None -> true)
       actual
   in
   if mismatches <> [] then
-    Alcotest.failf "optimizer output moved off its golden pins; actual:\n%s"
+    Alcotest.failf "optimizer output at batch size %d moved off its golden pins; actual:\n%s"
+      batch_size
       (String.concat "\n" (List.map opt_pin_to_string mismatches));
-  Alcotest.(check int) "every pin exercised" (List.length golden_opt_pins) (List.length actual)
+  Alcotest.(check int) "every pin exercised" (List.length pins) (List.length actual)
+
+let test_golden_optimizer_pins () =
+  let scale1 = Oodb_exec.Db.catalog (Oodb_workloads.Datagen.generate ()) in
+  List.iter
+    (fun (batch_size, pins) ->
+      check_golden_optimizer_pins ~scale1 ~batch_size pins)
+    [ (64, golden_opt_pins); (1, golden_opt_pins_batch1) ]
 
 let () =
   Alcotest.run "optimizer"

@@ -231,6 +231,30 @@ let test_whynot_escalation () =
     Alcotest.fail
       ("expected pruned without a replay closure, got " ^ Provenance.verdict_label v)
 
+let test_whynot_lost_up_the_chain () =
+  (* On the width-8 chain join the hash join wins the goals where it
+     first appears; it is lost further up, to a merge join. A goal whose
+     winner is itself a hash join must not be reported as the loss. *)
+  let cat = OC.catalog_with_indexes () in
+  let q = Q.join_chain 8 in
+  let replay options = Opt.optimize ~options ~provenance:true cat q in
+  match
+    verdict_of "chain8"
+      (Provenance.classify ~options:Options.default ~replay (replay Options.default)
+         (Provenance.Force_join "hash"))
+  with
+  | Provenance.Derived_but_lost { alt_alg; winner_alg; gap; _ } ->
+    Alcotest.(check string) "the alternative is a hash join" "hash-join"
+      (Helpers.alg_label alt_alg);
+    Alcotest.(check bool)
+      (Printf.sprintf "the winner (%s) is not a hash join" (Helpers.alg_label winner_alg))
+      true
+      (Helpers.alg_label winner_alg <> "hash-join");
+    Alcotest.(check bool)
+      (Printf.sprintf "the gap %.2fs is positive" gap.Cost.d_total)
+      true (gap.Cost.d_total > 0.)
+  | v -> Alcotest.fail ("expected derived-but-lost, got " ^ Provenance.verdict_label v)
+
 let test_whynot_chosen () =
   let cat = OC.catalog_with_indexes () in
   let outcome = Opt.optimize ~provenance:true cat Q.q1 in
@@ -389,6 +413,8 @@ let () =
             test_whynot_derived_but_lost;
           Alcotest.test_case "exhaustive prunes escalate via replay" `Quick
             test_whynot_escalation;
+          Alcotest.test_case "a shape that won its goal is lost further up" `Quick
+            test_whynot_lost_up_the_chain;
           Alcotest.test_case "the winner's own shape is chosen" `Quick test_whynot_chosen ] );
       ( "export",
         [ Alcotest.test_case "memo JSON is deterministic" `Quick test_memo_determinism ] );
