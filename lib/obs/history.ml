@@ -158,13 +158,15 @@ type comparison = {
   c_unmatched : (string * string) list;
 }
 
-let dedup xs = List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs |> List.rev
+let dedup xs =
+  List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
 
 (* The newest record of a workload that satisfies [p]. *)
 let newest p workload records =
   List.fold_left (fun acc r -> if r.workload = workload && p r then Some r else acc) None records
 
-let failed_share r = if r.attempted = 0 then 0. else float_of_int r.failed /. float_of_int r.attempted
+let failed_share r =
+  if r.attempted = 0 then 0. else float_of_int r.failed /. float_of_int r.attempted
 
 let compare ~bounds ~baseline ~candidate =
   let pairs =

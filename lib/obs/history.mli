@@ -38,24 +38,16 @@ val load : string -> (record list, string) result
 
 (** {1 The gate} *)
 
-type bound = { higher_is_better : bool; bound : float }
+type bound
+(** A metric's [better] direction and relative [bound]. *)
 
 val bounds : string -> ((string * bound) list, string) result
-(** The end-to-end metrics of a BENCHMARK.json file, with their
-    [better] direction and relative [bound]. *)
+(** The end-to-end metrics of a BENCHMARK.json file, with their bounds. *)
 
-(** Where a metric starts to regress. A per-layer metric never gates. *)
-type limit = Report_only | At_least of float | At_most of float
-
-type delta = {
-  d_workload : string;
-  d_metric : string;  (** a metric name, or ["failed_share"] *)
-  d_unit : string;
-  d_old_sha : string;  (** the baseline record's commit *)
-  d_old : float;
-  d_new : float;
-  d_limit : limit;
-}
+type delta
+(** One metric of one workload, old against new, with the value past
+    which it regresses; a per-layer metric never gates. The failed
+    share is compared as the metric ["failed_share"]. *)
 
 type comparison = {
   c_deltas : delta list;

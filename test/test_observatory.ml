@@ -307,7 +307,8 @@ let test_history_roundtrip () =
     (List.map fst r.History.metrics);
   Alcotest.(check bool) "qps exactly as printed" true
     (List.assoc "qps" r.History.metrics = (13438.499394085928, "1/s"));
-  match Result.bind (Json.of_string (Json.to_string ~minify:true (History.to_json r))) History.of_json with
+  let line = Json.to_string ~minify:true (History.to_json r) in
+  match Result.bind (Json.of_string line) History.of_json with
   | Ok r' -> Alcotest.(check bool) "record survives a history line" true (r = r')
   | Error e -> Alcotest.fail ("round-trip failed: " ^ e)
 
@@ -386,7 +387,8 @@ let test_history_gate () =
   let c =
     History.compare ~bounds ~baseline:(report_scan :: baseline)
       ~candidate:
-        [ { traced with History.metrics = ("volcano.search_ms", (1.0, "ms")) :: traced.History.metrics } ]
+        [ { traced with
+            History.metrics = ("volcano.search_ms", (1.0, "ms")) :: traced.History.metrics } ]
   in
   Alcotest.(check (list string)) "missing workloads listed" [ "report-scan" ] c.History.c_missing;
   Alcotest.(check (list (pair string string))) "metrics without a baseline listed"
