@@ -469,8 +469,7 @@ let () =
       ( "history",
         [ Alcotest.test_case "zqlbench record round-trip" `Quick test_history_roundtrip;
           Alcotest.test_case "bench-record capture parsing" `Quick test_history_capture;
-          Alcotest.test_case "load skips blank lines and names a bad one" `Quick
-            test_history_load;
+          Alcotest.test_case "load skips blanks, names bad line" `Quick test_history_load;
           Alcotest.test_case "regression gate" `Quick test_history_gate ] );
       ( "rendering",
         [ Alcotest.test_case "deterministic JSON" `Quick test_json_deterministic;
