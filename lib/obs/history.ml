@@ -148,6 +148,8 @@ type delta = {
   d_old_sha : string;
   d_old : float;
   d_new : float;
+  d_old_runs : int;
+  d_new_runs : int;
   d_limit : limit;
 }
 
@@ -165,6 +167,19 @@ let dedup xs =
 let newest p workload records =
   List.fold_left (fun acc r -> if r.workload = workload && p r then Some r else acc) None records
 
+(* The records of [workload] that satisfy [p] and were made at the
+   commit of the newest of them, oldest first. *)
+let newest_commit p workload records =
+  match newest p workload records with
+  | None -> []
+  | Some n -> List.filter (fun r -> r.workload = workload && p r && r.sha = n.sha) records
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
 let failed_share r =
   if r.attempted = 0 then 0. else float_of_int r.failed /. float_of_int r.attempted
 
@@ -176,10 +191,10 @@ let compare ~bounds ~baseline ~candidate =
   let metric_deltas, unmatched =
     List.partition_map
       (fun (w, m) ->
-        let value r = List.assoc m r.metrics in
-        match newest (carries m) w candidate, newest (carries m) w baseline with
-        | Some n, Some o ->
-          let old_v, unit = value o and new_v, _ = value n in
+        let values rs = List.map (fun r -> fst (List.assoc m r.metrics)) rs in
+        match newest_commit (carries m) w candidate, newest_commit (carries m) w baseline with
+        | (_ :: _ as ns), (o :: _ as os) ->
+          let old_v = median (values os) and new_v = median (values ns) in
           let limit =
             match List.assoc_opt m bounds with
             | None -> Report_only
@@ -187,8 +202,9 @@ let compare ~bounds ~baseline ~candidate =
             | Some b -> At_most (old_v *. (1. +. b.bound))
           in
           Left
-            { d_workload = w; d_metric = m; d_unit = unit; d_old_sha = o.sha; d_old = old_v;
-              d_new = new_v; d_limit = limit }
+            { d_workload = w; d_metric = m; d_unit = snd (List.assoc m o.metrics);
+              d_old_sha = o.sha; d_old = old_v; d_new = new_v; d_old_runs = List.length os;
+              d_new_runs = List.length ns; d_limit = limit }
         | _ -> Right (w, m))
       pairs
   in
@@ -199,7 +215,8 @@ let compare ~bounds ~baseline ~candidate =
           (fun o ->
             let old_v = failed_share o and new_v = failed_share n in
             { d_workload = n.workload; d_metric = "failed_share"; d_unit = "ratio";
-              d_old_sha = o.sha; d_old = old_v; d_new = new_v; d_limit = At_most old_v })
+              d_old_sha = o.sha; d_old = old_v; d_new = new_v; d_old_runs = 1; d_new_runs = 1;
+              d_limit = At_most old_v })
           (newest (fun _ -> true) n.workload baseline))
       candidate
   in
@@ -219,12 +236,14 @@ let delta_regressed d =
 let regressed c = c.c_incorrect <> [] || List.exists delta_regressed c.c_deltas
 
 let pp_comparison ppf c =
-  Format.fprintf ppf "%-12s %-36s %-14s %14s -> %-14s %-6s %s@." "workload" "metric" "baseline"
-    "old" "new" "unit" "limit";
+  Format.fprintf ppf "%-12s %-36s %-14s %-6s %14s -> %-14s %-6s %s@." "workload" "metric"
+    "baseline" "runs" "old" "new" "unit" "limit";
   List.iter
     (fun d ->
-      Format.fprintf ppf "%-12s %-36s %-14s %14.6g -> %-14.6g %-6s %s%s@." d.d_workload
-        d.d_metric d.d_old_sha d.d_old d.d_new d.d_unit
+      Format.fprintf ppf "%-12s %-36s %-14s %-6s %14.6g -> %-14.6g %-6s %s%s@." d.d_workload
+        d.d_metric d.d_old_sha
+        (Printf.sprintf "%d/%d" d.d_old_runs d.d_new_runs)
+        d.d_old d.d_new d.d_unit
         (match d.d_limit with
         | Report_only -> "report only"
         | At_least l -> Printf.sprintf ">= %.6g" l

@@ -7,8 +7,9 @@
     the commit, the date, the workload and the seed of the run.
     [oodb bench-record] makes records from saved benchmark output, and
     [oodb bench-compare] compares a candidate history with a baseline:
-    each end-to-end metric is judged by its bound in BENCHMARK.json, and
-    per-layer metrics are printed but never gate. *)
+    each end-to-end metric's median over the runs of each side's newest
+    commit is judged by its bound in BENCHMARK.json, and per-layer
+    metrics are printed but never gate. *)
 
 type record = {
   sha : string;  (** [git describe --always --dirty] of the measured tree *)
@@ -45,9 +46,10 @@ val bounds : string -> ((string * bound) list, string) result
 (** The end-to-end metrics of a BENCHMARK.json file, with their bounds. *)
 
 type delta
-(** One metric of one workload, old against new, with the value past
-    which it regresses; a per-layer metric never gates. The failed
-    share is compared as the metric ["failed_share"]. *)
+(** One metric of one workload, old against new, with the number of
+    records each side's value is the median of and the value past which
+    it regresses; a per-layer metric never gates. The failed share is
+    compared as the metric ["failed_share"]. *)
 
 type comparison = {
   c_deltas : delta list;
@@ -59,13 +61,15 @@ type comparison = {
 
 val compare :
   bounds:(string * bound) list -> baseline:record list -> candidate:record list -> comparison
-(** Each metric of the candidate's newest record that carries it, per
-    workload, against the baseline's newest record of that workload that
-    carries it. A metric with a bound regresses past [old × (1 - bound)]
-    when higher is better and past [old × (1 + bound)] when lower is.
-    Every candidate record's failed share ([failed / attempted]) is
-    compared with that of the baseline's newest record of its workload,
-    and any rise regresses. *)
+(** Per workload and metric, each side's value is the median over its
+    records of that workload that carry the metric and come from the
+    commit of the newest such record; older commits' records are
+    ignored. The candidate's median is judged against the baseline's: a
+    metric with a bound regresses past [old × (1 - bound)] when higher
+    is better and past [old × (1 + bound)] when lower is. Every
+    candidate record's failed share ([failed / attempted]) is compared
+    with that of the baseline's newest record of its workload, and any
+    rise regresses. *)
 
 val regressed : comparison -> bool
 (** A delta regressed, or a candidate reported wrong answers. *)

@@ -18,7 +18,7 @@ let renaming expr =
   let n = ref 0 in
   let intro b =
     if not (Hashtbl.mem tbl b) then begin
-      Hashtbl.add tbl b (Printf.sprintf "$%d" !n);
+      Hashtbl.add tbl b ("$" ^ string_of_int !n);
       incr n
     end
   in
@@ -75,12 +75,13 @@ let canon_op rename = function
   | Logical.Intersect -> Logical.Intersect
   | Logical.Difference -> Logical.Difference
 
-let canonical expr =
-  let rename = renaming expr in
+let canon rename expr =
   let rec rewrite t =
     { Logical.op = canon_op rename t.Logical.op; inputs = List.map rewrite t.Logical.inputs }
   in
   rewrite expr
+
+let canonical expr = canon (renaming expr) expr
 
 (* ------------------------------------------------------------------ *)
 (* Structural serialization                                             *)
@@ -88,18 +89,34 @@ let canonical expr =
 (* Tagged, parenthesized and %S-escaped: distinct canonical trees
    serialize to distinct strings (the pretty-printer is for humans and
    not quite injective — [Str "1"] and [Int 1] both render as something
-   readable; here they carry different tags). *)
+   readable; here they carry different tags). Strings are added as
+   [Printf]'s [%S] renders them, ints as its [%d]. *)
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (String.escaped s);
+  Buffer.add_char buf '"'
+
+let add_int buf i = Buffer.add_string buf (string_of_int i)
 
 let emit_value buf (v : Value.t) =
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let add = Buffer.add_string buf in
   let rec go = function
     | Value.Null -> add "null"
-    | Value.Bool b -> add "bool:%b" b
-    | Value.Int i -> add "int:%d" i
-    | Value.Float f -> add "float:%h" f
-    | Value.Str s -> add "str:%S" s
-    | Value.Date d -> add "date:%d" d
-    | Value.Ref oid -> add "ref:%d" oid
+    | Value.Bool b -> add (if b then "bool:true" else "bool:false")
+    | Value.Int i ->
+      add "int:";
+      add_int buf i
+    | Value.Float f -> Printf.bprintf buf "float:%h" f
+    | Value.Str s ->
+      add "str:";
+      add_quoted buf s
+    | Value.Date d ->
+      add "date:";
+      add_int buf d
+    | Value.Ref oid ->
+      add "ref:";
+      add_int buf oid
     | Value.Set vs ->
       add "set[";
       List.iter
@@ -115,8 +132,14 @@ let emit_operand buf = function
   | Pred.Const v ->
     Buffer.add_string buf "const ";
     emit_value buf v
-  | Pred.Field (b, f) -> Printf.ksprintf (Buffer.add_string buf) "field %S %S" b f
-  | Pred.Self b -> Printf.ksprintf (Buffer.add_string buf) "self %S" b
+  | Pred.Field (b, f) ->
+    Buffer.add_string buf "field ";
+    add_quoted buf b;
+    Buffer.add_char buf ' ';
+    add_quoted buf f
+  | Pred.Self b ->
+    Buffer.add_string buf "self ";
+    add_quoted buf b
 
 let cmp_tag = function
   | Pred.Eq -> "eq"
@@ -140,10 +163,19 @@ let emit_pred buf pred =
     pred;
   Buffer.add_char buf ']'
 
+(* [tag], then each name quoted after a space. *)
+let emit_tagged buf tag names =
+  Buffer.add_string buf tag;
+  List.iter
+    (fun s ->
+      Buffer.add_char buf ' ';
+      add_quoted buf s)
+    names
+
 let emit_op buf op =
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let add = Buffer.add_string buf in
   match op with
-  | Logical.Get { coll; binding } -> add "get %S %S" coll binding
+  | Logical.Get { coll; binding } -> emit_tagged buf "get" [ coll; binding ]
   | Logical.Select pred ->
     add "select ";
     emit_pred buf pred
@@ -151,7 +183,9 @@ let emit_op buf op =
     add "project";
     List.iter
       (fun (p : Logical.proj) ->
-        add " (%S " p.Logical.p_name;
+        add " (";
+        add_quoted buf p.Logical.p_name;
+        Buffer.add_char buf ' ';
         emit_operand buf p.Logical.p_expr;
         add ")")
       ps
@@ -160,10 +194,15 @@ let emit_op buf op =
     emit_pred buf pred
   | Logical.Cross -> add "cross"
   | Logical.Mat { src; field; out } ->
-    add "mat %S %s %S" src
-      (match field with Some f -> Printf.sprintf "(%S)" f | None -> "()")
-      out
-  | Logical.Unnest { src; field; out } -> add "unnest %S %S %S" src field out
+    emit_tagged buf "mat" [ src ];
+    (match field with
+    | Some f ->
+      add " (";
+      add_quoted buf f;
+      add ") "
+    | None -> add " () ");
+    add_quoted buf out
+  | Logical.Unnest { src; field; out } -> emit_tagged buf "unnest" [ src; field; out ]
   | Logical.Union -> add "union"
   | Logical.Intersect -> add "intersect"
   | Logical.Difference -> add "difference"
@@ -185,19 +224,23 @@ let emit_required buf rename (p : Physprop.t) =
   Physprop.Bset.elements p.Physprop.in_memory
   |> List.map rename
   |> List.sort String.compare
-  |> List.iter (fun b -> Printf.ksprintf (Buffer.add_string buf) "%S;" b);
+  |> List.iter (fun b ->
+         add_quoted buf b;
+         Buffer.add_char buf ';');
   (match p.Physprop.order with
   | None -> Buffer.add_string buf "|order:none"
   | Some { Physprop.ord_binding; ord_field } ->
-    Printf.ksprintf (Buffer.add_string buf) "|order:%S.%s" (rename ord_binding)
-      (match ord_field with Some f -> Printf.sprintf "%S" f | None -> "self"));
+    Buffer.add_string buf "|order:";
+    add_quoted buf (rename ord_binding);
+    Buffer.add_char buf '.';
+    (match ord_field with Some f -> add_quoted buf f | None -> Buffer.add_string buf "self"));
   Buffer.add_char buf '}'
 
 (* Every option that can change the chosen plan. [verify] only checks
    the winner and [cache] is meta, so neither splits entries. *)
-let emit_options buf (o : Options.t) =
+let render_options (o : Options.t) =
   let c = o.Options.config in
-  Printf.ksprintf (Buffer.add_string buf)
+  Printf.sprintf
     "options{config:%d,%h,%h,%h,%d,%h,%h,%d,%h,%h,%d,%d,%h,%h|disabled:%s|pruning:%b|normalize:%b}"
     c.Config.page_bytes c.Config.seq_io c.Config.rand_io c.Config.asm_io_floor
     c.Config.assembly_window c.Config.cpu_tuple c.Config.cpu_call c.Config.batch_size
@@ -208,31 +251,39 @@ let emit_options buf (o : Options.t) =
        (List.sort_uniq String.compare (List.map String.escaped o.Options.disabled)))
     o.Options.pruning o.Options.normalize
 
-let key ~catalog ~options ~required expr =
-  let buf = Buffer.create 512 in
-  let rename = renaming expr in
-  emit_expr buf (canonical expr);
-  Buffer.add_char buf '|';
-  emit_required buf rename required;
-  Buffer.add_char buf '|';
-  Printf.ksprintf (Buffer.add_string buf) "catalog{epoch:%d|digest:%s}"
-    (Catalog.epoch catalog)
-    (Digest.to_hex (Catalog.digest catalog));
-  Buffer.add_char buf '|';
-  emit_options buf options;
-  Buffer.contents buf
+(* The last options value rendered, compared physically. Every field
+   [render_options] reads is immutable ([Config.feedback], whose tables
+   change, is not rendered), so one value always renders the same; the
+   slot keeps the value alive, so another value never shares its
+   address. *)
+let last_options = ref None
 
-type t = Digest.t
+let options_part o =
+  match !last_options with
+  | Some (o', rendered) when o' == o -> rendered
+  | Some _ | None ->
+    let rendered = render_options o in
+    last_options := Some (o, rendered);
+    rendered
+
+type t = string
 
 let make ~catalog ~options ~required expr =
-  Digest.string (key ~catalog ~options ~required expr)
+  let buf = Buffer.create 512 in
+  let rename = renaming expr in
+  emit_expr buf (canon rename expr);
+  Buffer.add_char buf '|';
+  emit_required buf rename required;
+  Buffer.add_string buf "|catalog{epoch:";
+  add_int buf (Catalog.epoch catalog);
+  Buffer.add_string buf "|digest:";
+  Buffer.add_string buf (Digest.to_hex (Catalog.digest catalog));
+  Buffer.add_string buf "}|";
+  Buffer.add_string buf (options_part options);
+  Buffer.contents buf
 
-let equal (a : t) (b : t) = String.equal a b
+let key = make
 
-let compare (a : t) (b : t) = String.compare a b
+let equal = String.equal
 
-let hash (t : t) = Hashtbl.hash t
-
-let to_hex = Digest.to_hex
-
-let pp ppf t = Format.pp_print_string ppf (to_hex t)
+let to_hex t = Digest.to_hex (Digest.string t)

@@ -19,7 +19,12 @@
 module Logical = Oodb_algebra.Logical
 module Catalog = Oodb_catalog.Catalog
 
-type t
+type t = private string
+(** The canonical key string itself: the expression's canonical form,
+    the required properties, the catalog epoch and digest, and the
+    plan-relevant options, tagged and escaped so that distinct inputs
+    give distinct strings. The in-memory cache tier keys on it, so two
+    queries share a plan only when their keys are equal byte for byte. *)
 
 val make :
   catalog:Catalog.t ->
@@ -27,23 +32,20 @@ val make :
   required:Open_oodb.Physprop.t ->
   Logical.t ->
   t
+(** Renders the options part once per physical [Options.t] value: a
+    call with the options value of the previous call reuses its
+    rendering. *)
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
-val hash : t -> int
-
 val to_hex : t -> string
-(** 32-character lowercase hex of the fingerprint's MD5 — usable as a
-    file name. *)
-
-val pp : Format.formatter -> t -> unit
+(** 32-character lowercase hex of the key's MD5 — the file name of the
+    key's disk-tier entry. *)
 
 (** {1 Canonicalization internals} (exposed for tests and diagnostics) *)
 
 val canonical : Logical.t -> Logical.t
-(** The alpha-renamed, predicate-sorted form the fingerprint hashes. Two
+(** The alpha-renamed, predicate-sorted form the key renders. Two
     expressions have equal fingerprints under equal catalogs, options
     and required properties iff their canonical forms are equal. *)
 
@@ -53,4 +55,4 @@ val key :
   required:Open_oodb.Physprop.t ->
   Logical.t ->
   string
-(** The full pre-digest canonical key string — what {!make} hashes. *)
+(** {!make}, as a plain string. *)

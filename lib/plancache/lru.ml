@@ -54,17 +54,20 @@ let promote t n =
     push_front t n
   end
 
-let find t key =
+let remove t n =
+  unlink t n;
+  Hashtbl.remove t.tbl n.nkey
+
+let find ?(keep = fun _ -> true) t key =
   match Hashtbl.find_opt t.tbl key with
-  | None ->
-    t.misses <- t.misses + 1;
-    None
-  | Some n ->
+  | Some n when keep n.nval ->
     t.hits <- t.hits + 1;
     promote t n;
     Some n.nval
-
-let mem t key = Hashtbl.mem t.tbl key
+  | found ->
+    Option.iter (remove t) found;
+    t.misses <- t.misses + 1;
+    None
 
 let peek t key = Option.map (fun n -> n.nval) (Hashtbl.find_opt t.tbl key)
 
@@ -77,8 +80,7 @@ let evict_lru t =
   match t.tail with
   | None -> None
   | Some n ->
-    unlink t n;
-    Hashtbl.remove t.tbl n.nkey;
+    remove t n;
     t.evictions <- t.evictions + 1;
     Some n.nkey
 
@@ -95,18 +97,6 @@ let add t key v =
     push_front t n;
     t.insertions <- t.insertions + 1;
     evicted
-
-let remove t key =
-  match Hashtbl.find_opt t.tbl key with
-  | None -> ()
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.tbl key
-
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None
 
 let items t =
   let rec walk acc = function

@@ -15,11 +15,10 @@ val capacity : 'v t -> int
 
 val length : 'v t -> int
 
-val find : 'v t -> string -> 'v option
-(** Promotes the entry to most-recently-used; counts a hit or a miss. *)
-
-val mem : 'v t -> string -> bool
-(** No promotion, no counter update. *)
+val find : ?keep:('v -> bool) -> 'v t -> string -> 'v option
+(** Promotes the entry to most-recently-used; counts a hit or a miss.
+    An entry whose value fails [keep] (default: every value passes) is
+    removed instead and counted as a miss. One table lookup either way. *)
 
 val peek : 'v t -> string -> 'v option
 (** Like {!find} but with no promotion and no counter update — for
@@ -33,11 +32,6 @@ val add : 'v t -> string -> 'v -> string option
 (** Insert or replace (either way the entry becomes most-recently-used);
     returns the key evicted to make room, if any. Replacement never
     evicts. *)
-
-val remove : 'v t -> string -> unit
-
-val clear : 'v t -> unit
-(** Drops all entries; counters are preserved (they are lifetime totals). *)
 
 type counters = { hits : int; misses : int; insertions : int; evictions : int }
 

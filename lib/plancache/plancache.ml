@@ -105,36 +105,39 @@ let disk_write d hex e =
    [qerror_limit] guards both tiers: an entry whose recorded quality
    shows a worse max q-error was mispriced badly enough that serving it
    again just repeats the mistake — evict it everywhere so the caller
-   re-plans (with corrected statistics, when feedback is installed). *)
-let lookup ?(validate = fun _ -> true) ?qerror_limit t fp =
-  let hex = Fingerprint.to_hex fp in
+   re-plans (with corrected statistics, when feedback is installed).
+
+   The memory tier is keyed on the key string itself, so a hit costs one
+   table lookup and no digest; the MD5 hex is computed only to name a
+   disk file. *)
+let lookup ?(validate = fun _ -> true) ?qerror_limit t (fp : Fingerprint.t) =
   let over e =
     match qerror_limit, e.e_quality with
     | Some limit, Some q -> q.q_max_qerror > limit
     | _ -> false
   in
-  let qerror_evict ~count_miss =
-    Lru.remove t.mem hex;
-    (* with the entry gone this counts the miss the eviction behaves as
-       (skipped on the disk path, where [find] above already missed) *)
-    if count_miss then ignore (Lru.find t.mem hex : entry option);
+  let qerror_evict () =
     Option.iter
-      (fun d -> try Sys.remove (entry_path d hex) with Sys_error _ -> ())
+      (fun d -> try Sys.remove (entry_path d (Fingerprint.to_hex fp)) with Sys_error _ -> ())
       t.cache_dir;
     t.qerror_evictions <- t.qerror_evictions + 1;
     None
   in
-  (* Quality-gate the memory tier with a counter-free peek first, so a
-     gated eviction registers as the miss it behaves as, not a hit. *)
-  match Lru.peek t.mem hex with
-  | Some e when over e -> qerror_evict ~count_miss:true
-  | _ -> (
-    match Lru.find t.mem hex with
-    | Some e -> Some e
-    | None -> (
+  (* A gated entry leaves the memory tier as the miss it behaves as. *)
+  let gated = ref false in
+  let keep e =
+    let gate = over e in
+    if gate then gated := true;
+    not gate
+  in
+  match Lru.find ~keep t.mem (fp :> string) with
+  | Some e -> Some e
+  | None when !gated -> qerror_evict ()
+  | None -> (
     match t.cache_dir with
     | None -> None
     | Some d -> (
+      let hex = Fingerprint.to_hex fp in
       match disk_read d hex with
       | None -> None
       | Some e ->
@@ -143,21 +146,24 @@ let lookup ?(validate = fun _ -> true) ?qerror_limit t fp =
           (try Sys.remove (entry_path d hex) with Sys_error _ -> ());
           None
         end
-        else if over e then qerror_evict ~count_miss:false
+        else if over e then qerror_evict ()
         else begin
           t.disk_hits <- t.disk_hits + 1;
-          ignore (Lru.add t.mem hex e : string option);
+          ignore (Lru.add t.mem (fp :> string) e : string option);
           Some e
-        end)))
+        end))
 
-let insert_counting t fp e =
-  let hex = Fingerprint.to_hex fp in
-  let e = { e with e_fingerprint = hex } in
-  let evicted = Lru.add t.mem hex e in
-  Option.iter (fun d -> disk_write d hex e) t.cache_dir;
-  evicted
-
-let insert t fp e = ignore (insert_counting t fp e : string option)
+let insert t (fp : Fingerprint.t) e =
+  let e =
+    match t.cache_dir with
+    | None -> e
+    | Some d ->
+      let hex = Fingerprint.to_hex fp in
+      let e = { e with e_fingerprint = hex } in
+      disk_write d hex e;
+      e
+  in
+  Lru.add t.mem (fp :> string) e
 
 (* ------------------------------------------------------------------ *)
 (* Plan quality                                                         *)
@@ -175,23 +181,23 @@ let merge_quality epoch ~max_qerror ~mean_qerror = function
       q_mean_qerror = ((q.q_mean_qerror *. n) +. mean_qerror) /. (n +. 1.);
       q_last_epoch = epoch }
 
-let note_execution t fp ~epoch ~max_qerror ~mean_qerror =
-  let hex = Fingerprint.to_hex fp in
+let note_execution t (fp : Fingerprint.t) ~epoch ~max_qerror ~mean_qerror =
   let updated e =
     { e with
       e_quality = Some (merge_quality epoch ~max_qerror ~mean_qerror e.e_quality) }
   in
-  match Lru.peek t.mem hex with
+  match Lru.peek t.mem (fp :> string) with
   | Some e ->
     let e = updated e in
-    Lru.update t.mem hex (fun _ -> e);
-    Option.iter (fun d -> disk_write d hex e) t.cache_dir
+    Lru.update t.mem (fp :> string) (fun _ -> e);
+    Option.iter (fun d -> disk_write d (Fingerprint.to_hex fp) e) t.cache_dir
   | None -> (
     (* Not resident (evicted, or a fresh process with only the disk
        tier): update the persisted copy in place without promoting it. *)
     match t.cache_dir with
     | None -> ()
     | Some d -> (
+      let hex = Fingerprint.to_hex fp in
       match disk_read d hex with
       | None -> ()
       | Some e -> disk_write d hex (updated e)))
@@ -246,8 +252,6 @@ let stats_json s =
       ("entries", Json.Int s.entries);
       ("capacity", Json.Int s.capacity) ]
 
-let clear t = Lru.clear t.mem
-
 (* ------------------------------------------------------------------ *)
 (* Cache-aware optimization                                            *)
 
@@ -281,8 +285,8 @@ let outcome_of_cold (o : Optimizer.outcome) =
     opt_seconds = o.Optimizer.opt_seconds;
     cached = false }
 
-let entry_of_cold hex (o : Optimizer.outcome) =
-  { e_fingerprint = hex;
+let entry_of_cold (o : Optimizer.outcome) =
+  { e_fingerprint = "";
     e_plan = o.Optimizer.plan;
     e_stats = o.Optimizer.stats;
     e_quality = None }
@@ -331,7 +335,7 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty) ?qerror_l
       let cold =
         Optimizer.optimize ~options ~required ?trace:(trace_of registry) ?spans cat expr
       in
-      let evicted = insert_counting t fp (entry_of_cold (Fingerprint.to_hex fp) cold) in
+      let evicted = insert t fp (entry_of_cold cold) in
       mincr registry "plancache/insert";
       if Option.is_some evicted then mincr registry "plancache/eviction";
       { (outcome_of_cold cold) with opt_seconds = Clock.now () -. t0 }
@@ -393,7 +397,7 @@ let optimize_all ?(options = Options.default) ?(required = Physprop.empty) ?qerr
       in
       List.iter2
         (fun (i, _q, fp, lookup_seconds) (o : Optimizer.outcome) ->
-          let evicted = insert_counting t fp (entry_of_cold (Fingerprint.to_hex fp) o) in
+          let evicted = insert t fp (entry_of_cold o) in
           mincr registry "plancache/insert";
           if Option.is_some evicted then mincr registry "plancache/eviction";
           results.(i) <-

@@ -9,11 +9,14 @@
     model changes the key, so stale entries can never be served — they
     simply age out of the LRU.
 
-    Two tiers: a bounded in-memory LRU always; below it, when [dir] is
-    given (or [OODB_PLANCACHE_DIR] is set for {!of_env}), a directory of
-    marshalled entries that survives process restarts. Disk reads are
-    verified (format tag + fingerprint echo) and fall back to a cold
-    optimization on any mismatch or corruption. *)
+    Two tiers: a bounded in-memory LRU always, keyed on the fingerprint's
+    key string itself, so entries are shared only by equal keys; below
+    it, when [dir] is given (or [OODB_PLANCACHE_DIR] is set for
+    {!of_env}), a directory of marshalled entries that survives process
+    restarts, one file per key named by the key's MD5
+    ({!Fingerprint.to_hex}). Disk reads are verified (format tag +
+    fingerprint echo) and fall back to a cold optimization on any
+    mismatch or corruption. *)
 
 module Engine = Open_oodb.Model.Engine
 module Catalog = Oodb_catalog.Catalog
@@ -60,9 +63,6 @@ val stats : t -> stats
 
 val stats_json : stats -> Json.t
 
-val clear : t -> unit
-(** Empty the in-memory tier (counters and disk entries persist). *)
-
 (** {1 Entries} *)
 
 type quality = {
@@ -76,7 +76,9 @@ type quality = {
     judges. *)
 
 type entry = {
-  e_fingerprint : string;  (** hex of the key it was stored under *)
+  e_fingerprint : string;
+      (** {!Fingerprint.to_hex} of the key it is filed under on disk;
+          [""] while the cache has no directory *)
   e_plan : Engine.plan option;
   e_stats : Engine.stats;  (** statistics of the cold search that produced it *)
   e_quality : quality option;  (** accumulated by {!note_execution} *)
@@ -100,8 +102,6 @@ val lookup :
     lookup misses, so the caller re-plans — with corrected statistics
     when runtime feedback is installed. Counted in
     {!stats.qerror_evictions}. *)
-
-val insert : t -> Fingerprint.t -> entry -> unit
 
 val note_execution :
   t -> Fingerprint.t -> epoch:int -> max_qerror:float -> mean_qerror:float -> unit

@@ -23,16 +23,12 @@ val build :
 
 val name : t -> string
 
-val collection : t -> string
-
 val entry_count : t -> int
 
 val distinct_keys : t -> int
 
 val height : t -> int
 (** Levels from root to leaf, >= 1. *)
-
-val leaf_pages : t -> int
 
 val lookup : t -> Value.t -> Value.oid list
 (** Equality probe. *)

@@ -93,28 +93,26 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
 let is_digit c = c >= '0' && c <= '9'
 
-(* 1-based line/column of a byte offset; inputs are query-sized, so the
-   rescan per token is immaterial. *)
-let loc_of input off =
-  let line = ref 1 and bol = ref 0 in
-  String.iteri
-    (fun i c ->
-      if i < off && c = '\n' then begin
-        incr line;
-        bol := i + 1
-      end)
-    input;
-  Loc.make ~line:!line ~col:(off - !bol + 1)
-
 let tokenize_pos input =
   let n = String.length input in
   let exception Lex_error of string in
   let pos = ref 0 in
+  (* The 1-based line of [!pos] and the offset its line starts at, kept
+     as [advance] passes each newline. *)
+  let line = ref 1 and bol = ref 0 in
   let peek () = if !pos < n then Some input.[!pos] else None in
-  let advance () = incr pos in
+  let advance () =
+    if input.[!pos] = '\n' then begin
+      incr line;
+      bol := !pos + 1
+    end;
+    incr pos
+  in
+  let loc_at off = Loc.make ~line:!line ~col:(off - !bol + 1) in
+  (* Every error offset lies on the current line. *)
   let error_at off fmt =
     Format.kasprintf
-      (fun m -> raise (Lex_error (Printf.sprintf "%s: %s" (Loc.to_string (loc_of input off)) m)))
+      (fun m -> raise (Lex_error (Printf.sprintf "%s: %s" (Loc.to_string (loc_at off)) m)))
       fmt
   in
   let error fmt = error_at !pos fmt in
@@ -181,7 +179,7 @@ let tokenize_pos input =
   in
   let next_token () =
     skip_ws ();
-    let start = !pos in
+    let loc = loc_at !pos in
     let t =
       match peek () with
     | None -> EOF
@@ -243,7 +241,7 @@ let tokenize_pos input =
       else GT
       | Some c -> error "unexpected character %C" c
     in
-    (t, loc_of input start)
+    (t, loc)
   in
   match
     let rec all acc =

@@ -10,5 +10,3 @@ let is_none l = l.line = 0
 let make ~line ~col = { line; col }
 
 let to_string l = Printf.sprintf "line %d, column %d" l.line l.col
-
-let pp ppf l = Format.pp_print_string ppf (to_string l)

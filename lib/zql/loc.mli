@@ -16,5 +16,3 @@ val make : line:int -> col:int -> t
 
 val to_string : t -> string
 (** ["line L, column C"]. *)
-
-val pp : Format.formatter -> t -> unit

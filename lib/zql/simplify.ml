@@ -213,7 +213,7 @@ let compile_core cat (q : Ast.query) =
             let op, _ = operand st si.Ast.si_expr in
             let default_name =
               match si.Ast.si_expr with
-              | Ast.Path p -> Format.asprintf "%a" Ast.pp_path p
+              | Ast.Path p -> String.concat "." (p.Ast.p_root :: p.Ast.p_steps)
               | Ast.Lit v -> Value.to_string v
             in
             { Logical.p_expr = op;

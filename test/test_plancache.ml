@@ -11,6 +11,7 @@ module Pred = Oodb_algebra.Pred
 module Catalog = Oodb_catalog.Catalog
 module OC = Oodb_catalog.Open_oodb_catalog
 module Cost = Oodb_cost.Cost
+module Config = Oodb_cost.Config
 module Opt = Open_oodb.Optimizer
 module Options = Open_oodb.Options
 module Physprop = Open_oodb.Physprop
@@ -123,6 +124,125 @@ let test_fingerprint_epoch () =
   Catalog.set_distinct cat' ~cls:"Person" ~field:"name" 17;
   Alcotest.(check bool) "statistics refresh changes the fingerprint" false
     (Fingerprint.equal before (fp cat' Q.q1))
+
+(* ------------------------------------------------------------------ *)
+(* Fingerprints: pinned keys                                           *)
+
+(* The benchmark template texts of the golden optimizer pins
+   (test_optimizer), compiled on the scale-1 database's catalog. *)
+let golden_texts =
+  [ ("mayor-name", {|SELECT c.name FROM c IN Cities WHERE c.mayor.name == "Joe"|});
+    ( "employee-name",
+      {|SELECT e.name, e.age FROM e IN Employees WHERE e.name == "Fred" && e.age == 30|} );
+    ("task-time", {|SELECT t.name FROM t IN Tasks WHERE t.time == 100|});
+    ( "paper-q4",
+      {|SELECT t FROM t IN Tasks WHERE t.time == 100 && EXISTS (SELECT m FROM m IN t.team_members WHERE m.name == "Fred")|}
+    );
+    ( "q1-location",
+      {|SELECT e.name, e.job.name, e.dept.name FROM e IN Employees WHERE e.dept.plant.location == "Dallas"|}
+    );
+    ( "fig1-floor-join",
+      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3|}
+    );
+    ( "salary-by-floor",
+      {|SELECT e.name, e.salary FROM e IN Employees WHERE e.dept.floor == 3|} );
+    ( "team-age-unnest",
+      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE m.age > 40|} );
+    ( "emp-dept-job",
+      {|SELECT e.name, d.name, j.name FROM e IN Employees, d IN Departments, j IN Jobs WHERE e.dept == d && e.job == j && d.floor == 3 && j.level == 2|}
+    );
+    ( "city-person-country",
+      {|SELECT c.name, p.name, n.name FROM c IN Cities, p IN Persons, n IN Countries WHERE c.mayor == p && c.country == n && p.age > 60 && c.population < 500000|}
+    );
+    ( "emp-dept",
+      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3 && e.salary > 50000.0|}
+    );
+    ( "city-mat-chain",
+      {|SELECT c.name, c.mayor.name FROM c IN Cities WHERE c.mayor.age == 40 && c.country.capital.population > 800000 && c.population < 500000|}
+    );
+    ( "task-unnest",
+      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE t.time < 500 && m.age == 40 && m.dept.floor == 3|}
+    ) ]
+
+(* [Fingerprint.to_hex] names disk-tier files, and its input is the key
+   that decides which queries share a plan, so both must stay
+   byte-identical across changes to how the key is computed. Each query
+   is pinned under three option values (default, pruning off, mat-to-join
+   disabled), at an explicit batch size because [Options.default] reads
+   [OODB_BATCH_SIZE]. *)
+let golden_key_pins =
+  [ ("paper", "q1", [ "de2800351e4a8b8e701d9613eda346d9"; "8e8e8f7ef2eb87fda63f3f2268c1a815"; "47e4a8601d9824b204dfd3bf38689727" ]);
+    ("paper", "q2", [ "dd4c68549610a4e3ad24dd615dc208de"; "ccec12f6118067b72b93a99cf894f9ef"; "b0946fcdc6649189ff039ed2aaec683b" ]);
+    ("paper", "q3", [ "b80d1d6e7a4c981590e57f6ae3018544"; "ae8673e9d03250dc4bba7ba425a26a35"; "c89b9a394b8d74583229fa6604ecc6bf" ]);
+    ("paper", "q4", [ "f9723f3b51282d05ab027ae1c3654f4d"; "aa01cc0a267968da0eefce837cc313d4"; "b57b8506bd7734d9530066a824b9866b" ]);
+    ("paper", "fig2", [ "e900151b7eba7e90f28ac257a1c86966"; "27accb286f495a89064e394e1005471f"; "f5c89b4379cd74c257ff8b57d9c578cf" ]);
+    ("paper", "fig3", [ "bc3f133f37709308d7d9ca2002b7c6a6"; "ca21b1a6f8c2b34273e4605a73169bb3"; "881fc8fe8610fa2daaddf7809df1e352" ]);
+    ("scale-1", "mayor-name", [ "993011ace02005af823f3183dd031dc3"; "29411db423c4c22e362328d7feaf734c"; "54e31a69ff179ce4c0060dbdc437e047" ]);
+    ("scale-1", "employee-name", [ "c73274c81eebe951976267332aed3091"; "2342d43ab740c7879f3ed74abc5d65e0"; "1db1a3d507d054da8f9d0f13cd28d1b3" ]);
+    ("scale-1", "task-time", [ "71bcdce53d4b938f05706d2e8f95a74d"; "b8844dc543c756cc6e790fce10366b47"; "0fc8ba521ac7456662cd5780109ee954" ]);
+    ("scale-1", "paper-q4", [ "af112a480a843b974ff8fe92fab93f3c"; "12f11d1306f534168138a92ff9e464ca"; "733f905a4a0c5b015387c2ff707a2c35" ]);
+    ("scale-1", "q1-location", [ "d5af990d6201a66ee1b812023abe5cd2"; "9a5aa68ae7ba717c7c3a64dce3091d77"; "ba1c3320d46d94ea438aff1a60ecb8d9" ]);
+    ("scale-1", "fig1-floor-join", [ "9f11e20a9c889cd6ea2b967af6183a0e"; "3cb7422d25c3af2c297e677de41451ec"; "1903951194ab42f470d236cbcbddf713" ]);
+    ("scale-1", "salary-by-floor", [ "9eccd2e221499029fc146ce0c32eec13"; "68efa0ecf09055cf800f3edb983b3d69"; "d1b3743255d6a501f6b0f765dfb00e1c" ]);
+    ("scale-1", "team-age-unnest", [ "38fed8b7508b4a09a36d7eb44d7d7413"; "f7001531ada89bef70de2c2dd1deea27"; "100d6b65206f6017df8572d7904f44cb" ]);
+    ("scale-1", "emp-dept-job", [ "7a60c1e33b6950933d9365f7e8e23cb5"; "02a043dbc59c40b9b50d0d007c7b087e"; "48df6f6a0b733c97364fd19d14bb3d91" ]);
+    ("scale-1", "city-person-country", [ "9ad41ffe249df5a284511cbee23e2cf3"; "f005a4aeb00d7435ce2469081f0d68a1"; "65feaa38a9724ff440650c31a4e483a2" ]);
+    ("scale-1", "emp-dept", [ "ba3f35ceef7004254adfe57ac0b84186"; "589ce4360442b9269438c5eeff9574d7"; "93ccb41bb96e99dd74af3a64d6c2004b" ]);
+    ("scale-1", "city-mat-chain", [ "3101b32e8ab4d50605337180ddc3ffd1"; "60a97816384062af99723000b0fb3bd4"; "43d6818539d45366f5263f74c7512ed3" ]);
+    ("scale-1", "task-unnest", [ "5f212d9e25e2f589b6a61583e7234cdf"; "7d5468b39762c7a26c325c25a8f7aeb9"; "22bff44f1b9603b90332e7bb0760a449" ]) ]
+
+let test_fingerprint_pins () =
+  let base = Options.with_batch_size 64 Options.default in
+  let variants =
+    [ base; { base with Options.pruning = false }; Options.disable "mat-to-join" base ]
+  in
+  let pin catalog cat (name, q) =
+    ( catalog,
+      name,
+      List.map
+        (fun options ->
+          Fingerprint.to_hex (Fingerprint.make ~catalog:cat ~options ~required:Physprop.empty q))
+        variants )
+  in
+  let scale1 = Db.catalog (Oodb_workloads.Datagen.generate ()) in
+  let actual =
+    List.map (pin "paper" (OC.catalog_with_indexes ())) Q.all
+    @ List.map
+        (fun (name, text) -> pin "scale-1" scale1 (name, Zql.Simplify.compile_exn scale1 text))
+        golden_texts
+  in
+  let show (catalog, name, hexes) =
+    Printf.sprintf "(%S, %S, [ %s ]);" catalog name
+      (String.concat "; " (List.map (Printf.sprintf "%S") hexes))
+  in
+  if actual <> golden_key_pins then
+    Alcotest.failf "fingerprints moved off their pins; actual:\n%s"
+      (String.concat "\n" (List.map show actual))
+
+(* [Fingerprint.make] renders the options part once per physical options
+   value and reuses it while the same value comes back. *)
+let test_fingerprint_options_equal_copy () =
+  let cat = OC.catalog_with_indexes () in
+  let key options = Fingerprint.key ~catalog:cat ~options ~required:Physprop.empty Q.q1 in
+  let d = Options.default in
+  let c = d.Options.config in
+  let copy = { d with Options.config = { c with Config.page_bytes = c.Config.page_bytes } } in
+  Alcotest.(check bool) "the copy is another value" false (copy == d);
+  let default_key = key d in
+  Alcotest.(check string) "a structurally equal copy gives the same key" default_key (key copy);
+  Alcotest.(check string) "and the default again after it" default_key (key d)
+
+let test_fingerprint_options_alternate () =
+  let cat = OC.catalog_with_indexes () in
+  let key options = Fingerprint.key ~catalog:cat ~options ~required:Physprop.empty Q.q1 in
+  let a = Options.with_batch_size 64 Options.default in
+  let b = Options.disable "mat-to-join" a in
+  let key_a = key a and key_b = key b in
+  Alcotest.(check bool) "the two options give two keys" false (String.equal key_a key_b);
+  for i = 1 to 3 do
+    Alcotest.(check string) (Printf.sprintf "round %d: a after b" i) key_a (key a);
+    Alcotest.(check string) (Printf.sprintf "round %d: b after a" i) key_b (key b)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz: random well-formed expressions over the workload schema       *)
@@ -514,7 +634,12 @@ let () =
             test_fingerprint_conjunct_order;
           Alcotest.test_case "sensitivity to plan-relevant inputs" `Quick
             test_fingerprint_sensitivity;
-          Alcotest.test_case "catalog epoch & statistics" `Quick test_fingerprint_epoch ] );
+          Alcotest.test_case "catalog epoch & statistics" `Quick test_fingerprint_epoch;
+          Alcotest.test_case "keys pinned byte for byte" `Quick test_fingerprint_pins;
+          Alcotest.test_case "equal options copy, same key" `Quick
+            test_fingerprint_options_equal_copy;
+          Alcotest.test_case "alternating options keep their keys" `Quick
+            test_fingerprint_options_alternate ] );
       ( "fuzz",
         [ Alcotest.test_case "fingerprint properties over random queries" `Quick
             test_fuzz_fingerprints;

@@ -414,6 +414,32 @@ let prop_btree_matches_scan =
       let actual = Btree_index.lookup ix (Value.Int probe) |> List.sort compare in
       expected = actual)
 
+(* An open range lists every entry, in (key, OID) order: the order of a
+   list-sort model, over few distinct keys and some [Null]s. *)
+let prop_btree_full_range_order =
+  QCheck2.Test.make ~name:"btree full range, (key, OID) order" ~count:100
+    QCheck2.Gen.(list_size (int_bound 300) (opt ~ratio:0.9 (int_bound 6)))
+    (fun keys ->
+      let store = Store.create ~buffer_pages:64 () in
+      Store.declare_collection store ~name:"C" ~cls:"C" ~obj_bytes:32;
+      let value = function Some k -> Value.Int k | None -> Value.Null in
+      let entries =
+        List.map (fun k -> (value k, Store.insert store ~coll:"C" [ ("v", value k) ])) keys
+      in
+      let ix =
+        Btree_index.build store ~name:"ix" ~coll:"C"
+          ~key:(fun oid -> Store.field (Store.peek store oid) "v")
+      in
+      let model =
+        List.sort
+          (fun (ka, a) (kb, b) ->
+            let c = Value.compare ka kb in
+            if c <> 0 then c else Int.compare a b)
+          entries
+        |> List.map snd
+      in
+      Btree_index.lookup_range ix ~lo:None ~hi:None = model)
+
 let prop_lru_capacity =
   QCheck2.Test.make ~name:"LRU pool never exceeds capacity" ~count:50
     QCheck2.Gen.(pair (int_range 1 8) (list_size (int_bound 100) (int_bound 30)))
@@ -527,6 +553,7 @@ let () =
             prop_compare_trans;
             prop_equal_hash;
             prop_btree_matches_scan;
+            prop_btree_full_range_order;
             prop_btree_cursor;
             prop_lru_capacity;
             prop_lru_model ] ) ]

@@ -61,6 +61,35 @@ let test_lexer_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unterminated string"
 
+(* Every token's line and column on a multi-line text: a newline in
+   whitespace, a [--] comment line, a newline inside a string literal
+   and a [\r\n]. The values were recorded with the lexer that rescanned
+   the input from offset 0 for each token. *)
+let test_lexer_locations () =
+  let text =
+    "SELECT e.name,\n  e.age FROM e IN Employees\r\n-- only Fred\nWHERE e.name == \"Fr\ned\" && e.age >= 3.5"
+  in
+  let located =
+    match Zql.Lexer.tokenize_pos text with
+    | Ok tokens ->
+      List.map
+        (fun (t, (l : Zql.Loc.t)) -> (Zql.Lexer.token_name t, l.Zql.Loc.line, l.Zql.Loc.col))
+        tokens
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check (list (triple string int int)))
+    "token locations"
+    [ ("SELECT", 1, 1); ("identifier e", 1, 8); (".", 1, 9); ("identifier name", 1, 10);
+      (",", 1, 14); ("identifier e", 2, 3); (".", 2, 4); ("identifier age", 2, 5);
+      ("FROM", 2, 9); ("identifier e", 2, 14); ("IN", 2, 16); ("identifier Employees", 2, 19);
+      ("WHERE", 4, 1); ("identifier e", 4, 7); (".", 4, 8); ("identifier name", 4, 9);
+      ("==", 4, 14); ("\"Fr\\ned\"", 4, 17); ("&&", 5, 5); ("identifier e", 5, 8); (".", 5, 9);
+      ("identifier age", 5, 10); (">=", 5, 14); ("3.5", 5, 17); ("end of input", 5, 20) ]
+    located;
+  match Zql.Lexer.tokenize "SELECT e\nFROM e IN Employees\nWHERE e.age == 1 & e.age == 2" with
+  | Error m -> Alcotest.(check string) "lone & located" "line 3, column 18: expected &&" m
+  | Ok _ -> Alcotest.fail "a lone & should be rejected"
+
 (* ------------------------------------------------------------------ *)
 (* Parser                                                               *)
 
@@ -318,7 +347,8 @@ let () =
           Alcotest.test_case "literals" `Quick test_lexer_literals;
           Alcotest.test_case "dot vs float" `Quick test_lexer_dot_vs_float;
           Alcotest.test_case "comments" `Quick test_lexer_comments;
-          Alcotest.test_case "errors" `Quick test_lexer_errors ] );
+          Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "token locations" `Quick test_lexer_locations ] );
       ( "parser",
         [ Alcotest.test_case "paper figure 1" `Quick test_parse_figure1;
           Alcotest.test_case "EXISTS subquery" `Quick test_parse_exists;
