@@ -395,42 +395,50 @@ let test_history_gate () =
     [ ("lookup-hot", "volcano.search_ms") ] c.History.c_unmatched
 
 (* Each side is the median over the runs of its newest commit, so one
-   outlying run moves neither side far. *)
-let test_history_gate_medians () =
+   outlying run moves neither side far. [median_gate] compares qps-scaled
+   copies of the capture; [qps_runs] reads the printed runs column
+   (baseline/candidate records) of the qps line. *)
+let median_gate ~baseline ~candidate =
   let bounds =
     match History.bounds "../BENCHMARK.json" with
     | Ok b -> b
     | Error e -> Alcotest.fail ("BENCHMARK.json: " ^ e)
   in
-  let run ?(sha = "old") f = scale "qps" f (record_of ~sha capture) in
-  let gate ~baseline ~candidate = History.compare ~bounds ~baseline ~candidate in
-  (* the runs column of the printed qps line: baseline/candidate records *)
-  let qps_runs c =
-    let line =
-      String.split_on_char '\n' (Format.asprintf "%a" History.pp_comparison c)
-      |> List.find (String.starts_with ~prefix:"lookup-hot   qps ")
-    in
-    List.nth (List.filter (( <> ) "") (String.split_on_char ' ' line)) 3
+  History.compare ~bounds ~baseline ~candidate
+
+let run ?(sha = "old") f = scale "qps" f (record_of ~sha capture)
+
+let qps_runs c =
+  let line =
+    String.split_on_char '\n' (Format.asprintf "%a" History.pp_comparison c)
+    |> List.find (String.starts_with ~prefix:"lookup-hot   qps ")
   in
+  List.nth (List.filter (( <> ) "") (String.split_on_char ' ' line)) 3
+
+let test_history_gate_outlier () =
   let baseline = [ run Fun.id; run (fun v -> v *. 0.7); run Fun.id ] in
-  let c = gate ~baseline ~candidate:[ run ~sha:"new" Fun.id ] in
+  let c = median_gate ~baseline ~candidate:[ run ~sha:"new" Fun.id ] in
   Alcotest.(check bool) "a 30%-low baseline run does not flag the others' level" false
     (History.regressed c);
   Alcotest.(check string) "the medians cover three and one runs" "3/1" (qps_runs c);
   let c =
-    gate ~baseline:[ run Fun.id ]
+    median_gate ~baseline:[ run Fun.id ]
       ~candidate:[ run ~sha:"new" Fun.id; run ~sha:"new" Fun.id; run ~sha:"new" (fun v -> v *. 0.7) ]
   in
   Alcotest.(check bool) "nor does a newest candidate run 30% low" false (History.regressed c);
   let c =
-    gate ~baseline:[ run Fun.id ]
+    median_gate ~baseline:[ run Fun.id ]
       ~candidate:[ run ~sha:"new" (fun v -> v *. 0.7); run ~sha:"new" (fun v -> v *. 0.7) ]
   in
-  Alcotest.(check bool) "a candidate median 30% low is flagged" true (History.regressed c);
-  (* Only the newest commit's runs count: two older runs at twice the
-     rate would lift the baseline median past the bound. *)
+  Alcotest.(check bool) "a candidate median 30% low is flagged" true (History.regressed c)
+
+(* Only the newest commit's runs count: two older runs at twice the rate
+   would lift the baseline median past the bound. *)
+let test_history_gate_newest_commit () =
   let older = run ~sha:"older" (fun v -> v *. 2.) in
-  let c = gate ~baseline:[ older; older; run Fun.id ] ~candidate:[ run ~sha:"new" Fun.id ] in
+  let c =
+    median_gate ~baseline:[ older; older; run Fun.id ] ~candidate:[ run ~sha:"new" Fun.id ]
+  in
   Alcotest.(check bool) "records from an older commit are ignored" false (History.regressed c);
   Alcotest.(check string) "the baseline median covers one run" "1/1" (qps_runs c)
 
@@ -511,7 +519,9 @@ let () =
           Alcotest.test_case "bench-record capture parsing" `Quick test_history_capture;
           Alcotest.test_case "load skips blanks, names bad line" `Quick test_history_load;
           Alcotest.test_case "regression gate" `Quick test_history_gate;
-          Alcotest.test_case "gate compares medians" `Quick test_history_gate_medians ] );
+          Alcotest.test_case "gate median absorbs an outlier" `Quick test_history_gate_outlier;
+          Alcotest.test_case "gate reads the newest commit" `Quick
+            test_history_gate_newest_commit ] );
       ( "rendering",
         [ Alcotest.test_case "deterministic JSON" `Quick test_json_deterministic;
           Alcotest.test_case "timeline drop warning" `Quick
