@@ -4,7 +4,6 @@
      oodb rules                            list togglable rule names
      oodb optimize "<zql>"                 simplify + optimize + explain
      oodb optimize --paper q1              same for a built-in paper query
-     oodb optimize --paper q1 --cache      through the plan cache (OODB_PLANCACHE_DIR)
      oodb optimize-all --repeat 2          batch MQO over a shared memo, warm 2nd pass
      oodb memo --paper q2                  dump the memo after closure
      oodb run "<zql>" [--scale 0.1]        optimize + execute on generated data
@@ -43,7 +42,6 @@ module Span = Oodb_obs.Span
 module Metrics = Oodb_obs.Metrics
 module History = Oodb_obs.History
 module Plancache = Oodb_plancache.Plancache
-module Fingerprint = Oodb_plancache.Fingerprint
 module Feedback = Oodb_obs.Feedback
 module Provenance = Oodb_obs.Provenance
 module Datagen = Oodb_workloads.Datagen
@@ -171,7 +169,7 @@ let rules_cmd =
     (Cmd.info "rules" ~doc:"List all togglable optimizer rules.")
     Term.(const (fun () -> run (); 0) $ const ())
 
-let optimize_run paper text disabled window no_pruning no_indexes trace timeline cache =
+let optimize_run paper text disabled window no_pruning no_indexes trace timeline =
   let cat = if no_indexes then OC.catalog () else OC.catalog_with_indexes () in
   match compile_query cat paper text with
   | Error m ->
@@ -180,43 +178,24 @@ let optimize_run paper text disabled window no_pruning no_indexes trace timeline
   | Ok (q, required) ->
     Format.printf "optimizer input:@.%a@.@." Logical.pp q;
     let options = options_of disabled window no_pruning in
-    if cache then begin
-      (* with OODB_PLANCACHE_DIR set, a repeat invocation serves the
-         stored plan without a search *)
-      let pc = Plancache.of_env () in
-      let o = Plancache.optimize ~options ~required pc cat q in
-      (match o.Plancache.plan with
-      | None -> Format.printf "no plan@."
-      | Some p ->
-        Format.printf "%a@.anticipated cost: %a@." Engine.pp_plan p Cost.pp p.Engine.cost);
-      Format.printf "plan cache: %s in %.6fs%s@."
-        (if o.Plancache.cached then "HIT" else "MISS (plan stored)")
-        o.Plancache.opt_seconds
-        (match Plancache.dir pc with
-        | Some d -> Printf.sprintf " (dir %s)" d
-        | None -> " (in-memory only; set OODB_PLANCACHE_DIR to persist)");
-      0
-    end
-    else begin
-      let recorder = if trace then Some (Trace.create ()) else None in
-      let outcome =
-        Opt.optimize ~options ~required ?trace:(Option.map Trace.sink recorder) cat q
-      in
-      Format.printf "%s" (Opt.explain outcome);
-      (match recorder with
-      | None -> ()
-      | Some tr ->
-        Format.printf "@.search trace: %a" Trace.pp_summary tr;
-        Format.printf "@.%a" Trace.pp_rules (Engine.rule_counters outcome.Opt.memo);
-        Format.printf "@.per-group activity:@.%a" Trace.pp_groups tr;
-        if timeline > 0 then
-          Format.printf "@.timeline (last %d events):@.%a" timeline
-            (fun ppf tr ->
-              Trace.pp_timeline ~limit:timeline
-                ~prov_dropped:outcome.Opt.stats.Engine.prov_dropped ppf tr)
-            tr);
-      0
-    end
+    let recorder = if trace then Some (Trace.create ()) else None in
+    let outcome =
+      Opt.optimize ~options ~required ?trace:(Option.map Trace.sink recorder) cat q
+    in
+    Format.printf "%s" (Opt.explain outcome);
+    (match recorder with
+    | None -> ()
+    | Some tr ->
+      Format.printf "@.search trace: %a" Trace.pp_summary tr;
+      Format.printf "@.%a" Trace.pp_rules (Engine.rule_counters outcome.Opt.memo);
+      Format.printf "@.per-group activity:@.%a" Trace.pp_groups tr;
+      if timeline > 0 then
+        Format.printf "@.timeline (last %d events):@.%a" timeline
+          (fun ppf tr ->
+            Trace.pp_timeline ~limit:timeline
+              ~prov_dropped:outcome.Opt.stats.Engine.prov_dropped ppf tr)
+          tr);
+    0
 
 let trace_arg =
   Arg.(
@@ -230,19 +209,12 @@ let timeline_arg =
     & info [ "timeline" ] ~docv:"N"
         ~doc:"With $(b,--trace), also print the last $(docv) events of the search timeline.")
 
-let cache_arg =
-  Arg.(
-    value & flag
-    & info [ "cache" ]
-        ~doc:"Route the query through the fingerprinted plan cache (honors \
-              $(b,OODB_PLANCACHE_DIR) for persistence across invocations).")
-
 let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize" ~doc:"Simplify, optimize and explain a query.")
     Term.(
       const optimize_run $ paper_arg $ query_pos $ disable_arg $ window_arg $ no_pruning_arg
-      $ no_indexes_arg $ trace_arg $ timeline_arg $ cache_arg)
+      $ no_indexes_arg $ trace_arg $ timeline_arg)
 
 (* ------------------------------------------------------------------ *)
 (* optimize-all: the multi-query entry point                            *)
@@ -251,7 +223,7 @@ let optimize_all_run papers disabled window no_pruning no_indexes repeat =
   let cat = if no_indexes then OC.catalog () else OC.catalog_with_indexes () in
   let queries = match papers with [] -> Oodb_workloads.Queries.all | ps -> ps in
   let options = options_of disabled window no_pruning in
-  let pc = Plancache.of_env () in
+  let pc = Plancache.create () in
   for pass = 1 to max 1 repeat do
     Format.printf "pass %d:@." pass;
     let outcomes = Plancache.optimize_all ~options pc cat (List.map snd queries) in
@@ -346,18 +318,7 @@ let run_run paper text disabled window no_pruning batch_size scale limit profile
           | None -> Feedback.create cat)
     in
     let options = match fb with Some f -> Feedback.install f options | None -> options in
-    let qerror_limit =
-      if feedback then Some options.Options.feedback_qerror_limit else None
-    in
-    let pc = Plancache.of_env () in
-    let o = Plancache.optimize ~options ~required ?qerror_limit ?spans pc cat q in
-    (if feedback then
-       let s = Plancache.stats pc in
-       if s.Plancache.qerror_evictions > 0 then
-         Format.printf
-           "plan cache: %d cached plan(s) evicted by the q-error gate (limit %.1f); \
-            replanned with feedback@."
-           s.Plancache.qerror_evictions options.Options.feedback_qerror_limit);
+    let o = Plancache.optimize ~options ~required ?spans (Plancache.create ()) cat q in
     (match o.Plancache.plan with
     | None ->
       Format.eprintf "error: no plan found@.";
@@ -384,21 +345,14 @@ let run_run paper text disabled window no_pruning batch_size scale limit profile
             let n = Feedback.harvest f options.Options.config cat prof in
             Feedback.save f;
             let max_q, mean_q = Feedback.plan_quality prof in
-            let fp = Fingerprint.make ~catalog:cat ~options ~required q in
-            Plancache.note_execution pc fp ~epoch:(Catalog.epoch cat) ~max_qerror:max_q
-              ~mean_qerror:mean_q;
             Format.printf
               "feedback: %d observation(s) harvested, store has %d key(s)%s@.plan \
-               quality: max q-error %.2f, mean %.2f%s@.@."
+               quality: max q-error %.2f, mean %.2f@.@."
               n (Feedback.size f)
               (match Feedback.file f with
               | Some p -> Printf.sprintf " (%s)" p
               | None -> " (in-memory; set OODB_FEEDBACK_DIR to persist)")
-              max_q mean_q
-              (if max_q > options.Options.feedback_qerror_limit then
-                 Printf.sprintf " — over the %.1f gate, next lookup replans"
-                   options.Options.feedback_qerror_limit
-               else ""));
+              max_q mean_q);
           (rows, report)
         end
         else begin
@@ -458,10 +412,9 @@ let feedback_arg =
     value & flag
     & info [ "feedback" ]
         ~doc:"Close the cardinality-feedback loop: install stored observations (from \
-              $(b,OODB_FEEDBACK_DIR) when set) into the optimizer, gate cached plans by \
-              their recorded q-error, profile the execution, harvest per-node observed \
-              statistics back into the store, and record this plan's quality in the plan \
-              cache.")
+              $(b,OODB_FEEDBACK_DIR) when set) into the optimizer, profile the execution, \
+              harvest per-node observed statistics back into the store, and report the \
+              plan's quality.")
 
 let run_cmd =
   Cmd.v
@@ -938,7 +891,7 @@ let stats_run scale out disabled window no_pruning =
   in
   (* cold-then-warm sweep through the plan cache: the second pass should
      be all hits, and its time collapse is part of the report *)
-  let pc = Plancache.of_env () in
+  let pc = Plancache.create () in
   let cat = Db.catalog db in
   let qs = List.map snd Oodb_workloads.Queries.all in
   let sum_opt os =
@@ -946,25 +899,19 @@ let stats_run scale out disabled window no_pruning =
   in
   let cold = Plancache.optimize_all ~options ~registry pc cat qs in
   let warm = Plancache.optimize_all ~options ~registry pc cat qs in
-  (* plan-quality pass: profile each cached plan once, fold its measured
-     q-errors into the cache entry (what the feedback gate judges) and
-     harvest the observations into an in-memory store so the report
-     carries est-vs-actual provenance *)
+  (* plan-quality pass: profile each cached plan once, report its
+     measured q-errors and harvest the observations into an in-memory
+     store so the report carries est-vs-actual provenance *)
   let fb = Feedback.create cat in
   let quality =
     List.map2
-      (fun (name, q) (o : Plancache.outcome) ->
+      (fun (name, _) (o : Plancache.outcome) ->
         match o.Plancache.plan with
         | None -> (name, Json.Null)
         | Some plan ->
           let _rows, _report, prof = Profile.run ~config:options.Options.config db plan in
           let max_q, mean_q = Feedback.plan_quality prof in
           ignore (Feedback.harvest ~registry fb options.Options.config cat prof);
-          let fp =
-            Fingerprint.make ~catalog:cat ~options ~required:Open_oodb.Physprop.empty q
-          in
-          Plancache.note_execution pc fp ~epoch:(Catalog.epoch cat) ~max_qerror:max_q
-            ~mean_qerror:mean_q;
           ( name,
             Plancache.quality_json
               { Plancache.q_execs = 1; q_max_qerror = max_q; q_mean_qerror = mean_q;

@@ -25,6 +25,13 @@ let file t =
   | Some dir ->
     Some (Filename.concat dir (Printf.sprintf "fb-%d-%s.json" t.fb_epoch t.fb_digest))
 
+(* The bounds every stored value keeps, whether observed in this
+   process or loaded from a file: a selectivity lies in [[1e-6, 1]], a
+   cardinality or fanout is non-negative. *)
+let clamp_sel v = Float.min 1.0 (Float.max 1e-6 v)
+
+let clamp_nonneg v = Float.max 0. v
+
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                        *)
 
@@ -61,11 +68,18 @@ let obs_of_json j =
   | Some v, Some c, Some q -> Some { o_value = v; o_count = c; o_qerror = q }
   | _ -> None
 
-let fill_tbl tbl j =
+(* A file is read back through the same clamps, and an observation whose
+   value or q-error is not finite is dropped: an infinite cardinality
+   would price every plan at infinity, and the search would find none. *)
+let fill_tbl clamp tbl j =
   match j with
   | Some (Json.Obj fields) ->
     List.iter
-      (fun (k, v) -> Option.iter (Hashtbl.replace tbl k) (obs_of_json v))
+      (fun (k, v) ->
+        match obs_of_json v with
+        | Some o when Float.is_finite o.o_value && Float.is_finite o.o_qerror ->
+          Hashtbl.replace tbl k { o with o_value = clamp o.o_value }
+        | Some _ | None -> ())
       fields
   | _ -> ()
 
@@ -86,9 +100,9 @@ let load_file t path =
     | Ok j ->
       (* The filename already scopes (epoch, digest); the body's copy is
          informational. *)
-      fill_tbl t.sel (Json.member "sel" j);
-      fill_tbl t.card (Json.member "card" j);
-      fill_tbl t.fanout (Json.member "fanout" j))
+      fill_tbl clamp_sel t.sel (Json.member "sel" j);
+      fill_tbl clamp_nonneg t.card (Json.member "card" j);
+      fill_tbl clamp_nonneg t.fanout (Json.member "fanout" j))
 
 let create ?dir cat =
   let t =
@@ -166,13 +180,11 @@ let merge tbl key ~value ~qerror =
         o_count = o.o_count + 1;
         o_qerror = Float.max o.o_qerror qerror }
 
-let observe_sel t key ~value ~qerror =
-  let value = Float.min 1.0 (Float.max 1e-6 value) in
-  merge t.sel key ~value ~qerror
+let observe_sel t key ~value ~qerror = merge t.sel key ~value:(clamp_sel value) ~qerror
 
-let observe_card t coll ~value ~qerror = merge t.card coll ~value:(Float.max 0. value) ~qerror
+let observe_card t coll ~value ~qerror = merge t.card coll ~value:(clamp_nonneg value) ~qerror
 
-let observe_fanout t key ~value ~qerror = merge t.fanout key ~value:(Float.max 0. value) ~qerror
+let observe_fanout t key ~value ~qerror = merge t.fanout key ~value:(clamp_nonneg value) ~qerror
 
 (* ------------------------------------------------------------------ *)
 (* Installing into a cost configuration                                 *)

@@ -38,7 +38,9 @@ type t
 val create : ?dir:string -> Catalog.t -> t
 (** A store scoped to [cat]'s current (epoch, digest). With [dir], the
     scope's file is loaded if present; without, the store is purely
-    in-memory (and {!save} is a no-op). *)
+    in-memory (and {!save} is a no-op). A file that does not parse
+    loads nothing; loaded values go through the clamps of the
+    [observe_*] functions, and non-finite ones are dropped. *)
 
 val env_var : string
 (** ["OODB_FEEDBACK_DIR"]. *)
@@ -67,8 +69,10 @@ val observe_sel : t -> string -> value:float -> qerror:float -> unit
 (** Merge an observed selectivity (clamped into [[1e-6, 1]]). *)
 
 val observe_card : t -> string -> value:float -> qerror:float -> unit
+(** Merge an observed collection cardinality (clamped at 0). *)
 
 val observe_fanout : t -> string -> value:float -> qerror:float -> unit
+(** Merge an observed unnest fanout (clamped at 0). *)
 
 val hook : t -> Config.feedback
 (** Snapshot the store's current values into estimator-consultable

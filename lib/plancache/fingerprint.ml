@@ -285,5 +285,3 @@ let make ~catalog ~options ~required expr =
 let key = make
 
 let equal = String.equal
-
-let to_hex t = Digest.to_hex (Digest.string t)

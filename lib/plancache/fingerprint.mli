@@ -38,10 +38,6 @@ val make :
 
 val equal : t -> t -> bool
 
-val to_hex : t -> string
-(** 32-character lowercase hex of the key's MD5 — the file name of the
-    key's disk-tier entry. *)
-
 (** {1 Canonicalization internals} (exposed for tests and diagnostics) *)
 
 val canonical : Logical.t -> Logical.t

@@ -69,8 +69,6 @@ let find ?(keep = fun _ -> true) t key =
     t.misses <- t.misses + 1;
     None
 
-let peek t key = Option.map (fun n -> n.nval) (Hashtbl.find_opt t.tbl key)
-
 let update t key f =
   match Hashtbl.find_opt t.tbl key with
   | None -> ()

@@ -20,10 +20,6 @@ val find : ?keep:('v -> bool) -> 'v t -> string -> 'v option
     An entry whose value fails [keep] (default: every value passes) is
     removed instead and counted as a miss. One table lookup either way. *)
 
-val peek : 'v t -> string -> 'v option
-(** Like {!find} but with no promotion and no counter update — for
-    bookkeeping reads that must not perturb recency or hit/miss stats. *)
-
 val update : 'v t -> string -> ('v -> 'v) -> unit
 (** Replace the value in place (no promotion, no counters); no-op when
     the key is absent. *)

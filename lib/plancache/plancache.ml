@@ -17,7 +17,6 @@ type quality = {
 }
 
 type entry = {
-  e_fingerprint : string;
   e_plan : Engine.plan option;
   e_stats : Engine.stats;
   e_quality : quality option;
@@ -25,145 +24,35 @@ type entry = {
 
 type t = {
   mem : entry Lru.t;
-  cache_dir : string option;
-  mutable disk_hits : int;
-  mutable disk_rejects : int;
   mutable qerror_evictions : int;
 }
 
 let default_capacity = 256
 
-let rec mkdirs d =
-  if not (Sys.file_exists d) then begin
-    mkdirs (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
-let create ?(capacity = default_capacity) ?dir () =
-  Option.iter mkdirs dir;
-  { mem = Lru.create ~capacity;
-    cache_dir = dir;
-    disk_hits = 0;
-    disk_rejects = 0;
-    qerror_evictions = 0 }
-
-let of_env ?capacity () =
-  match Sys.getenv_opt "OODB_PLANCACHE_DIR" with
-  | Some d when d <> "" -> create ?capacity ~dir:d ()
-  | Some _ | None -> create ?capacity ()
-
-let dir t = t.cache_dir
+let create ?(capacity = default_capacity) () =
+  { mem = Lru.create ~capacity; qerror_evictions = 0 }
 
 (* ------------------------------------------------------------------ *)
-(* Disk tier                                                           *)
+(* Lookup                                                              *)
 
-(* A persisted entry is [(magic, entry)] marshalled; readers demand the
-   magic and that the entry echoes the fingerprint it is filed under, so
-   a renamed, truncated or old-format file degrades to a miss. Plans and
-   stats are pure data (no closures), which is what makes Marshal safe
-   here — the memo [ctx] is not, and is deliberately not cached. *)
-(* v4: Engine.stats lost a counter, changing the marshalled entry
-   layout; v2 and v3 files degrade to misses. *)
-let magic = "oodb-plancache-v4"
-
-let entry_path d hex = Filename.concat d (hex ^ ".plan")
-
-let disk_read d hex =
-  let path = entry_path d hex in
-  if not (Sys.file_exists path) then None
-  else
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let tag, (e : entry) = (Marshal.from_channel ic : string * entry) in
-          if String.equal tag magic && String.equal e.e_fingerprint hex then Some e else None)
-    with _ -> None
-
-(* Best-effort: a full disk or read-only directory must not fail the
-   query, so IO errors are swallowed and the entry just stays in memory. *)
-let disk_write d hex e =
-  let path = entry_path d hex in
-  let tmp = path ^ ".tmp" in
-  try
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Marshal.to_channel oc (magic, e) []);
-    Sys.rename tmp path
-  with _ -> ( try Sys.remove tmp with _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Lookup / insert                                                     *)
-
-(* [validate] guards the disk tier only: in-memory entries were produced
-   (and plan-linted) by this process, but a disk entry may predate a
-   catalog or format change, so a validation failure deletes the file
-   and degrades to a miss.
-
-   [qerror_limit] guards both tiers: an entry whose recorded quality
-   shows a worse max q-error was mispriced badly enough that serving it
-   again just repeats the mistake — evict it everywhere so the caller
-   re-plans (with corrected statistics, when feedback is installed).
-
-   The memory tier is keyed on the key string itself, so a hit costs one
-   table lookup and no digest; the MD5 hex is computed only to name a
-   disk file. *)
-let lookup ?(validate = fun _ -> true) ?qerror_limit t (fp : Fingerprint.t) =
-  let over e =
-    match qerror_limit, e.e_quality with
-    | Some limit, Some q -> q.q_max_qerror > limit
-    | _ -> false
-  in
-  let qerror_evict () =
-    Option.iter
-      (fun d -> try Sys.remove (entry_path d (Fingerprint.to_hex fp)) with Sys_error _ -> ())
-      t.cache_dir;
-    t.qerror_evictions <- t.qerror_evictions + 1;
-    None
-  in
-  (* A gated entry leaves the memory tier as the miss it behaves as. *)
-  let gated = ref false in
-  let keep e =
-    let gate = over e in
-    if gate then gated := true;
-    not gate
-  in
-  match Lru.find ~keep t.mem (fp :> string) with
-  | Some e -> Some e
-  | None when !gated -> qerror_evict ()
-  | None -> (
-    match t.cache_dir with
-    | None -> None
-    | Some d -> (
-      let hex = Fingerprint.to_hex fp in
-      match disk_read d hex with
-      | None -> None
-      | Some e ->
-        if not (validate e) then begin
-          t.disk_rejects <- t.disk_rejects + 1;
-          (try Sys.remove (entry_path d hex) with Sys_error _ -> ());
-          None
-        end
-        else if over e then qerror_evict ()
-        else begin
-          t.disk_hits <- t.disk_hits + 1;
-          ignore (Lru.add t.mem (fp :> string) e : string option);
-          Some e
-        end))
-
-let insert t (fp : Fingerprint.t) e =
-  let e =
-    match t.cache_dir with
-    | None -> e
-    | Some d ->
-      let hex = Fingerprint.to_hex fp in
-      let e = { e with e_fingerprint = hex } in
-      disk_write d hex e;
-      e
-  in
-  Lru.add t.mem (fp :> string) e
+(* Keyed on the key string itself, so a hit costs one table lookup and
+   no digest. [qerror_limit]: an entry whose recorded quality shows a
+   worse max q-error was mispriced badly enough that serving it again
+   just repeats the mistake, so the lookup removes it and misses, and the
+   caller re-plans (with corrected statistics, when feedback is
+   installed). *)
+let lookup ?qerror_limit t (fp : Fingerprint.t) =
+  match qerror_limit with
+  | None -> Lru.find t.mem (fp :> string)
+  | Some limit ->
+    let keep e =
+      match e.e_quality with
+      | Some q when q.q_max_qerror > limit ->
+        t.qerror_evictions <- t.qerror_evictions + 1;
+        false
+      | Some _ | None -> true
+    in
+    Lru.find ~keep t.mem (fp :> string)
 
 (* ------------------------------------------------------------------ *)
 (* Plan quality                                                         *)
@@ -186,21 +75,7 @@ let note_execution t (fp : Fingerprint.t) ~epoch ~max_qerror ~mean_qerror =
     { e with
       e_quality = Some (merge_quality epoch ~max_qerror ~mean_qerror e.e_quality) }
   in
-  match Lru.peek t.mem (fp :> string) with
-  | Some e ->
-    let e = updated e in
-    Lru.update t.mem (fp :> string) (fun _ -> e);
-    Option.iter (fun d -> disk_write d (Fingerprint.to_hex fp) e) t.cache_dir
-  | None -> (
-    (* Not resident (evicted, or a fresh process with only the disk
-       tier): update the persisted copy in place without promoting it. *)
-    match t.cache_dir with
-    | None -> ()
-    | Some d -> (
-      let hex = Fingerprint.to_hex fp in
-      match disk_read d hex with
-      | None -> ()
-      | Some e -> disk_write d hex (updated e)))
+  Lru.update t.mem (fp :> string) updated
 
 let quality_json q =
   Json.Obj
@@ -219,23 +94,17 @@ type stats = {
   misses : int;
   insertions : int;
   evictions : int;
-  disk_hits : int;
-  disk_rejects : int;
   qerror_evictions : int;
   entries : int;
   capacity : int;
 }
 
-(* Every disk hit first registered as an in-memory miss, so the served /
-   cold split is [mem.hits + disk_hits] vs [mem.misses - disk_hits]. *)
 let stats t =
   let c = Lru.counters t.mem in
-  { hits = c.Lru.hits + t.disk_hits;
-    misses = c.Lru.misses - t.disk_hits;
+  { hits = c.Lru.hits;
+    misses = c.Lru.misses;
     insertions = c.Lru.insertions;
     evictions = c.Lru.evictions;
-    disk_hits = t.disk_hits;
-    disk_rejects = t.disk_rejects;
     qerror_evictions = t.qerror_evictions;
     entries = Lru.length t.mem;
     capacity = Lru.capacity t.mem }
@@ -246,8 +115,6 @@ let stats_json s =
       ("misses", Json.Int s.misses);
       ("insertions", Json.Int s.insertions);
       ("evictions", Json.Int s.evictions);
-      ("disk_hits", Json.Int s.disk_hits);
-      ("disk_rejects", Json.Int s.disk_rejects);
       ("qerror_evictions", Json.Int s.qerror_evictions);
       ("entries", Json.Int s.entries);
       ("capacity", Json.Int s.capacity) ]
@@ -286,19 +153,9 @@ let outcome_of_cold (o : Optimizer.outcome) =
     cached = false }
 
 let entry_of_cold (o : Optimizer.outcome) =
-  { e_fingerprint = "";
-    e_plan = o.Optimizer.plan;
+  { e_plan = o.Optimizer.plan;
     e_stats = o.Optimizer.stats;
     e_quality = None }
-
-(* A disk-tier plan must still typecheck against the current catalog
-   (plan lint re-derives every operator's bindings and fields): the
-   cache directory can outlive a schema or index change the fingerprint
-   did not capture. *)
-let entry_typechecks cat e =
-  match e.e_plan with
-  | None -> true
-  | Some p -> ( match Open_oodb.Planlint.plan cat p with Ok () -> true | Error _ -> false)
 
 let optimize ?(options = Options.default) ?(required = Physprop.empty) ?qerror_limit
     ?registry ?spans (t : t) cat expr =
@@ -309,8 +166,6 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty) ?qerror_l
   end
   else begin
     let t0 = Clock.now () in
-    let disk_before = t.disk_hits in
-    let rejects_before = t.disk_rejects in
     let qevict_before = t.qerror_evictions in
     let fp =
       Span.with_span spans ~cat:"plancache" "fingerprint" (fun () ->
@@ -318,31 +173,29 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty) ?qerror_l
     in
     let found =
       Span.with_span spans ~cat:"plancache" "cache-lookup" (fun () ->
-          lookup ~validate:(entry_typechecks cat) ?qerror_limit t fp)
+          lookup ?qerror_limit t fp)
     in
-    (* Latency to a hit/miss verdict: fingerprinting plus both tiers. *)
+    (* Latency to a hit/miss verdict: fingerprinting plus the lookup. *)
     mhist registry "plancache/lookup_seconds" (Clock.now () -. t0);
-    if t.disk_rejects > rejects_before then mincr registry "plancache/disk_reject";
     if t.qerror_evictions > qevict_before then
       mincr registry "plancache/qerror_eviction";
     match found with
     | Some e ->
       mincr registry "plancache/hit";
-      if t.disk_hits > disk_before then mincr registry "plancache/disk_hit";
       { plan = e.e_plan; stats = e.e_stats; opt_seconds = Clock.now () -. t0; cached = true }
     | None ->
       mincr registry "plancache/miss";
       let cold =
         Optimizer.optimize ~options ~required ?trace:(trace_of registry) ?spans cat expr
       in
-      let evicted = insert t fp (entry_of_cold cold) in
+      let evicted = Lru.add t.mem (fp :> string) (entry_of_cold cold) in
       mincr registry "plancache/insert";
       if Option.is_some evicted then mincr registry "plancache/eviction";
       { (outcome_of_cold cold) with opt_seconds = Clock.now () -. t0 }
   end
 
-let optimize_all ?(options = Options.default) ?(required = Physprop.empty) ?qerror_limit
-    ?registry ?spans (t : t) cat qs =
+let optimize_all ?(options = Options.default) ?(required = Physprop.empty) ?registry ?spans
+    (t : t) cat qs =
   if not options.Options.cache then begin
     List.iter (fun _ -> mincr registry "plancache/bypass") qs;
     List.map outcome_of_cold
@@ -362,17 +215,10 @@ let optimize_all ?(options = Options.default) ?(required = Physprop.empty) ?qerr
                Span.with_span spans ~cat:"plancache" "fingerprint" (fun () ->
                    Fingerprint.make ~catalog:cat ~options ~required q)
              in
-             let rejects_before = t.disk_rejects in
-             let qevict_before = t.qerror_evictions in
              let found =
-               Span.with_span spans ~cat:"plancache" "cache-lookup" (fun () ->
-                   lookup ~validate:(entry_typechecks cat) ?qerror_limit t fp)
+               Span.with_span spans ~cat:"plancache" "cache-lookup" (fun () -> lookup t fp)
              in
              mhist registry "plancache/lookup_seconds" (Clock.now () -. t0);
-             if t.disk_rejects > rejects_before then
-               mincr registry "plancache/disk_reject";
-             if t.qerror_evictions > qevict_before then
-               mincr registry "plancache/qerror_eviction";
              match found with
              | Some e ->
                mincr registry "plancache/hit";
@@ -397,7 +243,7 @@ let optimize_all ?(options = Options.default) ?(required = Physprop.empty) ?qerr
       in
       List.iter2
         (fun (i, _q, fp, lookup_seconds) (o : Optimizer.outcome) ->
-          let evicted = insert t fp (entry_of_cold o) in
+          let evicted = Lru.add t.mem (fp : Fingerprint.t :> string) (entry_of_cold o) in
           mincr registry "plancache/insert";
           if Option.is_some evicted then mincr registry "plancache/eviction";
           results.(i) <-

@@ -319,8 +319,8 @@ let random_query rng spec =
             in
             (ri.ri_var, steps))
       in
-      (* two draws can land on the same path, and duplicate output
-         columns are ill-typed downstream *)
+      (* two draws can land on the same path, and the simplifier
+         rejects a SELECT list that names an output column twice *)
       List.sort_uniq compare items
       |> List.map (fun (v, steps) -> { Ast.si_expr = Ast.Path (path v steps); si_as = None })
     end

@@ -152,7 +152,11 @@ let tokenize_pos input =
       done;
       FLOAT (float_of_string (String.sub input start (!pos - start)))
     end
-    else INT (int_of_string (String.sub input start (!pos - start)))
+    else
+      let digits = String.sub input start (!pos - start) in
+      match int_of_string digits with
+      | i -> INT i
+      | exception Failure _ -> error_at start "integer literal %s is out of range" digits
   in
   let lex_string () =
     advance ();

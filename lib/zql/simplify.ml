@@ -183,6 +183,24 @@ and atoms_of_cond st cond =
          | None -> []
          | Some c -> atoms_of_cond st c))
 
+(* A repeated output name would make an ill-typed Project: report the
+   first SELECT item whose name an earlier item already has. [items] and
+   [projs] run in step and [all] is the whole projection list. The lists
+   are a few items long, so each name is compared with the ones before
+   it, with no table: text is compiled on every query. *)
+let rec check_distinct all items (projs : Logical.proj list) =
+  match items, projs with
+  | (si : Ast.select_item) :: items, p :: projs ->
+    if named_before p all then
+      error_at (pos_of_expr si.Ast.si_expr) "duplicate output column %s" p.Logical.p_name;
+    check_distinct all items projs
+  | _ -> ()
+
+(* Whether a projection ahead of [p] in the list has [p]'s name. *)
+and named_before (p : Logical.proj) = function
+  | q :: qs when q != p -> String.equal q.Logical.p_name p.Logical.p_name || named_before p qs
+  | _ -> false
+
 type compiled = {
   c_logical : Logical.t;
   c_order : (string * string option) option;
@@ -220,6 +238,7 @@ let compile_core cat (q : Ast.query) =
               p_name = (match si.Ast.si_as with Some n -> n | None -> default_name) })
           items
       in
+      check_distinct projs items projs;
       st.tree <- Logical.project projs st.tree);
     let order =
       match q.Ast.q_order with

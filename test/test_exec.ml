@@ -520,40 +520,6 @@ let test_analyze () =
    executor's tuple representation or operator internals must leave
    every pin bit-identical: simulated seconds are compared exactly. *)
 
-let golden_texts =
-  [ ("mayor-name", {|SELECT c.name FROM c IN Cities WHERE c.mayor.name == "Joe"|});
-    ( "employee-name",
-      {|SELECT e.name, e.age FROM e IN Employees WHERE e.name == "Fred" && e.age == 30|} );
-    ("task-time", {|SELECT t.name FROM t IN Tasks WHERE t.time == 100|});
-    ( "paper-q4",
-      {|SELECT t FROM t IN Tasks WHERE t.time == 100 && EXISTS (SELECT m FROM m IN t.team_members WHERE m.name == "Fred")|}
-    );
-    ( "q1-location",
-      {|SELECT e.name, e.job.name, e.dept.name FROM e IN Employees WHERE e.dept.plant.location == "Dallas"|}
-    );
-    ( "fig1-floor-join",
-      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3|}
-    );
-    ( "salary-by-floor",
-      {|SELECT e.name, e.salary FROM e IN Employees WHERE e.dept.floor == 3|} );
-    ( "team-age-unnest",
-      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE m.age > 40|} );
-    ( "emp-dept-job",
-      {|SELECT e.name, d.name, j.name FROM e IN Employees, d IN Departments, j IN Jobs WHERE e.dept == d && e.job == j && d.floor == 3 && j.level == 2|}
-    );
-    ( "city-person-country",
-      {|SELECT c.name, p.name, n.name FROM c IN Cities, p IN Persons, n IN Countries WHERE c.mayor == p && c.country == n && p.age > 60 && c.population < 500000|}
-    );
-    ( "emp-dept",
-      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3 && e.salary > 50000.0|}
-    );
-    ( "city-mat-chain",
-      {|SELECT c.name, c.mayor.name FROM c IN Cities WHERE c.mayor.age == 40 && c.country.capital.population > 800000 && c.population < 500000|}
-    );
-    ( "task-unnest",
-      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE t.time < 500 && m.age == 40 && m.dept.floor == 3|}
-    ) ]
-
 type pin = { name : string; batch : int; digest : string; io : Executor.io_report }
 
 (* Order-sensitive digest of a row list; floats by their exact bits. *)
@@ -640,7 +606,9 @@ let test_golden_pins () =
   let c = Db.catalog d in
   let queries =
     Oodb_workloads.Queries.all
-    @ List.map (fun (name, text) -> (name, Zql.Simplify.compile_exn c text)) golden_texts
+    @ List.map
+        (fun (name, text) -> (name, Zql.Simplify.compile_exn c text))
+        Helpers.golden_texts
   in
   let actual =
     List.concat_map

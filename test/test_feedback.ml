@@ -1,7 +1,8 @@
 (* The cardinality-feedback loop, end to end:
    - the q-error formula's zero-row behavior (the old epsilon floor
      turned empty results into 1e9-ish artifacts);
-   - store round-trips and catalog-scope isolation;
+   - store round-trips and catalog-scope isolation, and what a store
+     loads from a damaged or hand-edited file;
    - the pinned plan flip: on the skewed-statistics catalog the cold
      optimizer full-scans, one harvested execution corrects the
      statistics, and the re-optimization picks the index scan — cheaper
@@ -27,6 +28,7 @@ module Datagen = Oodb_workloads.Datagen
 module Profile = Oodb_obs.Profile
 module Feedback = Oodb_obs.Feedback
 module Metrics = Oodb_obs.Metrics
+module Prng = Oodb_util.Prng
 module Plancache = Oodb_plancache.Plancache
 module Fingerprint = Oodb_plancache.Fingerprint
 
@@ -88,6 +90,115 @@ let test_store_roundtrip () =
   ignore (Feedback.clear_dir dir : int);
   let s4 = Feedback.create ~dir cat in
   Alcotest.(check int) "clear_dir wipes the store" 0 (Feedback.size s4)
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let check_plans what cat options =
+  List.iter
+    (fun (name, q) ->
+      match (Opt.optimize ~options cat q).Opt.plan with
+      | Some _ -> ()
+      | None -> Alcotest.failf "%s: no plan for %s" what name)
+    [ ("q1", Q.q1); ("q4", Q.q4) ]
+
+(* A store read back from a file is bounded as one observed in process
+   is: a non-finite value is dropped (an infinite [Employees]
+   cardinality or [team_members] fanout left q1 and q4 with no plan),
+   and the others go through the [observe_*] clamps. *)
+let test_store_bounds_loaded_values () =
+  let cat = Datagen.generate_catalog_only ~scale:0.01 () in
+  let load text =
+    let dir = temp_dir () in
+    write_file (Option.get (Feedback.file (Feedback.create ~dir cat))) text;
+    Feedback.create ~dir cat
+  in
+  let obs v = Printf.sprintf {|{"value": %s, "count": 1, "qerror": 1}|} v in
+  List.iter
+    (fun (what, text) ->
+      let s = load text in
+      check_plans what cat (Feedback.install s Options.default);
+      Alcotest.(check int) (what ^ ": dropped") 0 (Feedback.size s))
+    [ ("infinite Employees card", Printf.sprintf {|{"card": {"Employees": %s}}|} (obs "1e999"));
+      ( "infinite team_members fanout",
+        Printf.sprintf {|{"fanout": {"\"Task\".\"team_members\"": %s}}|} (obs "1e999") ) ];
+  let s =
+    load
+      (Printf.sprintf {|{"sel": {"k": %s}, "card": {"Employees": %s}, "fanout": {"f": %s}}|}
+         (obs "5.0") (obs "-3") (obs "-1e999"))
+  in
+  let hook = Feedback.hook s in
+  Alcotest.(check (option (float 0.))) "sel clamped to 1" (Some 1.0)
+    (Hashtbl.find_opt hook.Config.fb_sel "k");
+  Alcotest.(check (option (float 0.))) "card clamped to 0" (Some 0.0)
+    (Hashtbl.find_opt hook.Config.fb_card "Employees");
+  Alcotest.(check (option (float 0.))) "negative infinity dropped" None
+    (Hashtbl.find_opt hook.Config.fb_fanout "f")
+
+(* Seeded damage to a saved store: even trials truncate it, odd trials
+   overwrite one to three bytes, half of them digits and half of the new
+   bytes drawn from the characters of a JSON number, so that values and
+   not just the syntax get damaged. Loading never raises, every loaded
+   value is finite and inside its clamp, and q1 and q4 still get a plan
+   with the store installed. *)
+let test_store_corruption () =
+  let db = Lazy.force Helpers.small_db in
+  let cat = Db.catalog db in
+  let dir = temp_dir () in
+  let s = Feedback.create ~dir cat in
+  List.iter
+    (fun q ->
+      let _, _, prof = Profile.run db (Opt.plan_exn (Opt.optimize cat q)) in
+      ignore (Feedback.harvest s Options.default.Options.config cat prof : int))
+    [ Q.q1; Q.q4 ];
+  Feedback.save s;
+  let path = Option.get (Feedback.file s) in
+  let saved = read_file path in
+  let digits =
+    Array.of_list
+      (List.filter
+         (fun i -> saved.[i] >= '0' && saved.[i] <= '9')
+         (List.init (String.length saved) Fun.id))
+  in
+  let number_chars = "0123456789eE+-." in
+  let rng = Prng.create 26 in
+  for trial = 1 to 120 do
+    let b = Bytes.of_string saved in
+    let n =
+      if trial mod 2 = 0 then Prng.int rng (Bytes.length b)
+      else begin
+        for _ = 1 to Prng.int_in rng 1 3 do
+          let i = if Prng.bool rng then Prng.pick rng digits else Prng.int rng (Bytes.length b) in
+          let c =
+            if Prng.bool rng then number_chars.[Prng.int rng (String.length number_chars)]
+            else Char.chr (Prng.int rng 256)
+          in
+          Bytes.set b i c
+        done;
+        Bytes.length b
+      end
+    in
+    write_file path (Bytes.sub_string b 0 n);
+    match Feedback.create ~dir cat with
+    | exception e -> Alcotest.failf "trial %d: load raised %s" trial (Printexc.to_string e)
+    | loaded ->
+      List.iter
+        (fun (table, key, (o : Feedback.obs)) ->
+          let v = o.Feedback.o_value in
+          let lo, hi = if table = "sel" then (1e-6, 1.0) else (0., Float.infinity) in
+          if not (Float.is_finite v && v >= lo && v <= hi) then
+            Alcotest.failf "trial %d: %s %s loaded as %g" trial table key v)
+        (Feedback.contents loaded);
+      check_plans (Printf.sprintf "trial %d" trial) cat (Feedback.install loaded Options.default)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* The pinned plan flip on the skewed catalog                           *)
@@ -199,31 +310,6 @@ let test_qerror_gate_evicts () =
   in
   Alcotest.(check bool) "fresh entry serves again" true o4.Plancache.cached
 
-let test_note_execution_persists () =
-  let cat = Datagen.generate_catalog_only ~scale:0.01 () in
-  let dir = temp_dir () in
-  let pc = Plancache.create ~dir () in
-  ignore (Plancache.optimize pc cat Q.q2 : Plancache.outcome);
-  let fp =
-    Fingerprint.make ~catalog:cat ~options:Options.default ~required:Physprop.empty
-      Q.q2
-  in
-  Plancache.note_execution pc fp ~epoch:(Catalog.epoch cat) ~max_qerror:3.0
-    ~mean_qerror:1.5;
-  (* A fresh cache over the same directory sees the quality record. *)
-  let pc2 = Plancache.create ~dir () in
-  (match Plancache.lookup pc2 fp with
-  | Some { Plancache.e_quality = Some q; _ } ->
-    Alcotest.(check (float 1e-9)) "max q-error persisted" 3.0 q.Plancache.q_max_qerror
-  | Some { Plancache.e_quality = None; _ } -> Alcotest.fail "quality lost on disk"
-  | None -> Alcotest.fail "persisted entry missing");
-  (* And the disk tier is gated too: a fresh process must not serve it. *)
-  let pc3 = Plancache.create ~dir () in
-  Alcotest.(check bool) "disk tier gated" true
-    (Plancache.lookup ~qerror_limit:2.0 pc3 fp = None);
-  Alcotest.(check int) "disk gate counted" 1
-    (Plancache.stats pc3).Plancache.qerror_evictions
-
 (* ------------------------------------------------------------------ *)
 (* Differential: feedback never changes answers                         *)
 
@@ -260,13 +346,14 @@ let () =
     [ ( "q-error",
         [ Alcotest.test_case "zero-row cases" `Quick test_qerror_zero_rows ] );
       ( "store",
-        [ Alcotest.test_case "round-trip and scoping" `Quick test_store_roundtrip ] );
+        [ Alcotest.test_case "round-trip and scoping" `Quick test_store_roundtrip;
+          Alcotest.test_case "loaded values are bounded" `Quick
+            test_store_bounds_loaded_values;
+          Alcotest.test_case "seeded corruption never raises" `Quick test_store_corruption ] );
       ( "loop",
         [ Alcotest.test_case "skewed-stats plan flip" `Slow test_skewed_plan_flip ] );
       ( "gate",
-        [ Alcotest.test_case "q-error eviction" `Quick test_qerror_gate_evicts;
-          Alcotest.test_case "quality persists on disk" `Quick
-            test_note_execution_persists ] );
+        [ Alcotest.test_case "q-error eviction" `Quick test_qerror_gate_evicts ] );
       ( "differential",
         [ Alcotest.test_case "row multisets preserved" `Slow
             test_feedback_preserves_results ] ) ]

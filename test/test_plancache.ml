@@ -128,48 +128,12 @@ let test_fingerprint_epoch () =
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: pinned keys                                           *)
 
-(* The benchmark template texts of the golden optimizer pins
-   (test_optimizer), compiled on the scale-1 database's catalog. *)
-let golden_texts =
-  [ ("mayor-name", {|SELECT c.name FROM c IN Cities WHERE c.mayor.name == "Joe"|});
-    ( "employee-name",
-      {|SELECT e.name, e.age FROM e IN Employees WHERE e.name == "Fred" && e.age == 30|} );
-    ("task-time", {|SELECT t.name FROM t IN Tasks WHERE t.time == 100|});
-    ( "paper-q4",
-      {|SELECT t FROM t IN Tasks WHERE t.time == 100 && EXISTS (SELECT m FROM m IN t.team_members WHERE m.name == "Fred")|}
-    );
-    ( "q1-location",
-      {|SELECT e.name, e.job.name, e.dept.name FROM e IN Employees WHERE e.dept.plant.location == "Dallas"|}
-    );
-    ( "fig1-floor-join",
-      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3|}
-    );
-    ( "salary-by-floor",
-      {|SELECT e.name, e.salary FROM e IN Employees WHERE e.dept.floor == 3|} );
-    ( "team-age-unnest",
-      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE m.age > 40|} );
-    ( "emp-dept-job",
-      {|SELECT e.name, d.name, j.name FROM e IN Employees, d IN Departments, j IN Jobs WHERE e.dept == d && e.job == j && d.floor == 3 && j.level == 2|}
-    );
-    ( "city-person-country",
-      {|SELECT c.name, p.name, n.name FROM c IN Cities, p IN Persons, n IN Countries WHERE c.mayor == p && c.country == n && p.age > 60 && c.population < 500000|}
-    );
-    ( "emp-dept",
-      {|SELECT e.name, d.name FROM e IN Employees, d IN Departments WHERE e.dept == d && d.floor == 3 && e.salary > 50000.0|}
-    );
-    ( "city-mat-chain",
-      {|SELECT c.name, c.mayor.name FROM c IN Cities WHERE c.mayor.age == 40 && c.country.capital.population > 800000 && c.population < 500000|}
-    );
-    ( "task-unnest",
-      {|SELECT t.name, m.name FROM t IN Tasks, m IN t.team_members WHERE t.time < 500 && m.age == 40 && m.dept.floor == 3|}
-    ) ]
-
-(* [Fingerprint.to_hex] names disk-tier files, and its input is the key
-   that decides which queries share a plan, so both must stay
-   byte-identical across changes to how the key is computed. Each query
-   is pinned under three option values (default, pruning off, mat-to-join
-   disabled), at an explicit batch size because [Options.default] reads
-   [OODB_BATCH_SIZE]. *)
+(* The key decides which queries share a plan, so it must stay
+   byte-identical across changes to how it is computed; each pin is the
+   MD5 of the key string. Each query is pinned under three option values
+   (default, pruning off, mat-to-join disabled), at an explicit batch
+   size because [Options.default] reads [OODB_BATCH_SIZE]. The benchmark
+   template texts are compiled on the scale-1 database's catalog. *)
 let golden_key_pins =
   [ ("paper", "q1", [ "de2800351e4a8b8e701d9613eda346d9"; "8e8e8f7ef2eb87fda63f3f2268c1a815"; "47e4a8601d9824b204dfd3bf38689727" ]);
     ("paper", "q2", [ "dd4c68549610a4e3ad24dd615dc208de"; "ccec12f6118067b72b93a99cf894f9ef"; "b0946fcdc6649189ff039ed2aaec683b" ]);
@@ -201,7 +165,8 @@ let test_fingerprint_pins () =
       name,
       List.map
         (fun options ->
-          Fingerprint.to_hex (Fingerprint.make ~catalog:cat ~options ~required:Physprop.empty q))
+          Digest.to_hex
+            (Digest.string (Fingerprint.key ~catalog:cat ~options ~required:Physprop.empty q)))
         variants )
   in
   let scale1 = Db.catalog (Oodb_workloads.Datagen.generate ()) in
@@ -209,7 +174,7 @@ let test_fingerprint_pins () =
     List.map (pin "paper" (OC.catalog_with_indexes ())) Q.all
     @ List.map
         (fun (name, text) -> pin "scale-1" scale1 (name, Zql.Simplify.compile_exn scale1 text))
-        golden_texts
+        Helpers.golden_texts
   in
   let show (catalog, name, hexes) =
     Printf.sprintf "(%S, %S, [ %s ]);" catalog name
@@ -257,7 +222,7 @@ let n_fuzz = Helpers.Fuzz.n_fuzz
 let test_fuzz_fingerprints () =
   let cat = OC.catalog_with_indexes () in
   let options = Options.default in
-  let by_fp = Hashtbl.create 64 in
+  let by_key = Hashtbl.create 64 in
   for seed = 1 to n_fuzz do
     let q = gen_expr ~seed ~root_name:"x" in
     (match Logical.well_formed cat q with
@@ -273,14 +238,15 @@ let test_fuzz_fingerprints () =
       (Printf.sprintf "seed %d: alpha-renaming invariance" seed)
       true
       (Fingerprint.equal f (fp ~options cat renamed));
-    (* injectivity smoke: equal digests must come from equal canonical keys *)
-    let key = Fingerprint.key ~catalog:cat ~options ~required:Physprop.empty q in
-    (match Hashtbl.find_opt by_fp (Fingerprint.to_hex f) with
-    | Some key' when key' <> key -> Alcotest.failf "seed %d: fingerprint collision" seed
+    (* injectivity smoke: equal keys must come from equal canonical forms *)
+    let canonical = Fingerprint.canonical q in
+    (match Hashtbl.find_opt by_key (f :> string) with
+    | Some c when not (Logical.equal c canonical) ->
+      Alcotest.failf "seed %d: fingerprint collision" seed
     | _ -> ());
-    Hashtbl.replace by_fp (Fingerprint.to_hex f) key
+    Hashtbl.replace by_key (f :> string) canonical
   done;
-  Alcotest.(check bool) "fuzz generated distinct queries" true (Hashtbl.length by_fp > 50)
+  Alcotest.(check bool) "fuzz generated distinct queries" true (Hashtbl.length by_key > 50)
 
 let test_fuzz_plans_verify () =
   let cat = OC.catalog_with_indexes () in
@@ -360,112 +326,6 @@ let test_lru_eviction_reoptimizes () =
   Alcotest.(check bool) "evicted entry re-optimized" false o.Plancache.cached;
   check_same_plan "and identical to the original" (Opt.optimize cat Q.q1).Opt.plan
     o.Plancache.plan
-
-(* ------------------------------------------------------------------ *)
-(* Disk persistence                                                    *)
-
-let fresh_dir () =
-  let f = Filename.temp_file "oodb-plancache-test" "" in
-  Sys.remove f;
-  f
-
-let test_disk_persistence () =
-  let dir = fresh_dir () in
-  let cat = OC.catalog_with_indexes () in
-  let pc1 = Plancache.create ~dir () in
-  let cold = Plancache.optimize pc1 cat Q.q1 in
-  Alcotest.(check bool) "cold in a fresh dir" false cold.Plancache.cached;
-  (* a different cache instance over the same directory serves the plan *)
-  let pc2 = Plancache.create ~dir () in
-  let warm = Plancache.optimize pc2 cat Q.q1 in
-  Alcotest.(check bool) "served across instances via disk" true warm.Plancache.cached;
-  Alcotest.(check int) "counted as a disk hit" 1 (Plancache.stats pc2).Plancache.disk_hits;
-  check_same_plan "disk plan identical" cold.Plancache.plan warm.Plancache.plan;
-  (* corruption degrades to a miss, never to a wrong plan *)
-  let file =
-    Filename.concat dir
-      (Fingerprint.to_hex
-         (Fingerprint.make ~catalog:cat ~options:Options.default ~required:Physprop.empty
-            Q.q1)
-      ^ ".plan")
-  in
-  let oc = open_out_bin file in
-  output_string oc "garbage";
-  close_out oc;
-  let pc3 = Plancache.create ~dir () in
-  let o = Plancache.optimize pc3 cat Q.q1 in
-  Alcotest.(check bool) "corrupt entry re-optimized" false o.Plancache.cached;
-  check_same_plan "and identical to the cold plan" cold.Plancache.plan o.Plancache.plan;
-  (* the format-version gate: the very entry pc1 stored, filed under the
-     same name but tagged with a previous format's magic, is a miss *)
-  let e =
-    match Plancache.entries pc1 with [ e ] -> e | _ -> Alcotest.fail "expected one entry"
-  in
-  List.iter
-    (fun old_magic ->
-      let oc = open_out_bin file in
-      Marshal.to_channel oc (old_magic, e) [];
-      close_out oc;
-      let pc4 = Plancache.create ~dir () in
-      let o = Plancache.optimize pc4 cat Q.q1 in
-      Alcotest.(check bool) (old_magic ^ " entry re-optimized") false o.Plancache.cached;
-      Alcotest.(check int) "not served from disk" 0 (Plancache.stats pc4).Plancache.disk_hits;
-      check_same_plan "and identical to the cold plan" cold.Plancache.plan o.Plancache.plan)
-    [ "oodb-plancache-v2"; "oodb-plancache-v3" ]
-
-(* The disk tier revalidates entries before serving them (a stale plan
-   unmarshals fine but may no longer typecheck against the live
-   catalog); a rejected entry is a counted miss and is evicted so it
-   cannot be served again. *)
-let test_disk_reject () =
-  let dir = fresh_dir () in
-  let cat = OC.catalog_with_indexes () in
-  let pc1 = Plancache.create ~dir () in
-  ignore (Plancache.optimize pc1 cat Q.q1);
-  let key = fp cat Q.q1 in
-  let pc2 = Plancache.create ~dir () in
-  (match Plancache.lookup ~validate:(fun _ -> false) pc2 key with
-  | Some _ -> Alcotest.fail "entry failing validation must be a miss"
-  | None -> ());
-  Alcotest.(check int) "counted as a disk reject" 1
-    (Plancache.stats pc2).Plancache.disk_rejects;
-  (* the rejected entry was evicted: even a permissive lookup misses *)
-  (match Plancache.lookup pc2 key with
-  | Some _ -> Alcotest.fail "rejected entry must be evicted from disk"
-  | None -> ());
-  (* entries that pass the default typecheck validator keep being
-     served, and never count as rejects *)
-  let pc3 = Plancache.create ~dir () in
-  ignore (Plancache.optimize pc3 cat Q.q1);
-  let pc4 = Plancache.create ~dir () in
-  let warm = Plancache.optimize pc4 cat Q.q1 in
-  Alcotest.(check bool) "valid entry still served from disk" true warm.Plancache.cached;
-  Alcotest.(check int) "no rejects on the valid path" 0
-    (Plancache.stats pc4).Plancache.disk_rejects
-
-(* Via [of_env]: CI re-runs the whole suite with [OODB_PLANCACHE_DIR]
-   pointing at a directory persisted across runs, so this test both
-   populates that directory and, on later runs, must serve the
-   pre-existing marshalled entries identically to a cold optimization —
-   the cache-state-independence property the extra CI passes exist to
-   check. Without the variable it degrades to a memory-only check. *)
-let test_env_cache_matches_cold () =
-  let cat = OC.catalog_with_indexes () in
-  let pc = Plancache.of_env () in
-  List.iter
-    (fun (name, q) ->
-      let o = Plancache.optimize pc cat q in
-      check_same_plan (name ^ ": env cache matches the raw optimizer")
-        (Opt.optimize cat q).Opt.plan o.Plancache.plan;
-      let warm = Plancache.optimize pc cat q in
-      Alcotest.(check bool) (name ^ ": re-lookup hits") true warm.Plancache.cached;
-      check_same_plan (name ^ ": warm identical") o.Plancache.plan warm.Plancache.plan)
-    Q.all;
-  match Plancache.dir pc with
-  | None -> ()
-  | Some d ->
-    Alcotest.(check bool) "entries persisted for the next CI pass" true
-      (Array.exists (fun f -> Filename.check_suffix f ".plan") (Sys.readdir d))
 
 (* ------------------------------------------------------------------ *)
 (* Multi-query optimization                                            *)
@@ -650,13 +510,7 @@ let () =
             test_hit_then_epoch_miss;
           Alcotest.test_case "Options.cache=false bypasses" `Quick test_cache_option_bypass;
           Alcotest.test_case "eviction falls back to re-optimization" `Quick
-            test_lru_eviction_reoptimizes;
-          Alcotest.test_case "OODB_PLANCACHE_DIR cache matches cold" `Quick
-            test_env_cache_matches_cold;
-          Alcotest.test_case "disk tier round-trips and rejects corruption" `Quick
-            test_disk_persistence;
-          Alcotest.test_case "disk tier revalidates and evicts stale entries" `Quick
-            test_disk_reject ] );
+            test_lru_eviction_reoptimizes ] );
       ( "mqo",
         [ Alcotest.test_case "optimize_all returns the same rows" `Slow
             test_optimize_all_rows;

@@ -61,6 +61,27 @@ let test_lexer_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unterminated string"
 
+(* A digit run past [max_int] is a located lexer error, reported where
+   the literal starts; [Simplify.compile_ordered] returns it as an
+   [Error] instead of raising [Failure "int_of_string"]. *)
+let test_lexer_int_range () =
+  (match Zql.Lexer.tokenize (string_of_int max_int) with
+  | Ok [ Zql.Lexer.INT i; Zql.Lexer.EOF ] -> Alcotest.(check int) "max_int lexes" max_int i
+  | _ -> Alcotest.fail "max_int did not lex as one integer");
+  (match Zql.Lexer.tokenize "4611686018427387904" with
+  | Error m ->
+    Alcotest.(check string) "max_int + 1 is located"
+      "line 1, column 1: integer literal 4611686018427387904 is out of range" m
+  | Ok _ -> Alcotest.fail "max_int + 1 must not lex");
+  match
+    Zql.Simplify.compile_ordered cat
+      "SELECT t FROM t IN Tasks WHERE t.time == 99999999999999999999"
+  with
+  | Error m ->
+    Alcotest.(check string) "compile reports the literal's start"
+      "parse error: line 1, column 42: integer literal 99999999999999999999 is out of range" m
+  | Ok _ -> Alcotest.fail "an out-of-range literal must not compile"
+
 (* Every token's line and column on a multi-line text: a newline in
    whitespace, a [--] comment line, a newline inside a string literal
    and a [\r\n]. The values were recorded with the lexer that rescanned
@@ -179,6 +200,26 @@ let test_located_errors () =
   match Zql.Parser.parse "SELECT x FROM a IN B extra" with
   | Error m -> Alcotest.(check bool) "parse error located" true (contains m "column 22")
   | Ok _ -> Alcotest.fail "expected parse error"
+
+(* A SELECT list that names one output column twice would compile to a
+   Project the typing hook rejects inside [Optimizer.optimize]; the
+   simplifier reports it at the repeated item instead, whether the name
+   comes from the path or from [AS]. *)
+let test_repeated_output_column () =
+  let err s =
+    match Zql.Simplify.compile_ordered cat s with
+    | Error m -> m
+    | Ok _ -> Alcotest.failf "expected error: %s" s
+  in
+  Alcotest.(check string) "repeated path"
+    "line 1, column 16: duplicate output column e.name"
+    (err "SELECT e.name, e.name FROM e IN Employees");
+  Alcotest.(check string) "repeated AS name"
+    "line 1, column 21: duplicate output column x"
+    (err "SELECT e.name AS x, e.age AS x FROM e IN Employees");
+  match Zql.Simplify.compile_ordered cat "SELECT e.name, e.name AS n FROM e IN Employees" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "one path under two names must compile: %s" m
 
 let test_parse_errors () =
   let bad s =
@@ -348,6 +389,7 @@ let () =
           Alcotest.test_case "dot vs float" `Quick test_lexer_dot_vs_float;
           Alcotest.test_case "comments" `Quick test_lexer_comments;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "out-of-range integer" `Quick test_lexer_int_range;
           Alcotest.test_case "token locations" `Quick test_lexer_locations ] );
       ( "parser",
         [ Alcotest.test_case "paper figure 1" `Quick test_parse_figure1;
@@ -367,6 +409,7 @@ let () =
           Alcotest.test_case "projection naming" `Quick test_simplify_projection_names;
           Alcotest.test_case "error reporting" `Quick test_simplify_errors;
           Alcotest.test_case "located errors" `Quick test_located_errors;
+          Alcotest.test_case "repeated output column" `Quick test_repeated_output_column;
           Alcotest.test_case "ORDER BY" `Quick test_order_by;
           Alcotest.test_case "ORDER BY executes sorted" `Quick test_order_by_executes_sorted;
           Alcotest.test_case "compile-optimize-execute" `Quick test_compile_optimize_execute ] )
