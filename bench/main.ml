@@ -2,8 +2,7 @@
    paper's evaluation (Section 4), prints paper-reported values next to
    measured ones, and adds validation/ablation experiments the paper
    could not run (estimated vs simulated execution, window and buffer
-   sweeps). Optimization-time microbenchmarks run under Bechamel at the
-   end. EXPERIMENTS.md summarizes the output of this program. *)
+   sweeps). EXPERIMENTS.md summarizes the output of this program. *)
 
 module Value = Oodb_storage.Value
 module Logical = Oodb_algebra.Logical
@@ -438,133 +437,43 @@ let ablation_merge_join () =
   subsection "Execution on the generated database";
   ignore (execute "merge-join plan" (Opt.plan_exn outcome))
 
-(* Vectorized execution: tuple-at-a-time vs batch-at-a-time ----------- *)
-
-(* Same plans, same row multisets (test_vectorized checks that); this
-   measures only the engine-side wall time of pulling the iterator tree
-   at batch size 1 (the classic Volcano protocol) vs the default 64.
-
-   Methodology: the repetition count is calibrated per query so every
-   trial runs for a comparable wall time, the two configurations are
-   measured in interleaved trials (so drift affects both alike), each
-   trial starts from a warm-up run and a completed major GC collection
-   (so one configuration's garbage is not collected on the other's
-   clock), and the reported figure is the minimum over trials — the
-   standard estimator for the noise-free cost of a deterministic
-   computation. *)
-let vectorized_measurements ?(trials = 5) () =
-  let d = Lazy.force db in
-  let dcat = Db.catalog d in
-  let trial plan batch_size reps =
-    let config = { Config.default with Config.batch_size } in
-    ignore (Executor.run ~config d plan);
-    Gc.full_major ();
-    let t0 = Clock.now () in
-    for _ = 1 to reps do
-      ignore (Executor.run ~config d plan)
-    done;
-    (Clock.now () -. t0) /. float_of_int reps
-  in
-  let per_query =
-    List.map
-      (fun (name, q) ->
-        let plan = Opt.plan_exn (Opt.optimize dcat q) in
-        let config = { Config.default with Config.batch_size = 1 } in
-        ignore (Executor.run ~config d plan);
-        let t0 = Clock.now () in
-        ignore (Executor.run ~config d plan);
-        let once = Clock.now () -. t0 in
-        let reps = max 5 (min 100_000 (int_of_float (0.1 /. Float.max once 1e-6))) in
-        let t1 = ref infinity and t64 = ref infinity in
-        for _ = 1 to trials do
-          t1 := Float.min !t1 (trial plan 1 reps);
-          t64 := Float.min !t64 (trial plan 64 reps)
-        done;
-        let t1 = !t1 and t64 = !t64 in
-        (name, t1, t64, if t64 > 0. then t1 /. t64 else infinity))
-      [ ("q1", Q.q1); ("q2", Q.q2); ("q3", Q.q3); ("q4", Q.q4) ]
-  in
-  let json =
-    Json.Obj
-      [ ("batch_sizes", Json.List [ Json.Int 1; Json.Int 64 ]);
-        ("trials", Json.Int trials);
-        ( "queries",
-          Json.List
-            (List.map
-               (fun (name, t1, t64, sp) ->
-                 Json.Obj
-                   [ ("query", Json.String name);
-                     ("tuple_at_a_time_seconds", Json.float t1);
-                     ("batch64_seconds", Json.float t64);
-                     ("speedup", Json.float sp) ])
-               per_query) ) ]
-  in
-  (per_query, json)
-
-let vectorized_execution () =
-  section "Vectorized execution: tuple-at-a-time vs batch-at-a-time (beyond the paper)";
-  Format.printf
-    "Same plans and rows; the only change is the unit flowing between operators.@.";
-  let per_query, _ = vectorized_measurements () in
-  Format.printf "%-8s %15s %15s %10s@." "query" "batch=1 [ms]" "batch=64 [ms]" "speedup";
-  List.iter
-    (fun (name, t1, t64, sp) ->
-      Format.printf "%-8s %15.3f %15.3f %9.2fx@." name (t1 *. 1000.) (t64 *. 1000.) sp)
-    per_query
-
 (* Repeated workload: plan cache + multi-query optimization ----------- *)
 
-(* One cold pass of the whole workload through the plan cache (batched
-   over a shared memo), then [repeats] warm passes that should be pure
-   fingerprint-and-lookup. Also compares the shared memo's final group
-   count against the sum of per-query memos — the space the memo-level
-   MQO saves. Returned as JSON for BENCH_results.json and printed as a
-   section of the full run. *)
-let plan_cache_measurements ?(repeats = 5) () =
-  let qs = List.map snd Q.all in
+(* The workload through the plan cache twice (the second pass is all
+   hits), and the space the memo-level MQO saves: the sum of the cold
+   per-query memos' group counts against the group count of one shared
+   memo. Returned as JSON for BENCH_results.json and printed as a section
+   of the full run. *)
+let plan_cache_measurements () =
   let pc = Plancache.create () in
-  let total os =
-    List.fold_left (fun acc (o : Plancache.outcome) -> acc +. o.Plancache.opt_seconds) 0. os
-  in
-  let cold = Plancache.optimize_all pc cat qs in
-  let warm_passes = List.init repeats (fun _ -> Plancache.optimize_all pc cat qs) in
-  let cold_seconds = total cold in
-  let warm_seconds =
-    List.fold_left (fun acc p -> acc +. total p) 0. warm_passes /. float_of_int repeats
-  in
-  let shared_groups =
-    match List.rev cold with
-    | last :: _ -> last.Plancache.stats.Engine.groups
-    | [] -> 0
-  in
+  let pass () = List.map (fun (_, q) -> Plancache.optimize pc cat q) Q.all in
+  let cold = pass () in
+  ignore (pass ());
   let individual_groups =
     List.fold_left
-      (fun acc q -> acc + (Opt.optimize cat q).Opt.stats.Engine.groups)
-      0 qs
+      (fun acc (o : Plancache.outcome) -> acc + o.Plancache.stats.Engine.groups)
+      0 cold
+  in
+  let shared_groups =
+    match List.rev (Opt.optimize_all cat (List.map snd Q.all)) with
+    | last :: _ -> last.Opt.stats.Engine.groups
+    | [] -> 0
   in
   let s = Plancache.stats pc in
   let json =
     Json.Obj
-      [ ("queries", Json.Int (List.length qs));
-        ("repeats", Json.Int repeats);
-        ("cold_opt_seconds", Json.float cold_seconds);
-        ("warm_opt_seconds", Json.float warm_seconds);
-        ( "speedup",
-          Json.float (if warm_seconds > 0. then cold_seconds /. warm_seconds else infinity) );
+      [ ("queries", Json.Int (List.length Q.all));
         ( "mqo",
           Json.Obj
             [ ("individual_groups_total", Json.Int individual_groups);
               ("shared_memo_groups", Json.Int shared_groups) ] );
         ("cache", Plancache.stats_json s) ]
   in
-  (cold_seconds, warm_seconds, individual_groups, shared_groups, s, json)
+  (individual_groups, shared_groups, s, json)
 
 let repeated_workload () =
   section "Repeated workload: plan cache and memo-level MQO (beyond the paper)";
-  let cold_s, warm_s, individual, shared, s, _json = plan_cache_measurements () in
-  Format.printf "cold pass (6 queries, shared memo):  %.6fs@." cold_s;
-  Format.printf "warm pass (plan cache, avg of 5):    %.6fs  (%.0fx faster)@." warm_s
-    (if warm_s > 0. then cold_s /. warm_s else infinity);
+  let individual, shared, s, _json = plan_cache_measurements () in
   Format.printf "memo groups: %d per-query total vs %d shared (MQO saves %d)@." individual
     shared (individual - shared);
   Format.printf "cache: %d hits, %d misses, %d insertions@." s.Plancache.hits
@@ -659,63 +568,6 @@ let feedback_loop () =
     r_cold.Executor.simulated_seconds r_warm.Executor.simulated_seconds
     (r_cold.Executor.simulated_seconds /. Float.max 1e-9 r_warm.Executor.simulated_seconds)
 
-(* Optimization-time microbenchmarks ---------------------------------- *)
-
-let bechamel_benchmarks () =
-  section "Optimization-time microbenchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let mk name ?(options = Options.default) q =
-    Test.make ~name (Staged.stage (fun () -> ignore (Opt.optimize ~options cat q)))
-  in
-  let greedy_cat = cat in
-  let tests =
-    [ mk "table2/q1-all-rules" Q.q1;
-      mk "table2/q1-wo-mat-to-join" ~options:(Options.disable "mat-to-join" Options.default) Q.q1;
-      mk "table2/q1-wo-window"
-        ~options:(Options.with_assembly_window 1 (Options.disable "mat-to-join" Options.default))
-        Q.q1;
-      mk "fig8/q2-index-collapse" Q.q2;
-      mk "fig9/q2-wo-collapse" ~options:(Options.disable "collapse-index-scan" Options.default)
-        Q.q2;
-      mk "fig10/q3-enforcer" Q.q3;
-      mk "fig12/q4-cost-based" Q.q4;
-      Test.make ~name:"fig13/q4-greedy"
-        (Staged.stage (fun () -> ignore (Greedy.optimize greedy_cat Q.q4)));
-      mk "fig2/multi-path-expression" Q.fig2;
-      (let deep =
-         Oodb_algebra.Logical.(
-           get ~coll:"Cities" ~binding:"c"
-           |> mat ~src:"c" ~field:"mayor"
-           |> mat ~src:"c" ~field:"country"
-           |> mat ~src:"c.country" ~field:"president"
-           |> mat ~src:"c.country" ~field:"capital"
-           |> select
-                [ Oodb_algebra.Pred.atom Oodb_algebra.Pred.Ge
-                    (Oodb_algebra.Pred.Field ("c.mayor", "age"))
-                    (Oodb_algebra.Pred.Const (Oodb_storage.Value.Int 30)) ])
-       in
-       mk "stress/four-link-path" deep);
-      Test.make ~name:"zql/parse-simplify"
-        (Staged.stage (fun () ->
-             ignore
-               (Zql.Simplify.compile cat
-                  {| SELECT c.name FROM c IN Cities WHERE c.mayor.name == "Joe" |}))) ]
-  in
-  let grouped = Test.make_grouped ~name:"opt" ~fmt:"%s %s" tests in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name est acc -> (name, est) :: acc) results [] in
-  Format.printf "%-36s %14s@." "benchmark" "per opt [ms]";
-  rows
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, est) ->
-         match Analyze.OLS.estimates est with
-         | Some [ ns ] -> Format.printf "%-36s %14.3f@." name (ns /. 1e6)
-         | _ -> Format.printf "%-36s %14s@." name "-")
-
 (* Machine-readable results ------------------------------------------ *)
 
 (* BENCH_results.json: the paper's headline tables plus the full
@@ -774,8 +626,7 @@ let json_results ~scale path =
       (fun (name, q) -> Report.collect ~registry ~trace_capacity:256 (Lazy.force db) ~name q)
       Q.all
   in
-  let _, _, _, _, _, plan_cache = plan_cache_measurements () in
-  let _, vectorized = vectorized_measurements () in
+  let _, _, _, plan_cache = plan_cache_measurements () in
   let _, _, _, _, feedback_loop = feedback_loop_measurements () in
   let json =
     Json.Obj
@@ -783,7 +634,6 @@ let json_results ~scale path =
         ("table2", table2);
         ("table3", table3);
         ("plan_cache", plan_cache);
-        ("vectorized", vectorized);
         ("feedback_loop", feedback_loop);
         ("search_scale", Json.List (List.map scale_json scale));
         ("workload", Report.workload_json ~registry reports) ]
@@ -816,9 +666,7 @@ let () =
   ablation_warm_start ();
   ablation_merge_join ();
   let scale = search_scale () in
-  vectorized_execution ();
   repeated_workload ();
   feedback_loop ();
-  bechamel_benchmarks ();
   json_results ~scale "BENCH_results.json";
   Format.printf "@.done.@."

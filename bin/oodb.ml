@@ -4,7 +4,7 @@
      oodb rules                            list togglable rule names
      oodb optimize "<zql>"                 simplify + optimize + explain
      oodb optimize --paper q1              same for a built-in paper query
-     oodb optimize-all --repeat 2          batch MQO over a shared memo, warm 2nd pass
+     oodb optimize-all                     batch MQO over one shared memo
      oodb memo --paper q2                  dump the memo after closure
      oodb run "<zql>" [--scale 0.1]        optimize + execute on generated data
      oodb run --paper q1 --profile         ... with per-operator profiling
@@ -219,29 +219,19 @@ let optimize_cmd =
 (* ------------------------------------------------------------------ *)
 (* optimize-all: the multi-query entry point                            *)
 
-let optimize_all_run papers disabled window no_pruning no_indexes repeat =
+let optimize_all_run papers disabled window no_pruning no_indexes =
   let cat = if no_indexes then OC.catalog () else OC.catalog_with_indexes () in
   let queries = match papers with [] -> Oodb_workloads.Queries.all | ps -> ps in
   let options = options_of disabled window no_pruning in
-  let pc = Plancache.create () in
-  for pass = 1 to max 1 repeat do
-    Format.printf "pass %d:@." pass;
-    let outcomes = Plancache.optimize_all ~options pc cat (List.map snd queries) in
-    List.iter2
-      (fun (name, _) (o : Plancache.outcome) ->
-        match o.Plancache.plan with
-        | None -> Format.printf "  %-5s no plan@." name
-        | Some p ->
-          Format.printf "  %-5s %-6s %.6fs  cost %a  (%d groups)@." name
-            (if o.Plancache.cached then "cached" else "cold")
-            o.Plancache.opt_seconds Cost.pp p.Engine.cost o.Plancache.stats.Engine.groups)
-      queries outcomes
-  done;
-  let s = Plancache.stats pc in
-  Format.printf
-    "plan cache: %d hits, %d misses, %d insertions, %d evictions (%d/%d entries)@."
-    s.Plancache.hits s.Plancache.misses s.Plancache.insertions s.Plancache.evictions
-    s.Plancache.entries s.Plancache.capacity;
+  List.iter2
+    (fun (name, _) (o : Opt.outcome) ->
+      match o.Opt.plan with
+      | None -> Format.printf "%-5s no plan@." name
+      | Some p ->
+        Format.printf "%-5s %.6fs  cost %a  (%d groups)@." name o.Opt.opt_seconds Cost.pp
+          p.Engine.cost o.Opt.stats.Engine.groups)
+    queries
+    (Opt.optimize_all ~options cat (List.map snd queries));
   0
 
 let papers_all_arg =
@@ -251,23 +241,15 @@ let papers_all_arg =
     & info [ "paper"; "p" ] ~docv:"NAME"
         ~doc:"Add a built-in paper query to the batch (repeatable); all six when omitted.")
 
-let repeat_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "repeat"; "r" ] ~docv:"N"
-        ~doc:"Optimize the batch $(docv) times; passes after the first are served from the \
-              plan cache.")
-
 let optimize_all_cmd =
   Cmd.v
     (Cmd.info "optimize-all"
        ~doc:
          "Optimize a batch of queries against one shared memo (memo-level multi-query \
-          optimization) behind the plan cache, printing per-query cost, time, and whether \
-          the plan came from the cache.")
+          optimization), printing per-query cost, time and the shared memo's group count.")
     Term.(
       const optimize_all_run $ papers_all_arg $ disable_arg $ window_arg $ no_pruning_arg
-      $ no_indexes_arg $ repeat_arg)
+      $ no_indexes_arg)
 
 let memo_run paper text disabled =
   let cat = OC.catalog_with_indexes () in
@@ -893,12 +875,16 @@ let stats_run scale out disabled window no_pruning =
      be all hits, and its time collapse is part of the report *)
   let pc = Plancache.create () in
   let cat = Db.catalog db in
-  let qs = List.map snd Oodb_workloads.Queries.all in
+  let pass () =
+    List.map
+      (fun (_, q) -> Plancache.optimize ~options ~registry pc cat q)
+      Oodb_workloads.Queries.all
+  in
   let sum_opt os =
     List.fold_left (fun acc (o : Plancache.outcome) -> acc +. o.Plancache.opt_seconds) 0. os
   in
-  let cold = Plancache.optimize_all ~options ~registry pc cat qs in
-  let warm = Plancache.optimize_all ~options ~registry pc cat qs in
+  let cold = pass () in
+  let warm = pass () in
   (* plan-quality pass: profile each cached plan once, report its
      measured q-errors and harvest the observations into an in-memory
      store so the report carries est-vs-actual provenance *)
@@ -913,9 +899,7 @@ let stats_run scale out disabled window no_pruning =
           let max_q, mean_q = Feedback.plan_quality prof in
           ignore (Feedback.harvest ~registry fb options.Options.config cat prof);
           ( name,
-            Plancache.quality_json
-              { Plancache.q_execs = 1; q_max_qerror = max_q; q_mean_qerror = mean_q;
-                q_last_epoch = Catalog.epoch cat } ))
+            Json.Obj [ ("max_qerror", Json.float max_q); ("mean_qerror", Json.float mean_q) ] ))
       Oodb_workloads.Queries.all cold
   in
   let extra =

@@ -89,5 +89,3 @@ val pp : Format.formatter -> t -> unit
 (** Vertical rendering in the style of the paper's figures. *)
 
 val to_string : t -> string
-
-val to_tree : t -> Oodb_util.Pretty.tree

@@ -13,8 +13,6 @@ type t = atom list
 
 let atom cmp lhs rhs = { cmp; lhs; rhs }
 
-let conjoin a b = a @ b
-
 let bindings_of_operand = function
   | Const _ -> []
   | Field (b, _) -> [ b ]

@@ -25,8 +25,6 @@ type t = atom list
 
 val atom : cmp -> operand -> operand -> atom
 
-val conjoin : t -> t -> t
-
 val bindings_of_operand : operand -> string list
 
 val dedup : string list -> string list
@@ -63,11 +61,7 @@ val normalize : t -> t
     emit normalized lists so the memo does not intern the same atom set
     under several list orders. *)
 
-val compare_atom : atom -> atom -> int
-
 val pp_operand : Format.formatter -> operand -> unit
-
-val pp_atom : Format.formatter -> atom -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Paper style: [c.mayor.name == "Joe" && c.age >= 32]. *)

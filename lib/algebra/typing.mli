@@ -51,8 +51,6 @@ val pp_col_ty : Format.formatter -> col_ty -> unit
 
 val to_string : t -> string
 
-val dup_name : dup -> string
-
 val infer_op :
   Oodb_catalog.Catalog.t -> Logical.op -> t list -> (t, string) result
 (** One-step type inference: the output type of [op] applied to inputs

@@ -12,8 +12,8 @@ val schema : unit -> Schema.t
 
 val catalog : unit -> Catalog.t
 (** Fresh catalog with Table 1 collections, distinct-value statistics and
-    {e no} indexes; add the ones an experiment needs from
-    {!standard_indexes}. *)
+    {e no} indexes; add the ones an experiment needs from the index
+    definitions below. *)
 
 (** Index definitions used by the paper's experiments. *)
 
@@ -26,8 +26,5 @@ val idx_tasks_time : Catalog.index_def
 val idx_employees_name : Catalog.index_def
 (** Index on [Employees.name] (Query 4). *)
 
-val standard_indexes : Catalog.index_def list
-(** The three above. *)
-
 val catalog_with_indexes : unit -> Catalog.t
-(** [catalog ()] plus {!standard_indexes}. *)
+(** [catalog ()] plus the three indexes above. *)

@@ -22,9 +22,6 @@
 module Pred = Oodb_algebra.Pred
 module Logical = Oodb_algebra.Logical
 
-val false_atom : Pred.atom
-(** The canonical unsatisfiable conjunct, [true == false]. *)
-
 val atom : Pred.atom -> [ `Keep of Pred.atom | `True | `False ]
 (** Normalize one atom. *)
 

@@ -62,11 +62,11 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty)
     memo = result.Engine.ctx;
     root = result.Engine.root }
 
-let optimize_batch ?(options = Options.default) ?closure_fuel ?trace ?spans cat queries =
+let optimize_all ?(options = Options.default) ?(required = Physprop.empty) cat qs =
   let spec = spec options cat in
   let s =
     Engine.session ~disabled:options.Options.disabled ~pruning:options.Options.pruning
-      ?closure_fuel ?trace ?spans ?typing:(typing_hook options cat) spec
+      ?typing:(typing_hook options cat) spec
   in
   (* Register every root before solving any of them: the shared memo then
      reaches its full logical closure once, and a subexpression two
@@ -75,15 +75,15 @@ let optimize_batch ?(options = Options.default) ?closure_fuel ?trace ?spans cat 
      opt_seconds directly show the sharing. *)
   let roots =
     List.map
-      (fun (q, _required) ->
+      (fun q ->
         let q = prepare options cat q in
         let t0 = Oodb_util.Clock.now () in
         let root = Engine.register s (expr_of_logical q) in
         (root, Oodb_util.Clock.now () -. t0))
-      queries
+      qs
   in
-  List.map2
-    (fun (root, register_seconds) (_q, required) ->
+  List.map
+    (fun (root, register_seconds) ->
       let t0 = Oodb_util.Clock.now () in
       let result = Engine.solve s root ~required in
       let t1 = Oodb_util.Clock.now () in
@@ -93,11 +93,7 @@ let optimize_batch ?(options = Options.default) ?closure_fuel ?trace ?spans cat 
         opt_seconds = register_seconds +. (t1 -. t0);
         memo = result.Engine.ctx;
         root = result.Engine.root })
-    roots queries
-
-let optimize_all ?options ?(required = Physprop.empty) ?closure_fuel ?trace ?spans cat qs =
-  optimize_batch ?options ?closure_fuel ?trace ?spans cat
-    (List.map (fun q -> (q, required)) qs)
+    roots
 
 let plan_exn outcome =
   match outcome.plan with

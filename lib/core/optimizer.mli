@@ -45,40 +45,26 @@ val optimize :
     [options.verify] is on and the winning plan fails {!Planlint.plan} —
     the signature of an unsound rule. *)
 
-val optimize_batch :
-  ?options:Options.t ->
-  ?closure_fuel:int ->
-  ?trace:(Model.Engine.event -> unit) ->
-  ?spans:Oodb_util.Span.t ->
-  Oodb_catalog.Catalog.t ->
-  (Oodb_algebra.Logical.t * Physprop.t) list ->
-  outcome list
-(** Optimize a batch of queries against {e one} shared memo
-    ({!Model.Engine.session}): every root is registered before any is
-    solved, so the logical closure runs once over the union of the
-    queries and a subexpression common to several queries is expanded,
-    costed and pruned exactly once — memo-level multi-query optimization
-    (Roy et al., SIGMOD 2000). Outcomes are returned in input order;
-    they all share the same [memo], whose statistics are
-    session-cumulative (each outcome snapshots them at its completion,
-    so [stats.groups] of the last outcome is the whole batch's group
-    count). [opt_seconds] of each outcome covers its own registration
-    and search, so later queries' smaller times show the sharing.
-    Plans are identical in rows-produced (and, when no query adds
-    alternatives to another's groups, identical in cost) to per-query
-    {!optimize}. *)
-
 val optimize_all :
   ?options:Options.t ->
   ?required:Physprop.t ->
-  ?closure_fuel:int ->
-  ?trace:(Model.Engine.event -> unit) ->
-  ?spans:Oodb_util.Span.t ->
   Oodb_catalog.Catalog.t ->
   Oodb_algebra.Logical.t list ->
   outcome list
-(** {!optimize_batch} with the same [required] properties (default none)
-    for every query. *)
+(** Optimize a batch of queries against {e one} shared memo
+    ({!Model.Engine.session}), each for the same [required] properties
+    (default none): every root is registered before any is solved, so
+    the logical closure runs once over the union of the queries and a
+    subexpression common to several queries is expanded, costed and
+    pruned exactly once — memo-level multi-query optimization (Roy et
+    al., SIGMOD 2000). Outcomes are returned in input order; they all
+    share the same [memo], whose statistics are session-cumulative (each
+    outcome snapshots them at its completion, so [stats.groups] of the
+    last outcome is the whole batch's group count). [opt_seconds] of
+    each outcome covers its own registration and search, so later
+    queries' smaller times show the sharing. Plans are identical in
+    rows-produced (and, when no query adds alternatives to another's
+    groups, identical in cost) to per-query {!optimize}. *)
 
 val cost : outcome -> Oodb_cost.Cost.t
 (** Anticipated execution cost of the chosen plan.

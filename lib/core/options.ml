@@ -4,8 +4,6 @@ type t = {
   pruning : bool;
   normalize : bool;
   verify : bool;
-  cache : bool;
-  feedback_qerror_limit : float;
 }
 
 let default =
@@ -13,11 +11,7 @@ let default =
     disabled = [ "warm-assembly" ];
     pruning = true;
     normalize = true;
-    verify = true;
-    cache = true;
-    feedback_qerror_limit = 16.0 }
-
-let without_cache t = { t with cache = false }
+    verify = true }
 
 let rule_names = Trules.names @ Irules.names @ Enforcers.names
 

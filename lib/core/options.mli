@@ -16,16 +16,6 @@ type t = {
           it (default on); {!Optimizer.optimize} raises on violations —
           an unsound rule then fails loudly instead of producing a plan
           that dereferences garbage at run time *)
-  cache : bool;
-      (** let cache-aware entry points (the [plancache] library) serve
-          and store fingerprinted plans (default on); when off they
-          bypass lookup and insertion and always optimize cold. Ignored
-          by the raw {!Optimizer.optimize}, which is always cold. *)
-  feedback_qerror_limit : float;
-      (** maximum recorded q-error a cached plan may carry before a
-          feedback-gated cache lookup evicts it and forces a re-plan
-          with corrected statistics (default 16.0). Like [cache] and
-          [verify] this is meta — it never splits cache fingerprints *)
 }
 
 val default : t
@@ -60,6 +50,3 @@ val with_feedback : Oodb_cost.Config.feedback -> t -> t
 (** Install runtime-feedback overrides into the cost configuration: the
     estimator (and every rule that prices candidates) consults observed
     statistics before the synthetic model. *)
-
-val without_cache : t -> t
-(** Turn {!field-cache} off: cache-aware entry points always optimize cold. *)

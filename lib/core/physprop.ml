@@ -21,13 +21,6 @@ let remove b t = { t with in_memory = Bset.remove b t.in_memory }
 
 let union a b = { in_memory = Bset.union a.in_memory b.in_memory; order = a.order }
 
-let restrict t scope =
-  { in_memory = Bset.filter (fun b -> List.mem b scope) t.in_memory;
-    order =
-      (match t.order with
-      | Some o when List.mem o.ord_binding scope -> t.order
-      | Some _ | None -> None) }
-
 let satisfies ~delivered ~required =
   Bset.subset required.in_memory delivered.in_memory
   && (match required.order with

@@ -43,9 +43,6 @@ val remove : string -> t -> t
 val union : t -> t -> t
 (** Union of in-memory sets; keeps the left order. *)
 
-val restrict : t -> string list -> t
-(** Drop in-memory bindings (and order) not in the given scope. *)
-
 val satisfies : delivered:t -> required:t -> bool
 (** Superset on [in_memory]; order must match exactly when required. *)
 

@@ -66,8 +66,6 @@ let pp_violation ppf = function
     Format.fprintf ppf "plan delivers %a but the goal requires %a" Physprop.pp delivered
       Physprop.pp required
 
-let violation_to_string v = Format.asprintf "%a" pp_violation v
-
 let pp_violations ppf vs =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.fprintf ppf "@.")

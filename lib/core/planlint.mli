@@ -52,8 +52,6 @@ type violation =
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val violation_to_string : violation -> string
-
 val plan :
   ?required:Physprop.t ->
   Oodb_catalog.Catalog.t ->

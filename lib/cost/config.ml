@@ -38,9 +38,6 @@ let feedback_create () =
     fb_fanout = Hashtbl.create 16;
     fb_hits = 0 }
 
-let feedback_size fb =
-  Hashtbl.length fb.fb_sel + Hashtbl.length fb.fb_card + Hashtbl.length fb.fb_fanout
-
 let fb_find table t key =
   match t.feedback with
   | None -> None

@@ -82,9 +82,6 @@ val pages : t -> bytes:float -> float
 val feedback_create : unit -> feedback
 (** Fresh, empty feedback tables. *)
 
-val feedback_size : feedback -> int
-(** Total overrides across all three tables. *)
-
 val fb_sel_find : t -> string -> float option
 (** Observed selectivity for a canonical atom key; increments [fb_hits]
     when an override is found (same for the other finders). *)

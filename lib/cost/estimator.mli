@@ -6,10 +6,6 @@
     produces a binding with no class-cardinality bound — which is what
     later makes its assembly cost proportional to the input stream. *)
 
-val class_bytes : Oodb_catalog.Catalog.t -> string -> float
-(** Average object size of a class, from any collection holding it
-    (including hidden heaps); a conservative 128 bytes if unknown. *)
-
 val derive :
   Config.t ->
   Oodb_catalog.Catalog.t ->

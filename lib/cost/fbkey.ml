@@ -60,7 +60,4 @@ let atom ~env (a : Pred.atom) =
   | Some l, Some r -> Some (make a.Pred.cmp l r)
   | _ -> None
 
-let eq_const ~cls ~field v =
-  make Pred.Eq (Printf.sprintf "f:%S.%S" cls field) ("c:" ^ value_key v)
-
 let fanout ~cls ~field = Printf.sprintf "%S.%S" cls field

@@ -14,10 +14,5 @@ val atom : env:Lprops.t -> Oodb_algebra.Pred.atom -> string option
 (** [None] when a binding's class cannot be resolved in [env] — such an
     atom gets no feedback. *)
 
-val eq_const : cls:string -> field:string -> Oodb_storage.Value.t -> string
-(** The key {!atom} would build for [binding.field = const] where
-    [binding] has class [cls] — used by the index-scan paths, which
-    hold the matched key value rather than a predicate atom. *)
-
 val fanout : cls:string -> field:string -> string
 (** Key for the average set-valued fanout of [cls.field] (Unnest). *)

@@ -21,5 +21,3 @@ let add_index t ix =
   Hashtbl.add t.indexes name ix
 
 let find_index t name = Hashtbl.find_opt t.indexes name
-
-let index_names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.indexes []

@@ -17,5 +17,3 @@ val add_index : t -> Btree_index.t -> unit
     @raise Invalid_argument on duplicates. *)
 
 val find_index : t -> string -> Btree_index.t option
-
-val index_names : t -> string list

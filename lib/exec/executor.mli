@@ -65,14 +65,6 @@ val simulated_seconds_of : Config.t -> Oodb_storage.Disk.stats -> float
     the pricing {!run_measured} applies to the whole query and the
     profiler applies to per-operator deltas. *)
 
-val report_of :
-  config:Config.t ->
-  rows:int ->
-  Oodb_storage.Disk.stats ->
-  Oodb_storage.Buffer_pool.stats ->
-  io_report
-(** Assemble a report from (delta) statistics snapshots. *)
-
 val run_measured :
   ?verify:bool ->
   ?config:Config.t ->

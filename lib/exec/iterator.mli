@@ -21,9 +21,6 @@ val make_batched :
 (** The primary constructor. [next_batch] returns [None] when
     exhausted; empty batches are legal but consumers skip them. *)
 
-val of_batch_gen : (unit -> (unit -> Batch.t option)) -> t
-(** Build from a batch-generator factory. *)
-
 val open_ : t -> unit
 
 val next_batch : t -> Batch.t option

@@ -131,17 +131,28 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
+(* The temp file is this process's own, so two processes saving one
+   store at once each rename a whole file and the later rename wins; it
+   sits in the store's directory, so the rename stays on one file
+   system. *)
 let save t =
   match file t with
   | None -> ()
-  | Some path ->
-    Option.iter mkdir_p t.fb_dir;
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Json.to_string (to_json t)));
-    Sys.rename tmp path
+  | Some path -> (
+    let dir = Filename.dirname path in
+    mkdir_p dir;
+    let tmp, oc =
+      Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644 ~temp_dir:dir
+        (Filename.basename path) ".tmp"
+    in
+    try
+      output_string oc (Json.to_string (to_json t));
+      close_out oc;
+      Sys.rename tmp path
+    with e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e)
 
 let reset t =
   Hashtbl.reset t.sel;

@@ -52,8 +52,11 @@ val file : t -> string option
 (** The scope's on-disk path, when the store has a directory. *)
 
 val save : t -> unit
-(** Write atomically (temp file + rename), creating the directory if
-    needed. No-op for in-memory stores. *)
+(** Write atomically, through a temp file of this process's own in the
+    store's directory and a rename, creating the directory if needed;
+    the temp file is removed if the write fails. Of two processes
+    saving one store at once, the later rename wins. No-op for
+    in-memory stores. *)
 
 val reset : t -> unit
 (** Drop all in-memory observations (the file, if any, is untouched

@@ -237,7 +237,7 @@ let emit_required buf rename (p : Physprop.t) =
   Buffer.add_char buf '}'
 
 (* Every option that can change the chosen plan. [verify] only checks
-   the winner and [cache] is meta, so neither splits entries. *)
+   the winner, so it does not split entries. *)
 let render_options (o : Options.t) =
   let c = o.Options.config in
   Printf.sprintf

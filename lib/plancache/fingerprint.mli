@@ -23,7 +23,7 @@ type t = private string
 (** The canonical key string itself: the expression's canonical form,
     the required properties, the catalog epoch and digest, and the
     plan-relevant options, tagged and escaped so that distinct inputs
-    give distinct strings. The in-memory cache tier keys on it, so two
+    give distinct strings. The plan cache keys on it, so two
     queries share a plan only when their keys are equal byte for byte. *)
 
 val make :

@@ -58,21 +58,15 @@ let remove t n =
   unlink t n;
   Hashtbl.remove t.tbl n.nkey
 
-let find ?(keep = fun _ -> true) t key =
+let find t key =
   match Hashtbl.find_opt t.tbl key with
-  | Some n when keep n.nval ->
+  | Some n ->
     t.hits <- t.hits + 1;
     promote t n;
     Some n.nval
-  | found ->
-    Option.iter (remove t) found;
+  | None ->
     t.misses <- t.misses + 1;
     None
-
-let update t key f =
-  match Hashtbl.find_opt t.tbl key with
-  | None -> ()
-  | Some n -> n.nval <- f n.nval
 
 let evict_lru t =
   match t.tail with

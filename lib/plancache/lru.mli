@@ -15,14 +15,8 @@ val capacity : 'v t -> int
 
 val length : 'v t -> int
 
-val find : ?keep:('v -> bool) -> 'v t -> string -> 'v option
-(** Promotes the entry to most-recently-used; counts a hit or a miss.
-    An entry whose value fails [keep] (default: every value passes) is
-    removed instead and counted as a miss. One table lookup either way. *)
-
-val update : 'v t -> string -> ('v -> 'v) -> unit
-(** Replace the value in place (no promotion, no counters); no-op when
-    the key is absent. *)
+val find : 'v t -> string -> 'v option
+(** Promotes the entry to most-recently-used; counts a hit or a miss. *)
 
 val add : 'v t -> string -> 'v -> string option
 (** Insert or replace (either way the entry becomes most-recently-used);

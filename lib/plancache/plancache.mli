@@ -1,5 +1,5 @@
-(** Bounded, fingerprint-keyed in-memory plan cache, plus cache-aware
-    optimizer entry points.
+(** Bounded, fingerprint-keyed in-memory plan cache in front of
+    {!Open_oodb.Optimizer.optimize}.
 
     The cache stores winning physical plans (with their cost and the
     producing search's statistics) under {!Fingerprint} keys. Because a
@@ -33,9 +33,6 @@ type stats = {
   misses : int;  (** lookups that went to a cold optimization *)
   insertions : int;
   evictions : int;  (** LRU evictions *)
-  qerror_evictions : int;
-      (** entries evicted by the plan-quality gate: their recorded max
-          q-error exceeded the [qerror_limit] passed to {!optimize} *)
   entries : int;
   capacity : int;
 }
@@ -43,35 +40,6 @@ type stats = {
 val stats : t -> stats
 
 val stats_json : stats -> Json.t
-
-(** {1 Entries} *)
-
-type quality = {
-  q_execs : int;  (** profiled executions recorded for this plan *)
-  q_max_qerror : float;  (** worst per-node q-error over all executions *)
-  q_mean_qerror : float;  (** mean of per-execution mean q-errors *)
-  q_last_epoch : int;  (** catalog epoch at the latest recorded execution *)
-}
-(** How well a cached plan's estimates matched reality when it actually
-    ran — the record the q-error gate ({!optimize}'s [qerror_limit])
-    judges. *)
-
-type entry = {
-  e_plan : Engine.plan option;
-  e_stats : Engine.stats;  (** statistics of the cold search that produced it *)
-  e_quality : quality option;  (** accumulated by {!note_execution} *)
-}
-
-val note_execution :
-  t -> Fingerprint.t -> epoch:int -> max_qerror:float -> mean_qerror:float -> unit
-(** Fold one profiled execution's plan quality into the entry's record,
-    without promoting the entry or touching hit/miss counters. No-op
-    when the fingerprint is not cached. *)
-
-val quality_json : quality -> Json.t
-
-val entries : t -> entry list
-(** Most recently used first. *)
 
 (** {1 Cache-aware optimization} *)
 
@@ -85,7 +53,6 @@ type outcome = {
 val optimize :
   ?options:Options.t ->
   ?required:Physprop.t ->
-  ?qerror_limit:float ->
   ?registry:Metrics.t ->
   ?spans:Oodb_obs.Span.t ->
   t ->
@@ -93,36 +60,13 @@ val optimize :
   Logical.t ->
   outcome
 (** [Optimizer.optimize] behind the cache: fingerprint, serve on hit,
-    optimize cold and insert on miss. When [options.cache] is off, the
-    cache is bypassed entirely (always cold, nothing stored). A hit
-    re-derives nothing — no well-formedness re-check, no logical
-    properties, no rules.
-
-    [qerror_limit] gates the lookup: an entry whose recorded
-    [q_max_qerror] exceeds it is evicted and the lookup misses, so the
-    query is re-planned — with corrected statistics when runtime
-    feedback is installed. Counted in {!stats.qerror_evictions}.
+    optimize cold and insert on miss. A hit re-derives nothing — no
+    well-formedness re-check, no logical properties, no rules.
 
     When [registry] is given, increments [plancache/hit],
-    [plancache/miss], [plancache/insert], [plancache/eviction],
-    [plancache/bypass], [plancache/qerror_eviction] and
+    [plancache/miss], [plancache/insert], [plancache/eviction] and
     [plancache/derivations] (one per logical-property derivation, i.e.
     per memo group created — zero on hits), and records the time to a
     hit/miss verdict in the [plancache/lookup_seconds] histogram.
     [spans] wraps fingerprinting and the lookup (category
     ["plancache"]) and is passed on to the cold search. *)
-
-val optimize_all :
-  ?options:Options.t ->
-  ?required:Physprop.t ->
-  ?registry:Metrics.t ->
-  ?spans:Oodb_obs.Span.t ->
-  t ->
-  Catalog.t ->
-  Logical.t list ->
-  outcome list
-(** The multi-query entry point: cache hits are served individually and
-    all misses are optimized together by [Optimizer.optimize_batch]
-    against one shared memo, then inserted. With [registry], also
-    records [plancache/mqo/roots] (cold roots batched) and
-    [plancache/mqo/groups] (final shared-memo group count). *)

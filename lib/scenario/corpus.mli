@@ -9,19 +9,8 @@
     random — see {!Scenario} and {!Querygen}, which go through the ZQL
     front end instead of building algebra directly. *)
 
-val refs_of : string -> (string * string) list
-(** Reference-valued fields of a workload class, with target classes. *)
-
-val scalars_of : string -> (string * [ `Int | `Str ]) list
-(** Scalar fields of a workload class usable in generated atoms. *)
-
 val roots : (string * string) array
 (** Scannable [(collection, class)] roots. *)
-
-val str_pool : string array
-(** String constants that actually occur in the generated data. *)
-
-val cmps : Oodb_algebra.Pred.cmp array
 
 val gen_expr : seed:int -> root_name:string -> Oodb_algebra.Logical.t
 (** Deterministic: equal seeds yield equal expressions; the same seed

@@ -51,11 +51,6 @@ val compile :
     through the real lexer/parser/simplifier; an ORDER BY becomes a
     required sort-order property. *)
 
-val variant_failure : Oodb_exec.Db.t -> kind -> string -> string option
-(** [Some detail] when optimizing/executing the ZQL text under the
-    variant disagrees with the default configuration (or either side
-    fails verification). The predicate the shrinker replays. *)
-
 val canon_rows : Oodb_exec.Executor.row list -> Oodb_exec.Executor.row list
 (** Multiset canonical form: fields sorted within rows, rows sorted. *)
 

@@ -44,18 +44,6 @@ type report = {
   e_control : score option;
 }
 
-val sample_plans :
-  ?per_goal:int ->
-  ?max_combos:int ->
-  ?max_depth:int ->
-  Open_oodb.Optimizer.outcome ->
-  Open_oodb.Options.t ->
-  Oodb_catalog.Catalog.t ->
-  Open_oodb.Physprop.t ->
-  Open_oodb.Model.Engine.plan list
-(** Structurally distinct plans for the outcome's root group under the
-    given required properties, deduplicated by plan skeleton. *)
-
 val score_zql :
   ?sample:int -> Oodb_exec.Db.t -> Open_oodb.Options.t -> name:string -> zql:string ->
   (score, string) result
@@ -65,7 +53,5 @@ val negative_control : ?sample:int -> Scenario.t -> (score, string) result
     database. *)
 
 val run : ?sample:int -> Scenario.t -> report
-
-val score_json : score -> Oodb_util.Json.t
 
 val report_json : report -> Oodb_util.Json.t

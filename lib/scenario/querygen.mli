@@ -10,22 +10,6 @@
     with {!Zql.Ast.to_zql} so the concrete lexer/parser sit on the fuzz
     path. *)
 
-val lookup_query : Oodb_util.Prng.t -> Schemagen.t -> Zql.Ast.query
-
-val rich_query : Oodb_util.Prng.t -> Schemagen.t -> Zql.Ast.query
-
-val setop_query : Oodb_util.Prng.t -> Schemagen.t -> Zql.Ast.query
-
-val random_query : Oodb_util.Prng.t -> Schemagen.t -> Zql.Ast.query
-
-val join_chain_query : width:int -> Oodb_util.Prng.t -> Schemagen.t -> Zql.Ast.query
-(** A [width]-way chain of reference-equality joins rooted at the anchor
-    class, zigzagging between outgoing and incoming references (classes
-    may repeat). The join-order search space grows with [width] alone —
-    the scaling knob for wide-join benchmarks and search-scaling tests. *)
-
-val n_random : int
-
 val generate :
   ?join_width:int ->
   Oodb_util.Prng.t ->

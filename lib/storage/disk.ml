@@ -54,8 +54,6 @@ let alloc_segment t ~name =
   t.next_segment <- id + 1;
   { id; name; n_pages = 0 }
 
-let segment_name seg = seg.name
-
 let segment_pages seg = seg.n_pages
 
 let extend _t seg n =

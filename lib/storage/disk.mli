@@ -34,8 +34,6 @@ val page_size : t -> int
 val alloc_segment : t -> name:string -> segment
 (** Allocate a new (initially empty) segment. *)
 
-val segment_name : segment -> string
-
 val segment_pages : segment -> int
 
 val extend : t -> segment -> int -> unit

@@ -480,7 +480,7 @@ let certify_physical ~options ~dbs ~queries () =
       a
   in
   let goals = phys_goals queries in
-  let variants = option_variants (Options.without_cache options) in
+  let variants = option_variants options in
   List.iteri
     (fun variant db ->
       let cat = Db.catalog db in

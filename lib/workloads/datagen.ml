@@ -249,11 +249,10 @@ let generate_catalog_only ?scale () = Db.catalog (generate ?scale ~buffer_pages:
    names where the data really has ~100. The estimator then prices
    [name = "Fred"] at selectivity 1/2 — thousands of phantom matches —
    so the cold optimizer rejects the name index in favor of a full scan,
-   and the first profiled execution records a q-error large enough
-   (~card/2 estimated vs ~card/100 actual) to trip the default
-   [feedback_qerror_limit] gate. Both the class distinct and the index's
-   [ix_distinct] are corrupted, keeping Select and collapse-index-scan
-   pricing consistent. The corruption is deterministic, so the catalog's
+   and the first profiled execution records a large q-error (~card/2
+   estimated vs ~card/100 actual), which one harvest corrects. Both the
+   class distinct and the index's [ix_distinct] are corrupted, keeping
+   Select and collapse-index-scan pricing consistent. The corruption is deterministic, so the catalog's
    (epoch, digest) — and with them plan-cache fingerprints and
    feedback-store scopes — agree across processes. *)
 let skewed_distinct = 2

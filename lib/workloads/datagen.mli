@@ -78,7 +78,5 @@ val micro : ?variant:int -> unit -> Oodb_exec.Db.t
     and team-set sizes. Built through the same generator as {!generate},
     so referential integrity holds. *)
 
-val n_micro_variants : int
-
 val micro_family : unit -> Oodb_exec.Db.t list
-(** The enumerated family [micro ~variant:0 .. n_micro_variants - 1]. *)
+(** The enumerated family [micro ~variant:0 .. 5]. *)

@@ -66,11 +66,7 @@ and query = {
 val conjuncts : cond -> cond list
 (** Flatten nested [And]s (the result contains no [And]). *)
 
-val setop_name : setop -> string
-
 val pp_path : Format.formatter -> path -> unit
-
-val pp_expr : Format.formatter -> expr -> unit
 
 val pp_cond : Format.formatter -> cond -> unit
 

@@ -1,14 +1,12 @@
 (* The cardinality-feedback loop, end to end:
    - the q-error formula's zero-row behavior (the old epsilon floor
      turned empty results into 1e9-ish artifacts);
-   - store round-trips and catalog-scope isolation, and what a store
-     loads from a damaged or hand-edited file;
+   - store round-trips and catalog-scope isolation, concurrent saves,
+     and what a store loads from a damaged or hand-edited file;
    - the pinned plan flip: on the skewed-statistics catalog the cold
      optimizer full-scans, one harvested execution corrects the
      statistics, and the re-optimization picks the index scan — cheaper
      by actually-measured I/O, not just by estimate;
-   - the q-error gate: a cached plan whose recorded quality exceeds the
-     limit is evicted and re-planned;
    - feedback is an estimator-only effect: for every workload query, on
      both catalogs, at batch sizes 1 and 64, the feedback-on plan
      returns exactly the same row multiset as the feedback-off plan. *)
@@ -19,7 +17,6 @@ module Config = Oodb_cost.Config
 module Logical = Oodb_algebra.Logical
 module Opt = Open_oodb.Optimizer
 module Options = Open_oodb.Options
-module Physprop = Open_oodb.Physprop
 module Physical = Open_oodb.Physical
 module Db = Oodb_exec.Db
 module Executor = Oodb_exec.Executor
@@ -27,10 +24,7 @@ module Q = Oodb_workloads.Queries
 module Datagen = Oodb_workloads.Datagen
 module Profile = Oodb_obs.Profile
 module Feedback = Oodb_obs.Feedback
-module Metrics = Oodb_obs.Metrics
 module Prng = Oodb_util.Prng
-module Plancache = Oodb_plancache.Plancache
-module Fingerprint = Oodb_plancache.Fingerprint
 
 let skewed_db = lazy (Datagen.generate_skewed ~scale:0.05 ~buffer_pages:512 ())
 
@@ -109,6 +103,22 @@ let check_plans what cat options =
       | Some _ -> ()
       | None -> Alcotest.failf "%s: no plan for %s" what name)
     [ ("q1", Q.q1); ("q4", Q.q4) ]
+
+(* Two processes may save one store at once. Each writes a temp file of
+   its own, so another writer's [<file>.tmp] survives a save byte for
+   byte, and the saved store reloads as it was. *)
+let test_store_concurrent_save () =
+  let cat = Datagen.generate_catalog_only ~scale:0.01 () in
+  let dir = temp_dir () in
+  let s = Feedback.create ~dir cat in
+  Feedback.observe_sel s "k1" ~value:0.01 ~qerror:50.0;
+  Feedback.observe_card s "Employees" ~value:500.0 ~qerror:1.0;
+  let other = Option.get (Feedback.file s) ^ ".tmp" and theirs = "another writer's store" in
+  write_file other theirs;
+  Feedback.save s;
+  Alcotest.(check string) "the other writer's temp file is untouched" theirs (read_file other);
+  Alcotest.(check bool) "the saved store reloads to the same contents" true
+    (Feedback.contents (Feedback.create ~dir cat) = Feedback.contents s)
 
 (* A store read back from a file is bounded as one observed in process
    is: a non-finite value is dropped (an infinite [Employees]
@@ -227,13 +237,11 @@ let test_skewed_plan_flip () =
     (List.mem "index-scan" (labels plan1));
   Alcotest.(check bool) "harvested at least scan card and filter sel" true
     (harvested >= 2);
-  (* The skew is big enough that the execution's worst q-error trips the
-     default gate — this is what forces the cached plan out. *)
   let max_q, _ = Feedback.plan_quality prof in
   Alcotest.(check bool)
-    (Printf.sprintf "max q-error %.1f exceeds the default limit" max_q)
+    (Printf.sprintf "max q-error %.1f exceeds 16" max_q)
     true
-    (max_q > Options.default.Options.feedback_qerror_limit);
+    (max_q > 16.);
   (* Re-optimize with the harvested statistics installed. *)
   let plan2 = Opt.plan_exn (Opt.optimize ~options:options_fb cat Q.fred) in
   Alcotest.(check bool) "feedback plan uses the index" true
@@ -254,61 +262,9 @@ let test_skewed_plan_flip () =
   Alcotest.(check bool) "est_source: feedback appears" true (any_feedback prof2);
   let max_q2, _ = Feedback.plan_quality prof2 in
   Alcotest.(check bool)
-    (Printf.sprintf "corrected plan passes the gate (max q %.2f)" max_q2)
+    (Printf.sprintf "corrected plan's max q-error %.2f is at most 16" max_q2)
     true
-    (max_q2 <= Options.default.Options.feedback_qerror_limit)
-
-(* ------------------------------------------------------------------ *)
-(* The q-error gate on the plan cache                                   *)
-
-let test_qerror_gate_evicts () =
-  let db = Lazy.force skewed_db in
-  let cat = Db.catalog db in
-  let pc = Plancache.create () in
-  let registry = Metrics.create () in
-  let o1 = Plancache.optimize ~registry pc cat Q.fred in
-  Alcotest.(check bool) "first optimize is cold" false o1.Plancache.cached;
-  let o2 = Plancache.optimize ~registry pc cat Q.fred in
-  Alcotest.(check bool) "second optimize hits" true o2.Plancache.cached;
-  (* Record a profiled execution whose quality exceeds the gate. *)
-  let plan = Option.get o1.Plancache.plan in
-  let _, _, prof = Profile.run db plan in
-  let max_q, mean_q = Feedback.plan_quality prof in
-  let fp =
-    Fingerprint.make ~catalog:cat ~options:Options.default ~required:Physprop.empty
-      Q.fred
-  in
-  Plancache.note_execution pc fp ~epoch:(Catalog.epoch cat) ~max_qerror:max_q
-    ~mean_qerror:mean_q;
-  Alcotest.(check bool)
-    (Printf.sprintf "skewed execution is over the limit (max q %.1f)" max_q)
-    true
-    (max_q > Options.default.Options.feedback_qerror_limit);
-  (match Plancache.entries pc with
-  | [ e ] -> (
-    match e.Plancache.e_quality with
-    | Some q ->
-      Alcotest.(check int) "one execution recorded" 1 q.Plancache.q_execs;
-      Alcotest.(check (float 1e-9)) "max q-error recorded" max_q
-        q.Plancache.q_max_qerror
-    | None -> Alcotest.fail "entry has no quality record")
-  | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es));
-  (* A gated lookup now evicts and re-plans. *)
-  let o3 =
-    Plancache.optimize
-      ~qerror_limit:Options.default.Options.feedback_qerror_limit ~registry pc cat
-      Q.fred
-  in
-  Alcotest.(check bool) "gated optimize re-plans cold" false o3.Plancache.cached;
-  let s = Plancache.stats pc in
-  Alcotest.(check int) "one q-error eviction counted" 1 s.Plancache.qerror_evictions;
-  (* The re-planned entry starts with a clean quality record. *)
-  let o4 =
-    Plancache.optimize
-      ~qerror_limit:Options.default.Options.feedback_qerror_limit ~registry pc cat
-      Q.fred
-  in
-  Alcotest.(check bool) "fresh entry serves again" true o4.Plancache.cached
+    (max_q2 <= 16.)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: feedback never changes answers                         *)
@@ -347,13 +303,13 @@ let () =
         [ Alcotest.test_case "zero-row cases" `Quick test_qerror_zero_rows ] );
       ( "store",
         [ Alcotest.test_case "round-trip and scoping" `Quick test_store_roundtrip;
+          Alcotest.test_case "concurrent saves keep their own temp files" `Quick
+            test_store_concurrent_save;
           Alcotest.test_case "loaded values are bounded" `Quick
             test_store_bounds_loaded_values;
           Alcotest.test_case "seeded corruption never raises" `Quick test_store_corruption ] );
       ( "loop",
         [ Alcotest.test_case "skewed-stats plan flip" `Slow test_skewed_plan_flip ] );
-      ( "gate",
-        [ Alcotest.test_case "q-error eviction" `Quick test_qerror_gate_evicts ] );
       ( "differential",
         [ Alcotest.test_case "row multisets preserved" `Slow
             test_feedback_preserves_results ] ) ]

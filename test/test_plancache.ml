@@ -185,7 +185,8 @@ let test_fingerprint_pins () =
       (String.concat "\n" (List.map show actual))
 
 (* [Fingerprint.make] renders the options part once per physical options
-   value and reuses it while the same value comes back. *)
+   value and reuses it while the same value comes back. [verify] only
+   checks the winner, so it does not split keys either. *)
 let test_fingerprint_options_equal_copy () =
   let cat = OC.catalog_with_indexes () in
   let key options = Fingerprint.key ~catalog:cat ~options ~required:Physprop.empty Q.q1 in
@@ -195,7 +196,9 @@ let test_fingerprint_options_equal_copy () =
   Alcotest.(check bool) "the copy is another value" false (copy == d);
   let default_key = key d in
   Alcotest.(check string) "a structurally equal copy gives the same key" default_key (key copy);
-  Alcotest.(check string) "and the default again after it" default_key (key d)
+  Alcotest.(check string) "and the default again after it" default_key (key d);
+  Alcotest.(check string) "verify off gives the default's key" default_key
+    (key { d with Options.verify = false })
 
 let test_fingerprint_options_alternate () =
   let cat = OC.catalog_with_indexes () in
@@ -302,17 +305,6 @@ let test_hit_then_epoch_miss () =
   Alcotest.(check int) "second miss" 2 s.Plancache.misses;
   Alcotest.(check int) "both plans stored" 2 s.Plancache.entries
 
-let test_cache_option_bypass () =
-  let cat = OC.catalog_with_indexes () in
-  let pc = Plancache.create () in
-  let options = Options.without_cache Options.default in
-  let a = Plancache.optimize ~options pc cat Q.q2 in
-  let b = Plancache.optimize ~options pc cat Q.q2 in
-  Alcotest.(check bool) "bypass never serves" false (a.Plancache.cached || b.Plancache.cached);
-  let s = Plancache.stats pc in
-  Alcotest.(check int) "bypass touches no counters" 0 (s.Plancache.hits + s.Plancache.misses);
-  Alcotest.(check int) "bypass stores nothing" 0 s.Plancache.entries
-
 let test_lru_eviction_reoptimizes () =
   let cat = OC.catalog_with_indexes () in
   let pc = Plancache.create ~capacity:2 () in
@@ -361,34 +353,6 @@ let test_optimize_all_shares_memo () =
   Alcotest.(check bool)
     (Printf.sprintf "shared memo is smaller: %d < %d" shared individual)
     true (shared < individual)
-
-let test_plancache_optimize_all () =
-  let cat = OC.catalog_with_indexes () in
-  let pc = Plancache.create () in
-  let qs = List.map snd Q.all in
-  let cold = Plancache.optimize_all pc cat qs in
-  Alcotest.(check int) "all cold" 0
-    (List.length (List.filter (fun o -> o.Plancache.cached) cold));
-  (* mixed batch: q2 warm from the first batch, a new query cold *)
-  let q_new =
-    Logical.get ~coll:"Cities" ~binding:"c"
-    |> Logical.select [ Pred.atom Pred.Gt (Pred.Field ("c", "population"))
-                          (Pred.Const (Value.Int 1000)) ]
-  in
-  let mixed = Plancache.optimize_all pc cat [ Q.q2; q_new ] in
-  (match mixed with
-  | [ a; b ] ->
-    Alcotest.(check bool) "known query served" true a.Plancache.cached;
-    Alcotest.(check bool) "new query cold" false b.Plancache.cached;
-    check_same_plan "served plan matches the cold batch's"
-      (List.nth cold 1).Plancache.plan a.Plancache.plan
-  | _ -> Alcotest.fail "expected two outcomes");
-  let warm = Plancache.optimize_all pc cat qs in
-  List.iter2
-    (fun (c : Plancache.outcome) (w : Plancache.outcome) ->
-      Alcotest.(check bool) "warm batch all cached" true w.Plancache.cached;
-      check_same_plan "warm batch plans identical" c.Plancache.plan w.Plancache.plan)
-    cold warm
 
 (* ------------------------------------------------------------------ *)
 (* Zero rework on warm paths                                           *)
@@ -473,15 +437,15 @@ let test_metrics_wiring () =
   let registry = Metrics.create () in
   ignore (Plancache.optimize ~registry pc cat Q.q2);
   ignore (Plancache.optimize ~registry pc cat Q.q2);
-  ignore (Plancache.optimize_all ~registry pc cat [ Q.q2; Q.q3 ]);
+  ignore (Plancache.optimize ~registry pc cat Q.q2);
+  ignore (Plancache.optimize ~registry pc cat Q.q3);
   let snap = Metrics.snapshot registry in
   let counter name =
     match Metrics.find snap name with Some (Metrics.Counter n) -> n | _ -> 0
   in
   Alcotest.(check int) "hits counted" 2 (counter "plancache/hit");
   Alcotest.(check int) "misses counted" 2 (counter "plancache/miss");
-  Alcotest.(check int) "insertions counted" 2 (counter "plancache/insert");
-  Alcotest.(check int) "batched cold roots counted" 1 (counter "plancache/mqo/roots")
+  Alcotest.(check int) "insertions counted" 2 (counter "plancache/insert")
 
 let () =
   Alcotest.run "plancache"
@@ -508,16 +472,13 @@ let () =
         [ Alcotest.test_case "warm cache equals cold optimizer" `Quick test_warm_equals_cold;
           Alcotest.test_case "hit on no-op, miss after epoch bump" `Quick
             test_hit_then_epoch_miss;
-          Alcotest.test_case "Options.cache=false bypasses" `Quick test_cache_option_bypass;
           Alcotest.test_case "eviction falls back to re-optimization" `Quick
             test_lru_eviction_reoptimizes ] );
       ( "mqo",
         [ Alcotest.test_case "optimize_all returns the same rows" `Slow
             test_optimize_all_rows;
           Alcotest.test_case "shared memo is smaller than the sum" `Quick
-            test_optimize_all_shares_memo;
-          Alcotest.test_case "cached optimize_all mixes hits and misses" `Quick
-            test_plancache_optimize_all ] );
+            test_optimize_all_shares_memo ] );
       ( "zero-rework",
         [ Alcotest.test_case "warm session fires zero rules" `Quick
             test_warm_session_zero_rule_firings;
