@@ -46,4 +46,8 @@ val digest : ?db:Oodb_exec.Db.t -> t -> string
     equal optimizer inputs end to end. Builds the database unless one is
     passed in. *)
 
+val objects_digest : Oodb_storage.Store.t -> string list -> string
+(** Hex digest of the dump {!digest} covers: every object of the listed
+    collections, in order, field by field. *)
+
 val to_json : t -> Oodb_util.Json.t

@@ -50,6 +50,32 @@ let test_build_db_deterministic () =
   let d2 = Catalog.digest (Db.catalog (Scenario.build_db sc)) in
   Alcotest.(check string) "catalog digests equal" (Digest.to_hex d1) (Digest.to_hex d2)
 
+(* The stored data, pinned: digests of seed 42's first ten scenarios and
+   of the object dump of the scale-0.05 Table-1 database, recorded
+   before the store's representation changed. A different value here
+   means a different database, not a different layout. *)
+let pinned_scenario_digests =
+  [ "21ee8937d6197023cb267792ad9a2677"; "dda580289e2d122023659c3cf345c49e";
+    "b38e5ed0c4815b157a542717c2d2400a"; "1fe41371ca54f8b0f082043dbac03a59";
+    "c1fe515b49e5a69668bdb68bb8ff6c9e"; "c8f317d16ab75738257c7e3d230bc0ff";
+    "64d57b2fe9a42e88e1c118b2d64fb6ab"; "b76eca4ef430a75cb1904ccc8becc969";
+    "a0a6987fad5ec4fff42d1b5a509ddc63"; "f9c54acd717a94de1903388fb87e1227" ]
+
+let test_pinned_scenario_digests () =
+  List.iteri
+    (fun index expected ->
+      Alcotest.(check string)
+        (Printf.sprintf "scenario %d" index)
+        expected
+        (Scenario.digest (Scenario.generate ~seed ~index ())))
+    pinned_scenario_digests
+
+let test_pinned_datagen_digest () =
+  let store = Db.store (Oodb_workloads.Datagen.generate ~scale:0.05 ()) in
+  let colls = List.sort compare (Oodb_storage.Store.collections store) in
+  Alcotest.(check string) "scale 0.05 objects" "0d035520042f23b9b2bbf114a103dc35"
+    (Scenario.objects_digest store colls)
+
 (* ------------------------------------------------------------------ *)
 (* Generated artifacts are well-formed *)
 
@@ -187,7 +213,9 @@ let () =
           Alcotest.test_case "different seed, different digest" `Quick
             test_different_seed_different_digest;
           Alcotest.test_case "prefix stability" `Quick test_prefix_stability;
-          Alcotest.test_case "build_db deterministic" `Quick test_build_db_deterministic ] );
+          Alcotest.test_case "build_db deterministic" `Quick test_build_db_deterministic;
+          Alcotest.test_case "pinned scenario digests" `Quick test_pinned_scenario_digests;
+          Alcotest.test_case "pinned datagen digest" `Quick test_pinned_datagen_digest ] );
       ( "generation",
         [ Alcotest.test_case "queries compile and round-trip" `Quick
             test_queries_compile_and_roundtrip;
