@@ -21,8 +21,8 @@ let () =
   let store = Db.store db in
   let a_time =
     match
-      Oodb_storage.Store.field
-        (Oodb_storage.Store.peek store (List.hd (Oodb_storage.Store.oids store ~coll:"Tasks")))
+      Oodb_storage.Store.field store
+        (List.hd (Oodb_storage.Store.oids store ~coll:"Tasks"))
         "time"
     with
     | Oodb_storage.Value.Int t -> t

@@ -15,7 +15,7 @@ let distinct_values db ~coll ~field =
   let seen = Hashtbl.create 64 in
   List.iter
     (fun oid ->
-      match Store.field (Store.peek store oid) field with
+      match Store.field store oid field with
       | v -> Hashtbl.replace seen v ()
       | exception Not_found -> ())
     (Store.oids store ~coll);
@@ -30,7 +30,7 @@ let average_set_size db ~coll ~field =
     let total =
       List.fold_left
         (fun acc oid ->
-          match Store.field (Store.peek store oid) field with
+          match Store.field store oid field with
           | v -> acc + List.length (Value.set_elements v)
           | exception Not_found -> acc)
         0 oids

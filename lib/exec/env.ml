@@ -1,5 +1,4 @@
 module Value = Oodb_storage.Value
-module Store = Oodb_storage.Store
 
 exception Not_materialized of string
 
@@ -7,7 +6,9 @@ exception Unbound of string
 
 type schema = string array
 
-type slot = Obj of Store.obj | Ref of Value.oid
+(* The OID shifted left one bit, with the low bit set when the object
+   is in memory. *)
+type slot = int
 
 type t = { schema : schema; slots : slot array }
 
@@ -15,17 +16,23 @@ let make schema slots = { schema; slots }
 
 let empty = { schema = [||]; slots = [||] }
 
-let slot_oid = function Obj o -> o.Store.oid | Ref oid -> oid
+let in_memory oid = (oid lsl 1) lor 1
 
-let rec any_materialized slots positions k =
+let reference oid = oid lsl 1
+
+let slot_oid s = s asr 1
+
+let is_in_memory s = s land 1 = 1
+
+let rec any_in_memory slots positions k =
   k < Array.length positions
-  && (match slots.(positions.(k)) with Obj _ -> true | Ref _ -> any_materialized slots positions (k + 1))
+  && (is_in_memory slots.(positions.(k)) || any_in_memory slots positions (k + 1))
 
 let demote t positions =
-  if not (any_materialized t.slots positions 0) then t
+  if not (any_in_memory t.slots positions 0) then t
   else begin
     let slots = Array.copy t.slots in
-    Array.iter (fun i -> slots.(i) <- Ref (slot_oid slots.(i))) positions;
+    Array.iter (fun i -> slots.(i) <- slots.(i) land lnot 1) positions;
     { t with slots }
   end
 
@@ -92,14 +99,15 @@ let slot_at ix t =
 let oid_at ix t = slot_oid (slot_at ix t)
 
 let obj_at ix t =
-  match slot_at ix t with Obj o -> o | Ref _ -> raise (Not_materialized ix.name)
+  let s = slot_at ix t in
+  if is_in_memory s then slot_oid s else raise (Not_materialized ix.name)
 
 (* ------------------------------------------------------------------ *)
 (* By binding name *)
 
-let bind_obj t b o = extend (extend_schema t.schema b) t (Obj o)
+let bind_obj t b oid = extend (extend_schema t.schema b) t (in_memory oid)
 
-let bind_ref t b oid = extend (extend_schema t.schema b) t (Ref oid)
+let bind_ref t b oid = extend (extend_schema t.schema b) t (reference oid)
 
 let lookup t b =
   let i = position t.schema b in
@@ -110,8 +118,7 @@ let oid t b = match lookup t b with Some s -> slot_oid s | None -> raise (Unboun
 let obj t b =
   match lookup t b with
   | None -> raise (Unbound b)
-  | Some (Obj o) -> o
-  | Some (Ref _) -> raise (Not_materialized b)
+  | Some s -> if is_in_memory s then slot_oid s else raise (Not_materialized b)
 
 let bindings t = Array.to_list t.schema
 

@@ -1,12 +1,13 @@
 (** Tuples flowing between execution operators.
 
     A tuple is a {e schema} — its binding names, in binding order — and
-    one slot per binding. A slot carries either the materialized object
-    or a bare OID. The distinction is the runtime counterpart of the
-    optimizer's presence-in-memory property: reading a field of a
-    non-materialized slot is a plan bug, and the executor raises
-    {!Not_materialized} to surface it (the property machinery makes this
-    unreachable for plans the optimizer emits).
+    one slot per binding. A slot is one int: the bound object's OID and
+    a presence bit, set when the object is in memory. The bit is the
+    runtime counterpart of the optimizer's presence-in-memory property:
+    reading a field of an object that is not in memory is a plan bug,
+    and the executor raises {!Not_materialized} to surface it (the
+    property machinery makes this unreachable for plans the optimizer
+    emits).
 
     Tuples are positional. An operator builds each output schema once
     and shares that one array with every tuple it emits; consumers
@@ -17,7 +18,6 @@
     operation) simply present two schemas. *)
 
 module Value = Oodb_storage.Value
-module Store = Oodb_storage.Store
 
 exception Not_materialized of string
 
@@ -26,7 +26,8 @@ exception Unbound of string
 type schema = string array
 (** Binding names in binding order. Shared, never mutated. *)
 
-type slot = Obj of Store.obj | Ref of Value.oid
+type slot = private int
+(** An OID and its presence bit. *)
 
 type t = private { schema : schema; slots : slot array }
 
@@ -36,12 +37,19 @@ val make : schema -> slot array -> t
 
 val empty : t
 
+val in_memory : Value.oid -> slot
+(** The slot of an object in memory. *)
+
+val reference : Value.oid -> slot
+(** The slot of an object known by its OID only. *)
+
 val slot_oid : slot -> Value.oid
 
+val is_in_memory : slot -> bool
+
 val demote : t -> int array -> t
-(** Replace the materialized objects at the given positions by bare
-    references; the tuple itself (physically) when none of them is
-    materialized. *)
+(** Clear the presence bits at the given positions; the tuple itself
+    (physically) when none of them is set. *)
 
 val replace : t -> int -> slot -> t
 (** A copy with the slot at one position replaced. *)
@@ -86,22 +94,26 @@ val slot_at : index -> t -> slot
 val oid_at : index -> t -> Value.oid
 (** @raise Unbound *)
 
-val obj_at : index -> t -> Store.obj
-(** @raise Unbound / Not_materialized *)
+val obj_at : index -> t -> Value.oid
+(** The OID of the object bound there, which must be in memory.
+    @raise Unbound / Not_materialized *)
 
 (** {1 By binding name}
 
     Name-based accessors: each call searches the schema. *)
 
-val bind_obj : t -> string -> Store.obj -> t
+val bind_obj : t -> string -> Value.oid -> t
+(** Bind an object in memory. *)
 
 val bind_ref : t -> string -> Value.oid -> t
+(** Bind an OID only. *)
 
 val oid : t -> string -> Value.oid
 (** @raise Unbound *)
 
-val obj : t -> string -> Store.obj
-(** @raise Unbound / Not_materialized *)
+val obj : t -> string -> Value.oid
+(** The OID of the bound object, which must be in memory.
+    @raise Unbound / Not_materialized *)
 
 val bindings : t -> string list
 (** In binding order. *)

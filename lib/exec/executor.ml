@@ -43,11 +43,11 @@ let rec iterator ?(config = Config.default) ?(wrap = fun _plan it -> it) db
       Operators.file_scan db ~coll ~binding ~batch_size:bs
     | Physical.Index_scan { coll; binding; index; key; residual; derefs }, [] ->
       Operators.index_scan db ~coll ~binding ~index ~key ~residual ~derefs ~batch_size:bs
-    | Physical.Filter pred, [ _ ] -> Operators.filter pred (child 0)
+    | Physical.Filter pred, [ _ ] -> Operators.filter db pred (child 0)
     | Physical.Hash_join pred, [ _; _ ] ->
       Operators.hash_join db config pred ~build:(child 0) ~probe:(child 1)
     | Physical.Merge_join { key_l; key_r; residual }, [ _; _ ] ->
-      Operators.merge_join ~key_l ~key_r ~residual ~batch_size:bs ~left:(child 0)
+      Operators.merge_join db ~key_l ~key_r ~residual ~batch_size:bs ~left:(child 0)
         ~right:(child 1)
     | Physical.Pointer_join { src; field; out; residual }, [ _ ] ->
       Operators.pointer_join db ~src ~field ~out ~residual (child 0)
@@ -62,7 +62,7 @@ let rec iterator ?(config = Config.default) ?(wrap = fun _plan it -> it) db
       Operators.hash_intersect ~batch_size:bs (child 0) (child 1)
     | Physical.Hash_difference, [ _; _ ] ->
       Operators.hash_difference ~batch_size:bs (child 0) (child 1)
-    | Physical.Sort o, [ _ ] -> Operators.sort o ~batch_size:bs (child 0)
+    | Physical.Sort o, [ _ ] -> Operators.sort db o ~batch_size:bs (child 0)
     | _ -> invalid_arg "Executor.iterator: malformed plan (operator arity)"
   in
   wrap plan it
@@ -70,7 +70,7 @@ let rec iterator ?(config = Config.default) ?(wrap = fun _plan it -> it) db
 (* Row extraction, compiled once per plan: a root Alg-Project evaluates
    its expressions (each compiled once); any other root yields
    binding/OID pairs, with the binding names taken once per schema. *)
-let row_function (plan : Engine.plan) : Env.t -> row =
+let row_function db (plan : Engine.plan) : Env.t -> row =
   match plan.Engine.alg with
   | Physical.Alg_project ps ->
     (* A column hands out its last (name, value) pair again while the
@@ -78,7 +78,7 @@ let row_function (plan : Engine.plan) : Env.t -> row =
        such as an outer object's field beside an unnested set, is paired
        once. *)
     let column (p : Logical.proj) =
-      let name = p.Logical.p_name and value = Eval.compile_operand p.Logical.p_expr in
+      let name = p.Logical.p_name and value = Eval.compile_operand (Db.store db) p.Logical.p_expr in
       let last = ref (name, Value.Null) in
       fun env ->
         let v = value env in
@@ -121,7 +121,7 @@ let row_function (plan : Engine.plan) : Env.t -> row =
       in
       row 0
 
-let rows_of plan envs = List.map (row_function plan) envs
+let rows_of db plan envs = List.map (row_function db plan) envs
 
 (* Each batch becomes rows as it arrives, so no tuple outlives its
    batch. The rows are kept in one array per batch, last batch first,
@@ -129,7 +129,7 @@ let rows_of plan envs = List.map (row_function plan) envs
    the peak heap. *)
 let run ?(verify = debug_default) ?config ?wrap db plan =
   if verify then lint_or_refuse db plan;
-  let row = row_function plan in
+  let row = row_function db plan in
   let batches = ref [] in
   Iterator.iter_batches (iterator ?config ?wrap db plan) (fun b ->
       batches := Array.init (Batch.length b) (fun i -> row (Batch.get b i)) :: !batches);

@@ -23,7 +23,7 @@ val iterator :
     default is the identity: no per-tuple indirection is added when no
     wrapper is requested. *)
 
-val rows_of : Engine.plan -> Env.t list -> row list
+val rows_of : Db.t -> Engine.plan -> Env.t list -> row list
 (** Extract result rows from drained environments: a root Alg-Project
     evaluates its expressions; any other root yields binding/OID pairs.
     {!run} builds its rows with the same function, compiled once per

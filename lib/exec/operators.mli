@@ -15,8 +15,8 @@ module Physical = Open_oodb.Physical
 module Config = Oodb_cost.Config
 
 val trim : string list -> Iterator.t -> Iterator.t
-(** Demote slots of bindings outside the list to bare references — the
-    runtime counterpart of a plan node's delivered in-memory properties. *)
+(** Clear the presence bits of bindings outside the list — the runtime
+    counterpart of a plan node's delivered in-memory properties. *)
 
 val file_scan : Db.t -> coll:string -> binding:string -> batch_size:int -> Iterator.t
 (** Reads [batch_size] objects per storage call ({!Store.scan_batch}),
@@ -26,10 +26,12 @@ val index_scan :
   Db.t -> coll:string -> binding:string -> index:string -> key:Value.t ->
   residual:Pred.t -> derefs:(string * string option * string) list ->
   batch_size:int -> Iterator.t
-(** [derefs] are the collapsed Mat links whose output references the scan
-    re-emits. @raise Invalid_argument when the physical index is missing. *)
+(** Tests [residual] on each object's columns right after fetching it,
+    and builds tuples only for the objects that pass. [derefs] are the
+    collapsed Mat links whose output references the scan re-emits.
+    @raise Invalid_argument when the physical index is missing. *)
 
-val filter : Pred.t -> Iterator.t -> Iterator.t
+val filter : Db.t -> Pred.t -> Iterator.t -> Iterator.t
 
 val hash_join : Db.t -> Config.t -> Pred.t -> build:Iterator.t -> probe:Iterator.t -> Iterator.t
 (** Equality conjuncts spanning both sides become the hash key; the rest
@@ -41,7 +43,7 @@ val hash_join : Db.t -> Config.t -> Pred.t -> build:Iterator.t -> probe:Iterator
     writes and re-reads) so the spill shows up in the I/O statistics. *)
 
 val merge_join :
-  key_l:Pred.operand -> key_r:Pred.operand -> residual:Pred.t ->
+  Db.t -> key_l:Pred.operand -> key_r:Pred.operand -> residual:Pred.t ->
   batch_size:int -> left:Iterator.t -> right:Iterator.t -> Iterator.t
 (** Both inputs must arrive ordered on their key (ensured by the
     optimizer's order property). Handles duplicate key blocks on both
@@ -73,4 +75,4 @@ val hash_intersect : batch_size:int -> Iterator.t -> Iterator.t -> Iterator.t
 
 val hash_difference : batch_size:int -> Iterator.t -> Iterator.t -> Iterator.t
 
-val sort : Open_oodb.Physprop.order -> batch_size:int -> Iterator.t -> Iterator.t
+val sort : Db.t -> Open_oodb.Physprop.order -> batch_size:int -> Iterator.t -> Iterator.t

@@ -25,7 +25,7 @@ module Pred = Oodb_algebra.Pred
 type env = (string * Value.oid) list (* binding -> oid, scope order *)
 
 let field_of store oid f =
-  match Store.field (Store.peek store oid) f with
+  match Store.field store oid f with
   | v -> v
   | exception Not_found -> Value.Null
 

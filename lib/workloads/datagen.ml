@@ -158,7 +158,7 @@ let build_data store c =
 let measured_distinct store ~coll ~field =
   let seen = Hashtbl.create 64 in
   List.iter
-    (fun oid -> Hashtbl.replace seen (Store.field (Store.peek store oid) field) ())
+    (fun oid -> Hashtbl.replace seen (Store.field store oid field) ())
     (Store.oids store ~coll);
   Hashtbl.length seen
 
@@ -166,7 +166,7 @@ let measured_avg_set_size store ~coll ~field =
   let total, n =
     List.fold_left
       (fun (total, n) oid ->
-        (total + List.length (Value.set_elements (Store.field (Store.peek store oid) field)),
+        (total + List.length (Value.set_elements (Store.field store oid field)),
          n + 1))
       (0, 0) (Store.oids store ~coll)
   in
@@ -183,12 +183,12 @@ let install_index store db cat ~name ~coll ~path ~key =
 
 let add_field_index store db cat ~name ~coll ~field =
   install_index store db cat ~name ~coll ~path:[ field ] ~key:(fun oid ->
-      Store.field (Store.peek store oid) field)
+      Store.field store oid field)
 
 let add_path_index store db cat ~name ~coll ~ref_field ~field =
   install_index store db cat ~name ~coll ~path:[ ref_field; field ] ~key:(fun oid ->
-      match Value.as_ref (Store.field (Store.peek store oid) ref_field) with
-      | Some target -> Store.field (Store.peek store target) field
+      match Value.as_ref (Store.field store oid ref_field) with
+      | Some target -> Store.field store target field
       | None -> Value.Null)
 
 let measured_catalog store =
@@ -198,7 +198,7 @@ let measured_catalog store =
     | "Plant.heap" -> Catalog.Hidden
     | _ -> Catalog.Extent
   in
-  let cls_of coll = (Store.peek store (List.hd (Store.oids store ~coll))).Store.cls in
+  let cls_of coll = Store.class_of store (List.hd (Store.oids store ~coll)) in
   List.iter
     (fun (coll, bytes) ->
       Catalog.add_collection cat

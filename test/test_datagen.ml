@@ -12,7 +12,7 @@ let store = Db.store db
 
 let cat = Db.catalog db
 
-let field oid f = Store.field (Store.peek store oid) f
+let field oid f = Store.field store oid f
 
 let ref_field oid f = Option.get (Value.as_ref (field oid f))
 
@@ -72,7 +72,7 @@ let test_determinism () =
   let db2 = Oodb_workloads.Datagen.generate ~scale:0.01 ~buffer_pages:256 () in
   let names d =
     Oodb_storage.Store.oids (Db.store d) ~coll:"Cities"
-    |> List.map (fun o -> Oodb_storage.Store.field (Oodb_storage.Store.peek (Db.store d) o) "name")
+    |> List.map (fun o -> Oodb_storage.Store.field (Db.store d) o "name")
   in
   Alcotest.(check bool) "same data both times" true (names db = names db2)
 

@@ -35,9 +35,9 @@ let test_env_basics () =
   let d = db () in
   let store = Db.store d in
   let oid = List.hd (Store.oids store ~coll:"Cities") in
-  let env = Env.bind_obj Env.empty "c" (Store.peek store oid) in
+  let env = Env.bind_obj Env.empty "c" oid in
   Alcotest.(check int) "oid" oid (Env.oid env "c");
-  Alcotest.(check bool) "obj" true ((Env.obj env "c").Store.oid = oid);
+  Alcotest.(check bool) "obj" true (Env.obj env "c" = oid);
   let env = Env.bind_ref env "x" 99 in
   Alcotest.(check int) "ref oid" 99 (Env.oid env "x");
   Alcotest.check_raises "not materialized" (Env.Not_materialized "x") (fun () ->
@@ -50,16 +50,18 @@ let test_eval () =
   let d = db () in
   let store = Db.store d in
   let oid = List.hd (Store.oids store ~coll:"Cities") in
-  let env = Env.bind_obj Env.empty "c" (Store.peek store oid) in
-  let name = Store.field (Store.peek store oid) "name" in
+  let env = Env.bind_obj Env.empty "c" oid in
+  let name = Store.field store oid "name" in
   Alcotest.(check bool) "eq" true
-    (Eval.compile_atom (Pred.atom Pred.Eq (Pred.Field ("c", "name")) (Pred.Const name)) env);
+    (Eval.compile_atom store (Pred.atom Pred.Eq (Pred.Field ("c", "name")) (Pred.Const name)) env);
   Alcotest.(check bool) "self" true
-    (Eval.compile_atom (Pred.atom Pred.Eq (Pred.Self "c") (Pred.Const (Value.Ref oid))) env);
+    (Eval.compile_atom store (Pred.atom Pred.Eq (Pred.Self "c") (Pred.Const (Value.Ref oid))) env);
   Alcotest.(check bool) "missing field is null" true
-    (Eval.compile_operand (Pred.Field ("c", "no_such_field")) env = Value.Null);
+    (Eval.compile_operand store (Pred.Field ("c", "no_such_field")) env = Value.Null);
   Alcotest.(check bool) "null comparisons false" false
-    (Eval.compile_atom (Pred.atom Pred.Lt (Pred.Field ("c", "no_such_field")) (Pred.Const (Value.Int 1))) env)
+    (Eval.compile_atom store
+       (Pred.atom Pred.Lt (Pred.Field ("c", "no_such_field")) (Pred.Const (Value.Int 1)))
+       env)
 
 (* The FIFO that joins and unnest park their output in hands tuples
    back in push order across interleaved pushes and pops, in full
@@ -111,7 +113,7 @@ let test_index_scan_equals_filter () =
   let store = Db.store d in
   (* pick the time of the first task so the result is non-empty *)
   let t0 = List.hd (Store.oids store ~coll:"Tasks") in
-  let key = Store.field (Store.peek store t0) "time" in
+  let key = Store.field store t0 "time" in
   let via_index =
     Iterator.to_list
       (Operators.index_scan d ~coll:"Tasks" ~binding:"t" ~index:"tasks_time" ~key ~residual:[] ~derefs:[] ~batch_size:8)
@@ -120,7 +122,7 @@ let test_index_scan_equals_filter () =
   in
   let via_scan =
     Iterator.to_list
-      (Operators.filter
+      (Operators.filter d
          [ Pred.atom Pred.Eq (Pred.Field ("t", "time")) (Pred.Const key) ]
          (Operators.file_scan d ~coll:"Tasks" ~binding:"t" ~batch_size:8))
     |> List.map (fun e -> Env.oid e "t")
@@ -144,7 +146,7 @@ let test_assembly_materializes () =
     (fun env ->
       let c = Env.obj env "c" and m = Env.obj env "m" in
       Alcotest.(check bool) "mayor resolved" true
-        (Value.as_ref (Store.field c "mayor") = Some m.Store.oid))
+        (Value.as_ref (Store.field (Db.store d) c "mayor") = Some m))
     envs
 
 let test_assembly_window_sizes_agree () =
@@ -170,7 +172,7 @@ let test_unnest () =
   let expected =
     List.fold_left
       (fun acc t ->
-        acc + List.length (Value.set_elements (Store.field (Store.peek store t) "team_members")))
+        acc + List.length (Value.set_elements (Store.field store t "team_members")))
       0 (Store.oids store ~coll:"Tasks")
   in
   Alcotest.(check int) "one pair per member" expected (List.length envs);
@@ -214,7 +216,7 @@ let test_hash_join_residual () =
   in
   List.iter
     (fun env ->
-      match Store.field (Env.obj env "e") "age" with
+      match Store.field (Db.store d) (Env.obj env "e") "age" with
       | Value.Int a -> Alcotest.(check bool) "residual applied" true (a >= 40)
       | _ -> Alcotest.fail "age missing")
     rows
@@ -223,7 +225,7 @@ let test_setops () =
   let d = db () in
   let scan () = Operators.file_scan d ~coll:"Countries" ~binding:"n" ~batch_size:8 in
   let filter lo it =
-    Operators.filter [ Pred.atom Pred.Ge (Pred.Self "n") (Pred.Const (Value.Ref lo)) ] it
+    Operators.filter d [ Pred.atom Pred.Ge (Pred.Self "n") (Pred.Const (Value.Ref lo)) ] it
   in
   let store = Db.store d in
   let oids = Store.oids store ~coll:"Countries" in
@@ -241,13 +243,13 @@ let test_setops () =
 let test_sort () =
   let d = db () in
   let it =
-    Operators.sort
+    Operators.sort d
       { Physprop.ord_binding = "n"; ord_field = Some "name" }
       ~batch_size:8
       (Operators.file_scan d ~coll:"Countries" ~binding:"n" ~batch_size:8)
   in
   let names =
-    Iterator.to_list it |> List.map (fun env -> Store.field (Env.obj env "n") "name")
+    Iterator.to_list it |> List.map (fun env -> Store.field (Db.store d) (Env.obj env "n") "name")
   in
   let sorted = List.sort Value.compare names in
   Alcotest.(check bool) "sorted output" true (names = sorted)
@@ -291,10 +293,10 @@ let test_failing_predicate_closes_tree () =
       Alcotest.check_raises (name ^ ": predicate raises") (Env.Unbound "zzz") (fun () ->
           ignore (Iterator.to_list it));
       Alcotest.(check bool) (name ^ ": scan closed despite exception") true !closed)
-    [ ("filter", Operators.filter boom spy);
+    [ ("filter", Operators.filter d boom spy);
       ( "hash join build",
         Operators.hash_join d Oodb_cost.Config.default []
-          ~build:(Operators.filter boom spy)
+          ~build:(Operators.filter d boom spy)
           ~probe:(Operators.file_scan d ~coll:"Countries" ~binding:"n" ~batch_size:4) ) ]
 
 (* A database of two collections, L and R, whose objects hold one field
@@ -329,7 +331,7 @@ let test_hash_join_numeric_keys () =
     (Value.hash (Value.Ref 5));
   let d = keyed_db (Value.Int (5 + 0x9e37) :: keys) (Value.Ref 5 :: keys) in
   let joined = List.sort compare (lr_pairs (join_lr d l_eq_r)) in
-  let filtered = List.sort compare (lr_pairs (Operators.filter l_eq_r (join_lr d []))) in
+  let filtered = List.sort compare (lr_pairs (Operators.filter d l_eq_r (join_lr d []))) in
   Alcotest.(check bool) "some cross-type matches" true (List.length filtered > List.length keys);
   Alcotest.(check (list (pair int int))) "hash join == filtered cross product" filtered joined
 
@@ -367,7 +369,7 @@ let test_hash_join_oid_keys () =
   let pages bytes = (bytes + Disk.page_size disk - 1) / Disk.page_size disk in
   List.iter
     (fun (shape, atoms, probe, probe_bytes) ->
-      let expected = lr_pairs (Operators.filter atoms (join_lr ~probe d [])) in
+      let expected = lr_pairs (Operators.filter d atoms (join_lr ~probe d [])) in
       Alcotest.(check bool) (shape ^ ": some matches") true (List.length expected >= 3);
       let n_probe = Store.cardinality (Db.store d) ~coll:probe in
       List.iter

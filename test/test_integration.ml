@@ -24,29 +24,29 @@ let run_zql ?options text =
   | Error m -> Alcotest.failf "ZQL error: %s" m
   | Ok q -> run_logical ?options q
 
-(* Ground truth computed by brute force over the store (peek = free). *)
+(* Ground truth computed by brute force over the store (field reads are free). *)
 let dallas_employees () =
   Store.oids store ~coll:"Employees"
   |> List.filter (fun e ->
-         let dept = Option.get (Value.as_ref (Store.field (Store.peek store e) "dept")) in
-         let plant = Option.get (Value.as_ref (Store.field (Store.peek store dept) "plant")) in
-         Value.equal (Value.Str "Dallas") (Store.field (Store.peek store plant) "location"))
+         let dept = Option.get (Value.as_ref (Store.field store e "dept")) in
+         let plant = Option.get (Value.as_ref (Store.field store dept "plant")) in
+         Value.equal (Value.Str "Dallas") (Store.field store plant "location"))
 
 let joe_cities () =
   Store.oids store ~coll:"Cities"
   |> List.filter (fun c ->
-         let m = Option.get (Value.as_ref (Store.field (Store.peek store c) "mayor")) in
-         Value.equal (Value.Str "Joe") (Store.field (Store.peek store m) "name"))
+         let m = Option.get (Value.as_ref (Store.field store c "mayor")) in
+         Value.equal (Value.Str "Joe") (Store.field store m "name"))
 
 let fred_task_pairs time =
   Store.oids store ~coll:"Tasks"
   |> List.concat_map (fun t ->
-         if not (Value.equal (Value.Int time) (Store.field (Store.peek store t) "time")) then []
+         if not (Value.equal (Value.Int time) (Store.field store t "time")) then []
          else
-           Value.set_elements (Store.field (Store.peek store t) "team_members")
+           Value.set_elements (Store.field store t "team_members")
            |> List.filter_map Value.as_ref
            |> List.filter (fun m ->
-                  Value.equal (Value.Str "Fred") (Store.field (Store.peek store m) "name"))
+                  Value.equal (Value.Str "Fred") (Store.field store m "name"))
            |> List.map (fun m -> (t, m)))
 
 (* ------------------------------------------------------------------ *)
@@ -79,7 +79,7 @@ let test_q3_projects_ages () =
 let test_q4_ground_truth () =
   (* at scale 0.05, distinct times shrink: use a time that exists *)
   let t0 = List.hd (Store.oids store ~coll:"Tasks") in
-  let time = match Store.field (Store.peek store t0) "time" with Value.Int t -> t | _ -> 1 in
+  let time = match Store.field store t0 "time" with Value.Int t -> t | _ -> 1 in
   let q =
     Oodb_algebra.Logical.(
       get ~coll:"Tasks" ~binding:"t"
@@ -139,13 +139,12 @@ let test_zql_fig1 () =
   let expected =
     Store.oids store ~coll:"Employees"
     |> List.filter (fun e ->
-           let eo = Store.peek store e in
-           let dept = Option.get (Value.as_ref (Store.field eo "dept")) in
-           Value.compare (Store.field eo "age") (Value.Int 32) >= 0
-           && Value.compare (Store.field eo "last_raise")
+           let dept = Option.get (Value.as_ref (Store.field store e "dept")) in
+           Value.compare (Store.field store e "age") (Value.Int 32) >= 0
+           && Value.compare (Store.field store e "last_raise")
                 (Value.Date (Value.date_of_ymd 1991 1 1))
               >= 0
-           && Value.equal (Value.Int 3) (Store.field (Store.peek store dept) "floor"))
+           && Value.equal (Value.Int 3) (Store.field store dept "floor"))
     |> List.length
   in
   Alcotest.(check int) "figure 1 result size" expected (List.length rows)

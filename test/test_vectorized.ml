@@ -128,7 +128,7 @@ let test_mixed_tuple_and_batch_consumption () =
   Oodb_exec.Iterator.close it;
   Alcotest.(check int) "same row count" (List.length whole) (List.length mixed);
   Helpers.check_same_rows "mixed consumption = batch consumption"
-    (Executor.rows_of plan whole) (Executor.rows_of plan mixed)
+    (Executor.rows_of db plan whole) (Executor.rows_of db plan mixed)
 
 (* A plan without a root projection yields each binding paired with its
    object's OID. The row function hands a repeated pair out again, so
