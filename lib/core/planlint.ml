@@ -149,13 +149,15 @@ let expected_arity : Physical.t -> int = function
    parent therefore sees [computed ∩ delivered] in memory — and a delivered
    claim beyond what the child computes is itself a violation. *)
 let deliver emit (p : Engine.plan) st =
-  let alg = Physical.to_string p.Engine.alg in
   let d = p.Engine.delivered in
   Bset.iter
-    (fun b -> if not (Bset.mem b st.mem) then emit (Undelivered_memory { binding = b; alg }))
+    (fun b ->
+      if not (Bset.mem b st.mem) then
+        emit (Undelivered_memory { binding = b; alg = Physical.to_string p.Engine.alg }))
     d.Physprop.in_memory;
   (match d.Physprop.order with
-  | Some o when st.ord <> Some o -> emit (Undelivered_order { alg })
+  | Some o when st.ord <> Some o ->
+    emit (Undelivered_order { alg = Physical.to_string p.Engine.alg })
   | _ -> ());
   { st with mem = Bset.inter st.mem d.Physprop.in_memory }
 

@@ -26,6 +26,9 @@ let small_db = lazy (Oodb_workloads.Datagen.generate ~scale:0.01 ~buffer_pages:2
 (* A medium database for integration tests. *)
 let medium_db = lazy (Oodb_workloads.Datagen.generate ~scale:0.05 ~buffer_pages:512 ())
 
+(* The scale-1 database the benchmark runs on. *)
+let scale1_db = lazy (Oodb_workloads.Datagen.generate ())
+
 (* One text per benchmark template: the golden optimizer, executor and
    plan-cache key pins each compile these on the scale-1 database's
    catalog, as the benchmark does. *)

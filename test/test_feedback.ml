@@ -51,15 +51,21 @@ let test_qerror_zero_rows () =
 (* ------------------------------------------------------------------ *)
 (* Store round-trip and scoping                                         *)
 
-let temp_dir () =
-  let f = Filename.temp_file "oodb-fb" "" in
-  Sys.remove f;
-  Sys.mkdir f 0o755;
-  f
+(* [f] on a fresh [oodb-fb*] directory, which is removed with the files
+   in it when [f] returns or raises. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "oodb-fb" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let remove () =
+    Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:remove (fun () -> f dir)
 
 let test_store_roundtrip () =
   let cat = Datagen.generate_catalog_only ~scale:0.01 () in
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let s = Feedback.create ~dir cat in
   Feedback.observe_sel s "k1" ~value:0.01 ~qerror:50.0;
   Feedback.observe_card s "Employees" ~value:500.0 ~qerror:1.0;
@@ -109,7 +115,7 @@ let check_plans what cat options =
    byte, and the saved store reloads as it was. *)
 let test_store_concurrent_save () =
   let cat = Datagen.generate_catalog_only ~scale:0.01 () in
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let s = Feedback.create ~dir cat in
   Feedback.observe_sel s "k1" ~value:0.01 ~qerror:50.0;
   Feedback.observe_card s "Employees" ~value:500.0 ~qerror:1.0;
@@ -127,7 +133,7 @@ let test_store_concurrent_save () =
 let test_store_bounds_loaded_values () =
   let cat = Datagen.generate_catalog_only ~scale:0.01 () in
   let load text =
-    let dir = temp_dir () in
+    with_temp_dir @@ fun dir ->
     write_file (Option.get (Feedback.file (Feedback.create ~dir cat))) text;
     Feedback.create ~dir cat
   in
@@ -162,7 +168,7 @@ let test_store_bounds_loaded_values () =
 let test_store_corruption () =
   let db = Lazy.force Helpers.small_db in
   let cat = Db.catalog db in
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let s = Feedback.create ~dir cat in
   List.iter
     (fun q ->
