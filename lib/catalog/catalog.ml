@@ -15,14 +15,32 @@ type index_def = {
   ix_distinct : int;
 }
 
+(* A statistic's version is the epoch of the last write to it, 0 while
+   it was never written, so every write gives it a new version, also
+   one that re-records an equal value. [noted] is the last recording
+   that noted it. *)
+type stamp = { mutable version : int; mutable noted : int }
+
+(* A cell exists for every statistic written or read during a
+   recording; [value = None] while the statistic is absent. *)
+type 'a stat = { mutable value : 'a option; stamp : stamp }
+
 type t = {
   schema : Schema.t;
   colls : (string, collection) Hashtbl.t;
   mutable coll_order : collection list; (* reverse insertion order *)
   mutable indexes : index_def list;
-  distinct_tbl : (string * string, int) Hashtbl.t;
-  set_size_tbl : (string * string, float) Hashtbl.t;
+  distinct_tbl : (string * string, int stat) Hashtbl.t;
+  set_size_tbl : (string * string, float stat) Hashtbl.t;
   mutable epoch : int;
+  mutable layout : int;
+      (* the epoch of the last collection or index change, or of the
+         last [bump_epoch]: one version for everything but the
+         per-attribute statistics *)
+  mutable recording : int; (* the current recording's number; 0 = none *)
+  mutable recordings : int;
+  mutable noted_stamps : stamp list; (* the current recording's reads ... *)
+  mutable noted_versions : int list; (* ... and their versions then *)
   mutable digest_at : (int * Digest.t) option;
       (* the digest and the epoch it was computed at: every mutation
          bumps the epoch and the schema and records are immutable, so a
@@ -44,6 +62,11 @@ let create schema =
     distinct_tbl = Hashtbl.create 32;
     set_size_tbl = Hashtbl.create 8;
     epoch = 0;
+    layout = 0;
+    recording = 0;
+    recordings = 0;
+    noted_stamps = [];
+    noted_versions = [];
     digest_at = None;
     answers_at = -1;
     collections_at = [];
@@ -54,7 +77,10 @@ let schema t = t.schema
 
 let epoch t = t.epoch
 
-let bump_epoch t = t.epoch <- t.epoch + 1
+(* Every mutation but a statistic's write moves the layout version too. *)
+let bump_epoch t =
+  t.epoch <- t.epoch + 1;
+  t.layout <- t.epoch
 
 let add_collection t co =
   if Hashtbl.mem t.colls co.co_name then
@@ -99,20 +125,88 @@ let class_cardinality t cls =
       | [] -> None
       | cos -> Some (List.fold_left (fun acc co -> max acc co.co_card) 0 cos))
 
-let set_distinct t ~cls ~field n =
-  Hashtbl.replace t.distinct_tbl (cls, field) n;
-  bump_epoch t
+(* ------------------------------------------------------------------ *)
+(* Statistics and read recording                                        *)
 
-let distinct t ~cls ~field = Hashtbl.find_opt t.distinct_tbl (cls, field)
+let note t (s : _ stat) =
+  if s.stamp.noted <> t.recording then begin
+    s.stamp.noted <- t.recording;
+    t.noted_stamps <- s.stamp :: t.noted_stamps;
+    t.noted_versions <- s.stamp.version :: t.noted_versions
+  end
 
-let set_avg_set_size t ~cls ~field n =
-  Hashtbl.replace t.set_size_tbl (cls, field) n;
-  bump_epoch t
+(* The cell of a statistic, created absent on its first read. *)
+let cell tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some s -> s
+  | None ->
+    let s = { value = None; stamp = { version = 0; noted = 0 } } in
+    Hashtbl.add tbl key s;
+    s
+
+let write t tbl key v =
+  let s = cell tbl key in
+  t.epoch <- t.epoch + 1;
+  s.value <- Some v;
+  s.stamp.version <- t.epoch
+
+(* Outside a recording a read costs one check; inside, its first read
+   also notes the cell, absent or not. *)
+let read t tbl key =
+  if t.recording = 0 then
+    match Hashtbl.find_opt tbl key with Some s -> s.value | None -> None
+  else begin
+    let s = cell tbl key in
+    note t s;
+    s.value
+  end
+
+let set_distinct t ~cls ~field n = write t t.distinct_tbl (cls, field) n
+
+let distinct t ~cls ~field = read t t.distinct_tbl (cls, field)
+
+let set_avg_set_size t ~cls ~field n = write t t.set_size_tbl (cls, field) n
 
 let avg_set_size t ~cls ~field =
-  match Hashtbl.find_opt t.set_size_tbl (cls, field) with
-  | Some n -> n
-  | None -> 10.0
+  match read t t.set_size_tbl (cls, field) with Some n -> n | None -> 10.0
+
+type reads = {
+  r_catalog : t;
+  r_layout : int;
+  r_stamps : stamp array;
+  r_versions : int array;
+}
+
+let record_reads t f =
+  if t.recording <> 0 then invalid_arg "Catalog.record_reads: already recording";
+  t.recordings <- t.recordings + 1;
+  t.recording <- t.recordings;
+  let layout = t.layout in
+  let stop () =
+    t.recording <- 0;
+    t.noted_stamps <- [];
+    t.noted_versions <- []
+  in
+  match f () with
+  | v ->
+    let r =
+      { r_catalog = t;
+        r_layout = layout;
+        r_stamps = Array.of_list t.noted_stamps;
+        r_versions = Array.of_list t.noted_versions }
+    in
+    stop ();
+    (v, r)
+  | exception e ->
+    stop ();
+    raise e
+
+let rec versions_hold stamps versions i =
+  i < 0 || (stamps.(i).version = versions.(i) && versions_hold stamps versions (i - 1))
+
+let reads_current t r =
+  r.r_catalog == t && r.r_layout = t.layout
+  && versions_hold r.r_stamps r.r_versions (Array.length r.r_stamps - 1)
 
 let add_index t ix =
   if List.exists (fun i -> i.ix_name = ix.ix_name) t.indexes then
@@ -162,7 +256,9 @@ let compute_digest t =
         (String.concat "." ix.ix_path) ix.ix_distinct)
     t.indexes;
   let sorted_bindings tbl add_entry =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    Hashtbl.fold
+      (fun k s acc -> match s.value with Some v -> (k, v) :: acc | None -> acc)
+      tbl []
     |> List.sort Stdlib.compare
     |> List.iter add_entry
   in

@@ -34,14 +34,22 @@ val create : Schema.t -> t
 
 val schema : t -> Schema.t
 
-(** {1 Epochs}
+(** {1 Epochs and versions}
 
     A monotone counter identifying the catalog's mutation state: every
     statistics refresh or schema-level edit ([add_collection],
     [set_distinct], [set_avg_set_size], [add_index], [drop_index]) bumps
-    it, so cached artifacts derived from the catalog — plan-cache
-    entries in particular — can be invalidated by comparing epochs
-    instead of rescanning contents. *)
+    it, so artifacts derived from the whole catalog — the answer caches
+    below, the digest and a feedback store's scope — can be invalidated
+    by comparing epochs instead of rescanning contents.
+
+    Beside it each distinct count and set size, absent ones included,
+    has its own version, and the collections and indexes share one
+    layout version. A write gives its statistic a new version, also one
+    that re-records an equal value; [add_collection], [add_index],
+    [drop_index] and [bump_epoch] give the layout a new version. A plan
+    cached with the versions it read ({!record_reads}) stays valid
+    while they hold. *)
 
 val epoch : t -> int
 
@@ -54,9 +62,9 @@ val digest : t -> Digest.t
     collections, indexes, statistics). Two catalogs built the same way —
     even in different processes — digest equal; any mutation that bumps
     the epoch also changes the digest unless it restored identical
-    contents. Used alongside {!epoch} in plan-cache fingerprints so
-    persisted entries survive process restarts safely. Computed once per
-    epoch: repeated calls between mutations return the cached value. *)
+    contents. Used alongside {!epoch} to scope a feedback store, whose
+    file outlives the process. Computed once per epoch: repeated calls
+    between mutations return the cached value. *)
 
 (** {1 Collections}
 
@@ -92,6 +100,24 @@ val set_avg_set_size : t -> cls:string -> field:string -> float -> unit
 
 val avg_set_size : t -> cls:string -> field:string -> float
 (** Average cardinality of a set-valued attribute; defaults to 10. *)
+
+(** {1 Read sets} *)
+
+type reads
+(** The statistics one computation read of a catalog, each at its
+    version then, with the catalog's identity and its layout version. *)
+
+val record_reads : t -> (unit -> 'a) -> 'a * reads
+(** [record_reads t f] runs [f] and returns its result with what it
+    read of [t]: each distinct count and set size {!distinct} and
+    {!avg_set_size} answered, present or absent, noted once. The
+    recording ends when [f] returns or raises.
+    @raise Invalid_argument inside another recording of [t]. *)
+
+val reads_current : t -> reads -> bool
+(** [reads_current t r]: [r] was recorded of [t], and no statistic in
+    it was written since, nor the layout changed. A few int compares;
+    allocates nothing. *)
 
 (** {1 Indexes} *)
 

@@ -51,9 +51,10 @@ type t = {
   range_selectivity : float;  (** fallback for inequality predicates *)
   feedback : feedback option;
       (** observed-statistics overrides (default [None]: pure model).
-          Deliberately excluded from plan-cache fingerprints — feedback
-          corrects a plan {e under the same query identity}, so the
-          re-planned winner overwrites the stale cache entry *)
+          Not part of the plan-cache key: a cache entry records the
+          tables it was optimized under and serves only lookups under
+          the same tables, compared physically, so install a fresh
+          table set rather than writing to an installed one *)
 }
 
 val default : t

@@ -98,11 +98,19 @@ let load_file t path =
     match Json.of_string contents with
     | Error _ -> ()
     | Ok j ->
-      (* The filename already scopes (epoch, digest); the body's copy is
-         informational. *)
-      fill_tbl clamp_sel t.sel (Json.member "sel" j);
-      fill_tbl clamp_nonneg t.card (Json.member "card" j);
-      fill_tbl clamp_nonneg t.fanout (Json.member "fanout" j))
+      (* A file loads only when its body names the store's own scope:
+         the file name alone is no proof, as a renamed or copied file
+         keeps the name and not the contents. *)
+      let names_scope =
+        match Json.member "epoch" j, Json.member "digest" j with
+        | Some (Json.Int e), Some (Json.String d) -> e = t.fb_epoch && String.equal d t.fb_digest
+        | _ -> false
+      in
+      if names_scope then begin
+        fill_tbl clamp_sel t.sel (Json.member "sel" j);
+        fill_tbl clamp_nonneg t.card (Json.member "card" j);
+        fill_tbl clamp_nonneg t.fanout (Json.member "fanout" j)
+      end)
 
 let create ?dir cat =
   let t =

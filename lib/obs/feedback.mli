@@ -40,7 +40,9 @@ val create : ?dir:string -> Catalog.t -> t
     scope's file is loaded if present; without, the store is purely
     in-memory (and {!save} is a no-op). A file that does not parse
     loads nothing; loaded values go through the clamps of the
-    [observe_*] functions, and non-finite ones are dropped. *)
+    [observe_*] functions, and non-finite ones are dropped. A file
+    whose body does not name the store's own [epoch] and [digest]
+    loads nothing, whatever its name. *)
 
 val env_var : string
 (** ["OODB_FEEDBACK_DIR"]. *)

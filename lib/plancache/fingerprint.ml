@@ -1,7 +1,6 @@
 module Logical = Oodb_algebra.Logical
 module Pred = Oodb_algebra.Pred
 module Value = Oodb_storage.Value
-module Catalog = Oodb_catalog.Catalog
 module Options = Open_oodb.Options
 module Physprop = Open_oodb.Physprop
 module Config = Oodb_cost.Config
@@ -236,8 +235,9 @@ let emit_required buf rename (p : Physprop.t) =
     (match ord_field with Some f -> add_quoted buf f | None -> Buffer.add_string buf "self"));
   Buffer.add_char buf '}'
 
-(* Every option that can change the chosen plan. [verify] only checks
-   the winner, so it does not split entries. *)
+(* Every option that can change the chosen plan but [Config.feedback],
+   whose tables a cache entry compares itself. [verify] only checks the
+   winner, so it does not split entries. *)
 let render_options (o : Options.t) =
   let c = o.Options.config in
   Printf.sprintf
@@ -268,17 +268,13 @@ let options_part o =
 
 type t = string
 
-let make ~catalog ~options ~required expr =
+let make ~options ~required expr =
   let buf = Buffer.create 512 in
   let rename = renaming expr in
   emit_expr buf (canon rename expr);
   Buffer.add_char buf '|';
   emit_required buf rename required;
-  Buffer.add_string buf "|catalog{epoch:";
-  add_int buf (Catalog.epoch catalog);
-  Buffer.add_string buf "|digest:";
-  Buffer.add_string buf (Digest.to_hex (Catalog.digest catalog));
-  Buffer.add_string buf "}|";
+  Buffer.add_char buf '|';
   Buffer.add_string buf (options_part options);
   Buffer.contents buf
 

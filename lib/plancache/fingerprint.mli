@@ -1,11 +1,12 @@
 (** Canonical plan-cache fingerprints.
 
-    A fingerprint identifies everything that determines the optimizer's
-    output: the logical expression, the required physical properties,
-    the catalog state (epoch counter {e and} content digest, so
-    fingerprints are stable across processes and stale the moment
-    statistics change), and every option that can alter plan choice
-    (cost-model configuration, disabled rules, pruning, normalization).
+    A fingerprint identifies what the optimizer's output depends on
+    apart from the catalog and the feedback tables: the logical
+    expression, the required physical properties, and every other
+    option that can alter plan choice (cost-model configuration,
+    disabled rules, pruning, normalization). The catalog statistics a
+    plan read, and the feedback tables it was planned under, are
+    checked by the cache entry instead (see {!Plancache}).
 
     The expression enters the fingerprint in a {e canonical} form:
     binding scopes are alpha-renamed to ["$0", "$1", ...] in
@@ -17,17 +18,15 @@
     name output columns, which are part of the result. *)
 
 module Logical = Oodb_algebra.Logical
-module Catalog = Oodb_catalog.Catalog
 
 type t = private string
 (** The canonical key string itself: the expression's canonical form,
-    the required properties, the catalog epoch and digest, and the
-    plan-relevant options, tagged and escaped so that distinct inputs
-    give distinct strings. The plan cache keys on it, so two
-    queries share a plan only when their keys are equal byte for byte. *)
+    the required properties and the plan-relevant options, tagged and
+    escaped so that distinct inputs give distinct strings. The plan
+    cache keys on it, so two queries share an entry only when their
+    keys are equal byte for byte. *)
 
 val make :
-  catalog:Catalog.t ->
   options:Open_oodb.Options.t ->
   required:Open_oodb.Physprop.t ->
   Logical.t ->
@@ -42,11 +41,10 @@ val equal : t -> t -> bool
 
 val canonical : Logical.t -> Logical.t
 (** The alpha-renamed, predicate-sorted form the key renders. Two
-    expressions have equal fingerprints under equal catalogs, options
-    and required properties iff their canonical forms are equal. *)
+    expressions have equal fingerprints under equal options and
+    required properties iff their canonical forms are equal. *)
 
 val key :
-  catalog:Catalog.t ->
   options:Open_oodb.Options.t ->
   required:Open_oodb.Physprop.t ->
   Logical.t ->

@@ -58,13 +58,13 @@ let remove t n =
   unlink t n;
   Hashtbl.remove t.tbl n.nkey
 
-let find t key =
+let find t key valid a b =
   match Hashtbl.find_opt t.tbl key with
-  | Some n ->
+  | Some n when valid a b n.nval ->
     t.hits <- t.hits + 1;
     promote t n;
     Some n.nval
-  | None ->
+  | Some _ | None ->
     t.misses <- t.misses + 1;
     None
 

@@ -15,8 +15,12 @@ val capacity : 'v t -> int
 
 val length : 'v t -> int
 
-val find : 'v t -> string -> 'v option
-(** Promotes the entry to most-recently-used; counts a hit or a miss. *)
+val find : 'v t -> string -> ('a -> 'b -> 'v -> bool) -> 'a -> 'b -> 'v option
+(** [find t key valid a b] is the entry under [key] if [valid a b]
+    holds of it: a hit, promoted to most-recently-used. An absent entry
+    and an invalid one are misses; an invalid entry stays where it is
+    until {!add} replaces it. [valid] takes its two arguments apart so
+    that a call with a toplevel [valid] allocates no closure. *)
 
 val add : 'v t -> string -> 'v -> string option
 (** Insert or replace (either way the entry becomes most-recently-used);

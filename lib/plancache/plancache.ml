@@ -8,15 +8,26 @@ module Metrics = Oodb_obs.Metrics
 module Span = Oodb_obs.Span
 module Json = Oodb_util.Json
 module Clock = Oodb_util.Clock
+module Config = Oodb_cost.Config
 
 type entry = {
   e_plan : Engine.plan option;
   e_stats : Engine.stats;
+  e_reads : Catalog.reads;  (* the statistics its search read *)
+  e_feedback : Config.feedback option;  (* the tables it was planned under *)
 }
 
 (* Keyed on the key string itself, so a hit costs one table lookup and
    no digest. *)
 type t = entry Lru.t
+
+(* An entry serves a lookup while every statistic its search read holds
+   its version, under the same feedback tables. [Feedback.hook] builds
+   fresh tables per install and nothing writes to them afterwards, so
+   tables are compared physically. *)
+let current cat (options : Options.t) e =
+  Catalog.reads_current cat e.e_reads
+  && Option.equal ( == ) e.e_feedback options.Options.config.Config.feedback
 
 let default_capacity = 256
 
@@ -79,11 +90,11 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty) ?registry
   let t0 = Clock.now () in
   let fp =
     Span.with_span spans ~cat:"plancache" "fingerprint" (fun () ->
-        Fingerprint.make ~catalog:cat ~options ~required expr)
+        Fingerprint.make ~options ~required expr)
   in
   let found =
     Span.with_span spans ~cat:"plancache" "cache-lookup" (fun () ->
-        Lru.find t (fp :> string))
+        Lru.find t (fp :> string) current cat options)
   in
   (* Latency to a hit/miss verdict: fingerprinting plus the lookup. *)
   (match registry with
@@ -95,13 +106,21 @@ let optimize ?(options = Options.default) ?(required = Physprop.empty) ?registry
     { plan = e.e_plan; stats = e.e_stats; opt_seconds = Clock.now () -. t0; cached = true }
   | None ->
     mincr registry "plancache/miss";
-    let cold =
-      Optimizer.optimize ~options ~required
-        ?trace:(Option.map derivation_sink registry)
-        ?spans cat expr
+    let cold, reads =
+      Catalog.record_reads cat (fun () ->
+          Optimizer.optimize ~options ~required
+            ?trace:(Option.map derivation_sink registry)
+            ?spans cat expr)
     in
     let plan = cold.Optimizer.plan and stats = cold.Optimizer.stats in
-    let evicted = Lru.add t (fp :> string) { e_plan = plan; e_stats = stats } in
+    (* a stale entry under this key is replaced in place *)
+    let evicted =
+      Lru.add t (fp :> string)
+        { e_plan = plan;
+          e_stats = stats;
+          e_reads = reads;
+          e_feedback = options.Options.config.Config.feedback }
+    in
     mincr registry "plancache/insert";
     if Option.is_some evicted then mincr registry "plancache/eviction";
     { plan; stats; opt_seconds = Clock.now () -. t0; cached = false }

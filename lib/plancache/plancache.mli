@@ -2,12 +2,18 @@
     {!Open_oodb.Optimizer.optimize}.
 
     The cache stores winning physical plans (with their cost and the
-    producing search's statistics) under {!Fingerprint} keys. Because a
-    fingerprint covers the catalog epoch and content digest and every
-    plan-relevant option, invalidation is automatic: refreshing
-    statistics, editing the schema, toggling a rule or changing the cost
-    model changes the key, so stale entries can never be served — they
-    simply age out of the LRU.
+    producing search's statistics) under {!Fingerprint} keys. A key
+    covers the query and every plan-relevant option, so toggling a rule
+    or changing the cost model gives another key.
+
+    The key names no catalog. An entry holds the read set of the search
+    that produced it ({!Oodb_catalog.Catalog.record_reads}): the
+    catalog's identity, its layout version and the version of each
+    statistic the search read. It also holds the feedback tables it was
+    planned under. A lookup serves the entry only while the read set is
+    current and the caller's feedback tables are the same ones; a write
+    to a statistic the plan never read leaves it served. A stale entry
+    is a miss: it is re-optimized and replaced in place.
 
     The cache is one bounded LRU keyed on the fingerprint's key string
     itself, so entries are shared only by equal keys. It lives and dies
@@ -30,7 +36,9 @@ val create : ?capacity:int -> unit -> t
 
 type stats = {
   hits : int;  (** lookups served from the cache *)
-  misses : int;  (** lookups that went to a cold optimization *)
+  misses : int;
+      (** lookups that went to a cold optimization: no entry, or a stale
+          one *)
   insertions : int;
   evictions : int;  (** LRU evictions *)
   entries : int;
@@ -59,8 +67,9 @@ val optimize :
   Catalog.t ->
   Logical.t ->
   outcome
-(** [Optimizer.optimize] behind the cache: fingerprint, serve on hit,
-    optimize cold and insert on miss. A hit re-derives nothing — no
+(** [Optimizer.optimize] behind the cache: fingerprint, serve a
+    current entry, or optimize cold while recording the statistics read
+    and insert (or replace) the entry. A hit re-derives nothing — no
     well-formedness re-check, no logical properties, no rules.
 
     When [registry] is given, increments [plancache/hit],

@@ -207,7 +207,9 @@ let join_chain_query ~width rng spec =
 
 (* Set-operation branches must deliver identical scopes: identical FROM
    list, SELECT *, shared join atoms — only the depth-1 scalar
-   predicates differ between branches. *)
+   predicates differ between branches. A set operation combines whole
+   range variables, so the simplifier rejects a branch with a SELECT
+   list. *)
 let setop_query rng spec =
   let classes = Array.of_list spec.G.g_classes in
   let r0 = { ri_var = var 0; ri_cls = Prng.pick rng classes } in

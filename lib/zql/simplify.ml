@@ -263,6 +263,28 @@ let compile_core cat (q : Ast.query) =
     in
     (st.tree, order)
 
+(* Where a query starts: its first range. *)
+let query_loc (q : Ast.query) =
+  match q.Ast.q_from with r :: _ -> r.Ast.r_pos | [] -> Loc.none
+
+(* The checks a set-operation branch must pass before it compiles. A
+   set operation combines whole range variables: over a SELECT list it
+   would be a Union of projections, which the algebra does not type. *)
+let check_branch (q : Ast.query) =
+  (match q.Ast.q_order with
+  | Some p -> error_at p.Ast.p_pos "ORDER BY cannot be combined with set operations"
+  | None -> ());
+  (match q.Ast.q_setops with
+  | (_, nested) :: _ ->
+    error_at (query_loc nested) "nested set-operation branches are not supported"
+  | [] -> ());
+  match q.Ast.q_select with
+  | si :: _ ->
+    let at = pos_of_expr si.Ast.si_expr in
+    error_at (if Loc.is_none at then query_loc q else at)
+      "a set operation takes SELECT * branches, not a SELECT list"
+  | [] -> ()
+
 let query_ordered cat (q : Ast.query) =
   match
     let tree, order = compile_core cat q in
@@ -270,17 +292,15 @@ let query_ordered cat (q : Ast.query) =
       match q.Ast.q_setops with
       | [] -> tree
       | branches ->
-        if order <> None then error "ORDER BY cannot be combined with set operations";
+        check_branch { q with Ast.q_setops = [] };
         let scope = Logical.scope tree in
         List.fold_left
           (fun acc (op, rhs) ->
-            if rhs.Ast.q_order <> None then
-              error "ORDER BY cannot be combined with set operations";
-            if rhs.Ast.q_setops <> [] then
-              error "nested set-operation branches are not supported";
+            check_branch rhs;
             let rhs_tree, _ = compile_core cat rhs in
             if Logical.scope rhs_tree <> scope then
-              error "set-operation branches deliver different scopes (%s vs %s)"
+              error_at (query_loc rhs)
+                "set-operation branches deliver different scopes (%s vs %s)"
                 (String.concat ", " scope)
                 (String.concat ", " (Logical.scope rhs_tree));
             match op with
@@ -291,7 +311,7 @@ let query_ordered cat (q : Ast.query) =
     in
     match Logical.well_formed cat tree with
     | Ok () -> { c_logical = tree; c_order = order }
-    | Error msg -> error "internal simplification bug: %s" msg
+    | Error msg -> error_at (query_loc q) "internal simplification bug: %s" msg
   with
   | compiled -> Ok compiled
   | exception Simplify_error msg -> Result.Error msg

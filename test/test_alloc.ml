@@ -1,5 +1,5 @@
-(* Allocation pins: minor words on the storage and executor paths,
-   which are exact within one process, so noise cannot move them. Each
+(* Allocation pins: minor words on the storage, executor and plan-cache
+   paths, which are exact within one process, so noise cannot move them. Each
    budget is the value measured when it was set plus the margin stated
    beside it; a change that claims a saving in words lowers the budget
    it moves. The measured values are printed to the test's log. *)
@@ -10,6 +10,7 @@ module Executor = Oodb_exec.Executor
 module Db = Oodb_exec.Db
 module Opt = Open_oodb.Optimizer
 module Options = Open_oodb.Options
+module Plancache = Oodb_plancache.Plancache
 
 (* Minor words [f] allocates, less what the measurement itself does. *)
 let words f =
@@ -82,8 +83,37 @@ let test_executor_words_per_row () =
   in
   if over <> [] then Alcotest.failf "over budget:\n%s" (String.concat "\n" over)
 
+(* Minor words of one plan-cache hit on each lookup template's golden
+   text, compiled once on the scale-1 catalog: the key rendered from the
+   canonical expression, the entry's read set validated, the caller's
+   optional-argument box and the outcome record. Each budget is the
+   measured value (432, 459, 392 and 514 words) plus 2%, rounded up:
+   less than the 12 words that rendering the catalog digest into the
+   key would add to each hit. *)
+let hit_budgets =
+  [ ("mayor-name", 441.); ("employee-name", 469.); ("task-time", 400.); ("paper-q4", 525.) ]
+
+let test_plancache_hit () =
+  let cat = Db.catalog (Lazy.force Helpers.scale1_db) in
+  let options = Options.with_batch_size 64 Options.default in
+  let pc = Plancache.create () in
+  let over =
+    List.filter_map
+      (fun (name, budget) ->
+        let q = Zql.Simplify.compile_exn cat (List.assoc name Helpers.golden_texts) in
+        ignore (Plancache.optimize ~options pc cat q);
+        let cached = ref false in
+        let w = words (fun () -> cached := (Plancache.optimize ~options pc cat q).Plancache.cached) in
+        Alcotest.(check bool) (name ^ " hits") true !cached;
+        Printf.printf "%s hit: %.0f words\n%!" name w;
+        if w > budget then Some (Printf.sprintf "%s: %.0f words > %.0f" name w budget) else None)
+      hit_budgets
+  in
+  if over <> [] then Alcotest.failf "over budget:\n%s" (String.concat "\n" over)
+
 let () =
   Alcotest.run "alloc"
     [ ( "pins",
         [ Alcotest.test_case "buffer-pool read allocates nothing" `Quick test_buffer_read;
-          Alcotest.test_case "executor words per row" `Quick test_executor_words_per_row ] ) ]
+          Alcotest.test_case "executor words per row" `Quick test_executor_words_per_row;
+          Alcotest.test_case "plan-cache hit" `Quick test_plancache_hit ] ) ]

@@ -130,25 +130,39 @@ let test_store_concurrent_save () =
    is: a non-finite value is dropped (an infinite [Employees]
    cardinality or [team_members] fanout left q1 and q4 with no plan),
    and the others go through the [observe_*] clamps. *)
+(* A store file body: [fields], after the scope [cat] gives unless
+   [scope] names another. *)
+let body ?scope cat fields =
+  let epoch, digest =
+    match scope with
+    | Some s -> s
+    | None -> (Catalog.epoch cat, Digest.to_hex (Catalog.digest cat))
+  in
+  Printf.sprintf {|{"epoch": %d, "digest": %S, %s}|} epoch digest fields
+
+(* The store [create] loads from a file in [cat]'s scope holding
+   [text]. *)
+let load_text cat text =
+  with_temp_dir @@ fun dir ->
+  write_file (Option.get (Feedback.file (Feedback.create ~dir cat))) text;
+  Feedback.create ~dir cat
+
+let obs v = Printf.sprintf {|{"value": %s, "count": 1, "qerror": 1}|} v
+
 let test_store_bounds_loaded_values () =
   let cat = Datagen.generate_catalog_only ~scale:0.01 () in
-  let load text =
-    with_temp_dir @@ fun dir ->
-    write_file (Option.get (Feedback.file (Feedback.create ~dir cat))) text;
-    Feedback.create ~dir cat
-  in
-  let obs v = Printf.sprintf {|{"value": %s, "count": 1, "qerror": 1}|} v in
+  let load fields = load_text cat (body cat fields) in
   List.iter
-    (fun (what, text) ->
-      let s = load text in
+    (fun (what, fields) ->
+      let s = load fields in
       check_plans what cat (Feedback.install s Options.default);
       Alcotest.(check int) (what ^ ": dropped") 0 (Feedback.size s))
-    [ ("infinite Employees card", Printf.sprintf {|{"card": {"Employees": %s}}|} (obs "1e999"));
+    [ ("infinite Employees card", Printf.sprintf {|"card": {"Employees": %s}|} (obs "1e999"));
       ( "infinite team_members fanout",
-        Printf.sprintf {|{"fanout": {"\"Task\".\"team_members\"": %s}}|} (obs "1e999") ) ];
+        Printf.sprintf {|"fanout": {"\"Task\".\"team_members\"": %s}|} (obs "1e999") ) ];
   let s =
     load
-      (Printf.sprintf {|{"sel": {"k": %s}, "card": {"Employees": %s}, "fanout": {"f": %s}}|}
+      (Printf.sprintf {|"sel": {"k": %s}, "card": {"Employees": %s}, "fanout": {"f": %s}|}
          (obs "5.0") (obs "-3") (obs "-1e999"))
   in
   let hook = Feedback.hook s in
@@ -158,6 +172,21 @@ let test_store_bounds_loaded_values () =
     (Hashtbl.find_opt hook.Config.fb_card "Employees");
   Alcotest.(check (option (float 0.))) "negative infinity dropped" None
     (Hashtbl.find_opt hook.Config.fb_fanout "f")
+
+(* The file name is no proof of scope: a file named for this store's
+   scope whose body names another, or none, loads nothing. *)
+let test_store_refuses_other_scope () =
+  let cat = Datagen.generate_catalog_only ~scale:0.01 () in
+  let epoch = Catalog.epoch cat and digest = Digest.to_hex (Catalog.digest cat) in
+  let fields = Printf.sprintf {|"card": {"Employees": %s}|} (obs "500") in
+  Alcotest.(check int) "its own scope loads" 1 (Feedback.size (load_text cat (body cat fields)));
+  List.iter
+    (fun (what, text) -> Alcotest.(check int) what 0 (Feedback.size (load_text cat text)))
+    [ ("another epoch", body ~scope:(epoch + 1, digest) cat fields);
+      ("another digest", body ~scope:(epoch, Digest.to_hex (Digest.string "other")) cat fields);
+      ("no scope", "{" ^ fields ^ "}");
+      ("no digest", Printf.sprintf {|{"epoch": %d, %s}|} epoch fields);
+      ("no epoch", Printf.sprintf {|{"digest": %S, %s}|} digest fields) ]
 
 (* Seeded damage to a saved store: even trials truncate it, odd trials
    overwrite one to three bytes, half of them digits and half of the new
@@ -313,6 +342,8 @@ let () =
             test_store_concurrent_save;
           Alcotest.test_case "loaded values are bounded" `Quick
             test_store_bounds_loaded_values;
+          Alcotest.test_case "a body naming another scope loads nothing" `Quick
+            test_store_refuses_other_scope;
           Alcotest.test_case "seeded corruption never raises" `Quick test_store_corruption ] );
       ( "loop",
         [ Alcotest.test_case "skewed-stats plan flip" `Slow test_skewed_plan_flip ] );

@@ -34,12 +34,14 @@ let check_same_plan msg a b = Alcotest.(check string) msg (plan_repr a) (plan_re
 (* ------------------------------------------------------------------ *)
 (* LRU                                                                 *)
 
+let always () () _ = true
+
 let test_lru_basics () =
   let l = Lru.create ~capacity:2 in
   Alcotest.(check (option string)) "evict on 1st add" None (Lru.add l "a" "1");
   Alcotest.(check (option string)) "evict on 2nd add" None (Lru.add l "b" "2");
-  Alcotest.(check (option string)) "miss" None (Lru.find l "z");
-  Alcotest.(check (option string)) "hit" (Some "1") (Lru.find l "a");
+  Alcotest.(check (option string)) "miss" None (Lru.find l "z" always () ());
+  Alcotest.(check (option string)) "hit" (Some "1") (Lru.find l "a" always () ());
   (* "a" is now MRU, so a third insertion evicts "b" *)
   Alcotest.(check (option string)) "lru evicted" (Some "b") (Lru.add l "c" "3");
   Alcotest.(check (list string)) "mru order" [ "c"; "a" ]
@@ -53,6 +55,14 @@ let test_lru_basics () =
   Alcotest.(check int) "misses" 1 c.Lru.misses;
   Alcotest.(check int) "insertions" 3 c.Lru.insertions;
   Alcotest.(check int) "evictions" 1 c.Lru.evictions;
+  (* an entry found but not valid is a miss, and stays for [add] *)
+  Alcotest.(check (option string)) "invalid entry" None
+    (Lru.find l "c" (fun () () v -> v <> "3") () ());
+  Alcotest.(check (list string)) "not promoted, not removed" [ "a"; "c" ]
+    (List.map fst (Lru.items l));
+  let c = Lru.counters l in
+  Alcotest.(check int) "invalid counts no hit" 1 c.Lru.hits;
+  Alcotest.(check int) "invalid counts a miss" 2 c.Lru.misses;
   Alcotest.check_raises "capacity 0 rejected"
     (Invalid_argument "Lru.create: capacity must be >= 1") (fun () ->
       ignore (Lru.create ~capacity:0))
@@ -60,11 +70,10 @@ let test_lru_basics () =
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: hand-written invariants                               *)
 
-let fp ?(options = Options.default) ?(required = Physprop.empty) cat q =
-  Fingerprint.make ~catalog:cat ~options ~required q
+let fp ?(options = Options.default) ?(required = Physprop.empty) q =
+  Fingerprint.make ~options ~required q
 
 let test_fingerprint_alpha_invariance () =
-  let cat = OC.catalog_with_indexes () in
   let q2_renamed =
     Logical.get ~coll:"Cities" ~binding:"city"
     |> Logical.mat ~src:"city" ~field:"mayor"
@@ -72,12 +81,11 @@ let test_fingerprint_alpha_invariance () =
                           (Pred.Const (Value.Str "Joe")) ]
   in
   Alcotest.(check bool) "q2 alpha-renamed shares the fingerprint" true
-    (Fingerprint.equal (fp cat Q.q2) (fp cat q2_renamed));
+    (Fingerprint.equal (fp Q.q2) (fp q2_renamed));
   Alcotest.(check bool) "canonical forms coincide" true
     (Logical.equal (Fingerprint.canonical Q.q2) (Fingerprint.canonical q2_renamed))
 
 let test_fingerprint_conjunct_order () =
-  let cat = OC.catalog_with_indexes () in
   let swapped =
     (* q4 with its two conjuncts reversed and one atom mirrored *)
     Logical.get ~coll:"Tasks" ~binding:"t"
@@ -88,92 +96,107 @@ let test_fingerprint_conjunct_order () =
            Pred.atom Pred.Eq (Pred.Field ("e", "name")) (Pred.Const (Value.Str "Fred")) ]
   in
   Alcotest.(check bool) "conjunct order and atom mirroring are canonicalized" true
-    (Fingerprint.equal (fp cat Q.q4) (fp cat swapped))
+    (Fingerprint.equal (fp Q.q4) (fp swapped))
 
 let test_fingerprint_sensitivity () =
-  let cat = OC.catalog_with_indexes () in
   let distinct msg a b =
     Alcotest.(check bool) msg false (Fingerprint.equal a b)
   in
-  distinct "different queries differ" (fp cat Q.q1) (fp cat Q.q2);
-  distinct "disabling a rule splits entries" (fp cat Q.q1)
-    (fp ~options:(Options.disable "mat-to-join" Options.default) cat Q.q1);
-  distinct "required order splits entries" (fp cat Q.q3)
+  distinct "different queries differ" (fp Q.q1) (fp Q.q2);
+  distinct "disabling a rule splits entries" (fp Q.q1)
+    (fp ~options:(Options.disable "mat-to-join" Options.default) Q.q1);
+  distinct "required order splits entries" (fp Q.q3)
     (fp
        ~required:
          { Physprop.empty with
            Physprop.order = Some { Physprop.ord_binding = "c"; ord_field = Some "name" } }
-       cat Q.q3);
+       Q.q3);
   (* explicit projection aliases name result columns: not alpha-noise *)
   let alias name =
     Q.q2 |> Logical.project [ { Logical.p_expr = Pred.Field ("c", "name"); p_name = name } ]
   in
-  distinct "projection aliases are preserved" (fp cat (alias "a")) (fp cat (alias "b"));
-  let cat2 = OC.catalog () in
-  distinct "catalog content splits entries" (fp cat Q.q2) (fp cat2 Q.q2)
+  distinct "projection aliases are preserved" (fp (alias "a")) (fp (alias "b"))
 
+(* The key names no catalog; the entry's read set decides. A
+   [bump_epoch], a write to a statistic the plan read (of an equal
+   value too, or of one that was absent) and a lookup under another
+   catalog each miss; a write to a statistic it did not read hits. *)
 let test_fingerprint_epoch () =
   let cat = OC.catalog_with_indexes () in
-  let before = fp cat Q.q1 in
-  Alcotest.(check bool) "stable across no-op" true
-    (Fingerprint.equal before (fp cat Q.q1));
+  let pc = Plancache.create () in
+  let cached ?(cat = cat) q = (Plancache.optimize pc cat q).Plancache.cached in
+  Alcotest.(check bool) "first lookup misses" false (cached Q.q2);
+  Alcotest.(check bool) "stable across no-op" true (cached Q.q2);
+  Catalog.set_distinct cat ~cls:"Department" ~field:"floor" 4;
+  Alcotest.(check bool) "a write to an unread statistic hits" true (cached Q.q2);
   Catalog.bump_epoch cat;
-  Alcotest.(check bool) "epoch bump changes the fingerprint" false
-    (Fingerprint.equal before (fp cat Q.q1));
-  let cat' = OC.catalog_with_indexes () in
-  Catalog.set_distinct cat' ~cls:"Person" ~field:"name" 17;
-  Alcotest.(check bool) "statistics refresh changes the fingerprint" false
-    (Fingerprint.equal before (fp cat' Q.q1))
+  Alcotest.(check bool) "epoch bump misses" false (cached Q.q2);
+  Alcotest.(check bool) "the replaced entry hits" true (cached Q.q2);
+  let n = Option.get (Catalog.distinct cat ~cls:"Person" ~field:"name") in
+  Catalog.set_distinct cat ~cls:"Person" ~field:"name" n;
+  Alcotest.(check bool) "re-recording a statistic it read misses" false (cached Q.q2);
+  Alcotest.(check bool) "and hits after" true (cached Q.q2);
+  Alcotest.(check bool) "a catalog with equal contents misses" false
+    (cached ~cat:(OC.catalog_with_indexes ()) Q.q2);
+  Alcotest.(check bool) "catalog content splits entries" false
+    (cached ~cat:(OC.catalog ()) Q.q2);
+  ignore (cached Q.q4);
+  Alcotest.(check bool) "q4 hits" true (cached Q.q4);
+  Catalog.set_distinct cat ~cls:"Employee" ~field:"name" 100;
+  Alcotest.(check bool) "setting an absent statistic it read misses" false (cached Q.q4)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: pinned keys                                           *)
 
 (* The key decides which queries share a plan, so it must stay
    byte-identical across changes to how it is computed; each pin is the
-   MD5 of the key string. Each query is pinned under three option values
+   MD5 of the key string. The key names no catalog: the pins were
+   re-recorded when its catalog part (epoch and digest) was deleted,
+   and each equals the MD5 of the earlier key string with that part cut
+   out, so nothing else moved. Each query is pinned under three option values
    (default, pruning off, mat-to-join disabled), at an explicit batch
    size because [Options.default] reads [OODB_BATCH_SIZE]. The benchmark
    template texts are compiled on the scale-1 database's catalog. *)
 let golden_key_pins =
-  [ ("paper", "q1", [ "de2800351e4a8b8e701d9613eda346d9"; "8e8e8f7ef2eb87fda63f3f2268c1a815"; "47e4a8601d9824b204dfd3bf38689727" ]);
-    ("paper", "q2", [ "dd4c68549610a4e3ad24dd615dc208de"; "ccec12f6118067b72b93a99cf894f9ef"; "b0946fcdc6649189ff039ed2aaec683b" ]);
-    ("paper", "q3", [ "b80d1d6e7a4c981590e57f6ae3018544"; "ae8673e9d03250dc4bba7ba425a26a35"; "c89b9a394b8d74583229fa6604ecc6bf" ]);
-    ("paper", "q4", [ "f9723f3b51282d05ab027ae1c3654f4d"; "aa01cc0a267968da0eefce837cc313d4"; "b57b8506bd7734d9530066a824b9866b" ]);
-    ("paper", "fig2", [ "e900151b7eba7e90f28ac257a1c86966"; "27accb286f495a89064e394e1005471f"; "f5c89b4379cd74c257ff8b57d9c578cf" ]);
-    ("paper", "fig3", [ "bc3f133f37709308d7d9ca2002b7c6a6"; "ca21b1a6f8c2b34273e4605a73169bb3"; "881fc8fe8610fa2daaddf7809df1e352" ]);
-    ("scale-1", "mayor-name", [ "993011ace02005af823f3183dd031dc3"; "29411db423c4c22e362328d7feaf734c"; "54e31a69ff179ce4c0060dbdc437e047" ]);
-    ("scale-1", "employee-name", [ "c73274c81eebe951976267332aed3091"; "2342d43ab740c7879f3ed74abc5d65e0"; "1db1a3d507d054da8f9d0f13cd28d1b3" ]);
-    ("scale-1", "task-time", [ "71bcdce53d4b938f05706d2e8f95a74d"; "b8844dc543c756cc6e790fce10366b47"; "0fc8ba521ac7456662cd5780109ee954" ]);
-    ("scale-1", "paper-q4", [ "af112a480a843b974ff8fe92fab93f3c"; "12f11d1306f534168138a92ff9e464ca"; "733f905a4a0c5b015387c2ff707a2c35" ]);
-    ("scale-1", "q1-location", [ "d5af990d6201a66ee1b812023abe5cd2"; "9a5aa68ae7ba717c7c3a64dce3091d77"; "ba1c3320d46d94ea438aff1a60ecb8d9" ]);
-    ("scale-1", "fig1-floor-join", [ "9f11e20a9c889cd6ea2b967af6183a0e"; "3cb7422d25c3af2c297e677de41451ec"; "1903951194ab42f470d236cbcbddf713" ]);
-    ("scale-1", "salary-by-floor", [ "9eccd2e221499029fc146ce0c32eec13"; "68efa0ecf09055cf800f3edb983b3d69"; "d1b3743255d6a501f6b0f765dfb00e1c" ]);
-    ("scale-1", "team-age-unnest", [ "38fed8b7508b4a09a36d7eb44d7d7413"; "f7001531ada89bef70de2c2dd1deea27"; "100d6b65206f6017df8572d7904f44cb" ]);
-    ("scale-1", "emp-dept-job", [ "7a60c1e33b6950933d9365f7e8e23cb5"; "02a043dbc59c40b9b50d0d007c7b087e"; "48df6f6a0b733c97364fd19d14bb3d91" ]);
-    ("scale-1", "city-person-country", [ "9ad41ffe249df5a284511cbee23e2cf3"; "f005a4aeb00d7435ce2469081f0d68a1"; "65feaa38a9724ff440650c31a4e483a2" ]);
-    ("scale-1", "emp-dept", [ "ba3f35ceef7004254adfe57ac0b84186"; "589ce4360442b9269438c5eeff9574d7"; "93ccb41bb96e99dd74af3a64d6c2004b" ]);
-    ("scale-1", "city-mat-chain", [ "3101b32e8ab4d50605337180ddc3ffd1"; "60a97816384062af99723000b0fb3bd4"; "43d6818539d45366f5263f74c7512ed3" ]);
-    ("scale-1", "task-unnest", [ "5f212d9e25e2f589b6a61583e7234cdf"; "7d5468b39762c7a26c325c25a8f7aeb9"; "22bff44f1b9603b90332e7bb0760a449" ]) ]
+  [ ("paper", "q1", [ "5870e068a167fcb0c2911adb9ba6d6f7"; "4e4273f4192c473773c73a77c3899354"; "0f6d1dc93be739a83168a2b349ed2a19" ]);
+    ("paper", "q2", [ "664f9b41f86aafa49c7fc0ff70fee9e1"; "737d8a6bc3a80753cb6243d350f92ccf"; "ac232f262591a65ffc523387a30b5236" ]);
+    ("paper", "q3", [ "51ebe597390f04006cfcabcb6f022ba1"; "8a4338aee1157ca3dec5b0a4de1b3894"; "250d741b6038d9e6df6cecc6eadd2af7" ]);
+    ("paper", "q4", [ "fd813048a88b4521bb7dc0f07b551585"; "358ce0028afad942addc32514a258051"; "c5eba321f5da84d7cb2fae27817d866e" ]);
+    ("paper", "fig2", [ "c3c01e077c1136fa5414f53bc63970e2"; "1e134b2b9f57a3743682a52aa840c6d1"; "8e1d894a71dd3476e30d5a6f6e7ffd2a" ]);
+    ("paper", "fig3", [ "47fcbc5be2240450225c2fb6adf89567"; "0f611ce5e1a95c56b8e2ba09398454f1"; "c6310959638aedd594abf0a013760d30" ]);
+    ("scale-1", "mayor-name", [ "ea7dd9d692527c974498856b354e8d98"; "ee2e875e860c965d5c4fde7a18083081"; "1a37a7c7569ecd36293dd8cf135a878f" ]);
+    ("scale-1", "employee-name", [ "f9f31d22be52d3d3a533f37cd1f41a30"; "139a62d4a4b90e3b1bb8238054e22a2d"; "771f2e812e38d76e877ca3f6cc433661" ]);
+    ("scale-1", "task-time", [ "ef7a1d9c8bef618ab802e8fedd6a975f"; "64aec70769876deb893f9c7253de16b7"; "d83b88225a09dfcb4d610ac7887de918" ]);
+    ("scale-1", "paper-q4", [ "f79e38da4c8d5d3e1d4efe827bc05833"; "71c468e9b8da5b376838fdb0858d0ab5"; "e35431d3612fd1e265830861a0c784ff" ]);
+    ("scale-1", "q1-location", [ "a547a58052d130f7ccfcfbb9baccdffe"; "a9f7168102c93609461c514a02358058"; "214e25e7f6848d3824dac3c6e075705f" ]);
+    ("scale-1", "fig1-floor-join", [ "8706d01f029dce9264cf36b8b597c910"; "af6fcd8d396785887770229d51ec3ccf"; "56b2dcc2ea4f36ec5263e04e99ca6c2b" ]);
+    ("scale-1", "salary-by-floor", [ "f4a22a4d30071c6a27e5c29cc57eb8a7"; "163545ba58c908e8093d6336158b7d62"; "847bc3973f8eced1b81b55818c4ac0e3" ]);
+    ("scale-1", "team-age-unnest", [ "8b27c9864ed3453d3559c920d441172f"; "bd89e7ba838f998514f995536e2f263c"; "23ba741462bcc313d7428a9cb62ee746" ]);
+    ("scale-1", "emp-dept-job", [ "dd88f5e6ce9641746931652e3ce1eaf9"; "bb9d65313a862562743d26989f5b0fb9"; "2144f740607374c4924f264bd0e534c4" ]);
+    ("scale-1", "city-person-country", [ "33788940e0e20ce274d58964bc0aa222"; "30a98cf131731580483bec2cef5ddfde"; "aac13b6e1d355d2ecc484a9dc50125bf" ]);
+    ("scale-1", "emp-dept", [ "d72d2d0a019116617eb52751efdd8944"; "6089ae603c8085561b238a1611e97f01"; "d7f7a56a17f0f1533d5dd013ec7eab04" ]);
+    ("scale-1", "city-mat-chain", [ "26ce28a1a30e20895d36e82c17ae189d"; "6c4ab51417b1346fb636954c83cfe7d0"; "3c814810bb9e7d3e49430324108940da" ]);
+    ("scale-1", "task-unnest", [ "a71c66ff5bc2d1c7a46fd6b9a469d25f"; "bc265317ad77dcc92f406fdc0cfd5ad4"; "52bc7b2d5373cb5ef6dc63d6213063fe" ]) ]
 
 let test_fingerprint_pins () =
   let base = Options.with_batch_size 64 Options.default in
   let variants =
     [ base; { base with Options.pruning = false }; Options.disable "mat-to-join" base ]
   in
-  let pin catalog cat (name, q) =
+  let pin catalog (name, q) =
     ( catalog,
       name,
       List.map
         (fun options ->
           Digest.to_hex
-            (Digest.string (Fingerprint.key ~catalog:cat ~options ~required:Physprop.empty q)))
+            (Digest.string (Fingerprint.key ~options ~required:Physprop.empty q)))
         variants )
   in
   let scale1 = Db.catalog (Oodb_workloads.Datagen.generate ()) in
   let actual =
-    List.map (pin "paper" (OC.catalog_with_indexes ())) Q.all
+    List.map (pin "paper") Q.all
     @ List.map
-        (fun (name, text) -> pin "scale-1" scale1 (name, Zql.Simplify.compile_exn scale1 text))
+        (fun (name, text) -> pin "scale-1" (name, Zql.Simplify.compile_exn scale1 text))
         Helpers.golden_texts
   in
   let show (catalog, name, hexes) =
@@ -188,8 +211,7 @@ let test_fingerprint_pins () =
    value and reuses it while the same value comes back. [verify] only
    checks the winner, so it does not split keys either. *)
 let test_fingerprint_options_equal_copy () =
-  let cat = OC.catalog_with_indexes () in
-  let key options = Fingerprint.key ~catalog:cat ~options ~required:Physprop.empty Q.q1 in
+  let key options = Fingerprint.key ~options ~required:Physprop.empty Q.q1 in
   let d = Options.default in
   let c = d.Options.config in
   let copy = { d with Options.config = { c with Config.page_bytes = c.Config.page_bytes } } in
@@ -201,8 +223,7 @@ let test_fingerprint_options_equal_copy () =
     (key { d with Options.verify = false })
 
 let test_fingerprint_options_alternate () =
-  let cat = OC.catalog_with_indexes () in
-  let key options = Fingerprint.key ~catalog:cat ~options ~required:Physprop.empty Q.q1 in
+  let key options = Fingerprint.key ~options ~required:Physprop.empty Q.q1 in
   let a = Options.with_batch_size 64 Options.default in
   let b = Options.disable "mat-to-join" a in
   let key_a = key a and key_b = key b in
@@ -231,16 +252,16 @@ let test_fuzz_fingerprints () =
     (match Logical.well_formed cat q with
     | Ok () -> ()
     | Error m -> Alcotest.failf "seed %d: generator produced ill-formed query: %s" seed m);
-    let f = fp ~options cat q in
+    let f = fp ~options q in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: fingerprint is stable" seed)
       true
-      (Fingerprint.equal f (fp ~options cat q));
+      (Fingerprint.equal f (fp ~options q));
     let renamed = gen_expr ~seed ~root_name:"very_different_binding" in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: alpha-renaming invariance" seed)
       true
-      (Fingerprint.equal f (fp ~options cat renamed));
+      (Fingerprint.equal f (fp ~options renamed));
     (* injectivity smoke: equal keys must come from equal canonical forms *)
     let canonical = Fingerprint.canonical q in
     (match Hashtbl.find_opt by_key (f :> string) with
@@ -303,7 +324,7 @@ let test_hit_then_epoch_miss () =
   Alcotest.(check bool) "epoch bump invalidates" false o.Plancache.cached;
   let s = Plancache.stats pc in
   Alcotest.(check int) "second miss" 2 s.Plancache.misses;
-  Alcotest.(check int) "both plans stored" 2 s.Plancache.entries
+  Alcotest.(check int) "the stale plan is replaced" 1 s.Plancache.entries
 
 let test_lru_eviction_reoptimizes () =
   let cat = OC.catalog_with_indexes () in
@@ -318,6 +339,162 @@ let test_lru_eviction_reoptimizes () =
   Alcotest.(check bool) "evicted entry re-optimized" false o.Plancache.cached;
   check_same_plan "and identical to the original" (Opt.optimize cat Q.q1).Opt.plan
     o.Plancache.plan
+
+(* Feedback tables that price [e.name == "Fred"] at selectivity [sel]
+   and [Task.team_members] at a fanout of [fanout]. *)
+let feedback ?(sel = 0.9) ?(fanout = 2.0) () =
+  let fb = Config.feedback_create () in
+  let env =
+    { Oodb_cost.Lprops.card = 1.;
+      bindings =
+        [ ( "e",
+            { Oodb_cost.Lprops.b_class = "Employee";
+              b_bytes = 250.;
+              b_source = Oodb_cost.Lprops.From_get "Employees" } ) ] }
+  in
+  let fred = Pred.atom Pred.Eq (Pred.Field ("e", "name")) (Pred.Const (Value.Str "Fred")) in
+  Hashtbl.replace fb.Config.fb_sel (Option.get (Oodb_cost.Fbkey.atom ~env fred)) sel;
+  Hashtbl.replace fb.Config.fb_fanout
+    (Oodb_cost.Fbkey.fanout ~cls:"Task" ~field:"team_members")
+    fanout;
+  fb
+
+(* A plan cached without feedback is not served under feedback tables,
+   nor the reverse: through one cache, each call serves the winner a
+   cold optimization picks under its own options. *)
+let test_feedback_splits_entries () =
+  let cat = OC.catalog_with_indexes () in
+  let pc = Plancache.create () in
+  let plain = Options.default and fed = Options.with_feedback (feedback ()) Options.default in
+  let cold options = (Opt.optimize ~options cat Q.fred).Opt.plan in
+  Alcotest.(check bool) "the tables change the winner" false
+    (String.equal (plan_repr (cold plain)) (plan_repr (cold fed)));
+  List.iter
+    (fun (label, options) ->
+      check_same_plan label (cold options)
+        (Plancache.optimize ~options pc cat Q.fred).Plancache.plan)
+    [ ("without feedback", plain); ("with feedback", fed); ("without feedback again", plain) ];
+  ignore (Plancache.optimize ~options:fed pc cat Q.fred);
+  Alcotest.(check bool) "the same tables hit" true
+    (Plancache.optimize ~options:fed pc cat Q.fred).Plancache.cached;
+  Alcotest.(check bool) "other tables of equal contents miss" false
+    (Plancache.optimize ~options:(Options.with_feedback (feedback ()) Options.default) pc cat
+       Q.fred)
+      .Plancache.cached
+
+(* Served plans against cold ones while the catalog and the feedback
+   change under the cache. A case looks up a few of the paper queries
+   and golden texts at each lookup step, so that a write between two
+   lookups meets plans cached before it: each must serve what
+   [Optimizer.optimize] picks now, and a repeated lookup must hit. *)
+type step =
+  | Lookup of int  (** feedback tables: none, A, B, or a fresh copy of A *)
+  | Set_distinct of int * int  (** statistic, value: 0 re-records the current one *)
+  | Set_size of int  (** [Task.team_members]; 0 re-records the current value *)
+  | Toggle_index of int  (** drop a standard index, or add it back *)
+  | Bump_epoch
+
+let lookup_queries =
+  lazy
+    (let cat = OC.catalog_with_indexes () in
+     Array.of_list
+       (Q.all
+       @ List.map (fun (name, text) -> (name, Zql.Simplify.compile_exn cat text))
+           Helpers.golden_texts))
+
+(* Statistics that move some plan's cost, and ones that move none; the
+   last four are absent from the paper catalog until a step sets them. *)
+let step_stats =
+  [| ("Person", "name"); ("Person", "age"); ("Department", "floor"); ("City", "name");
+     ("Job", "name"); ("Plant", "location"); ("Employee", "name"); ("Employee", "age");
+     ("Job", "level"); ("City", "population") |]
+
+let distinct_values = [| 1; 3; 50; 1_000; 100_000 |]
+
+let standard_indexes = [ OC.idx_cities_mayor_name; OC.idx_tasks_time; OC.idx_employees_name ]
+
+let set_sizes = [| 1.; 4.5; 9.; 40. |]
+
+let show_step = function
+  | Lookup f -> Printf.sprintf "lookup fb%d" f
+  | Set_distinct (i, v) ->
+    let cls, field = step_stats.(i) in
+    Printf.sprintf "distinct %s.%s %s" cls field
+      (if v = 0 then "same" else string_of_int distinct_values.(v - 1))
+  | Set_size v -> if v = 0 then "set size same" else Printf.sprintf "set size %g" set_sizes.(v - 1)
+  | Toggle_index i -> "toggle " ^ (List.nth standard_indexes i).Catalog.ix_name
+  | Bump_epoch -> "bump epoch"
+
+let show_case (qs, steps) =
+  String.concat ", " (List.map (fun q -> fst (Lazy.force lookup_queries).(q)) qs)
+  ^ ": "
+  ^ String.concat "; " (List.map show_step steps)
+
+let gen_case =
+  let open QCheck2.Gen in
+  let n = Array.length (Lazy.force lookup_queries) in
+  pair
+    (list_size (int_range 1 3) (int_bound (n - 1)))
+    (list_size (int_range 5 20)
+       (frequency
+          [ (6, map (fun f -> Lookup f) (frequency [ (6, pure 0); (1, pure 1); (1, pure 2); (1, pure 3) ]));
+            ( 4,
+              map2
+                (fun i v -> Set_distinct (i, v))
+                (int_bound (Array.length step_stats - 1))
+                (int_bound (Array.length distinct_values)) );
+            (1, map (fun v -> Set_size v) (int_bound (Array.length set_sizes)));
+            (1, map (fun i -> Toggle_index i) (int_bound 2));
+            (1, pure Bump_epoch) ]))
+
+let run_case (qs, steps) =
+  let cat = OC.catalog_with_indexes () in
+  let pc = Plancache.create () in
+  let queries = Lazy.force lookup_queries in
+  let tables_a = feedback () and tables_b = feedback ~sel:0.001 ~fanout:40. () in
+  let lookup options qi =
+    let name, q = queries.(qi) in
+    let served = Plancache.optimize ~options pc cat q in
+    let cold = Opt.optimize ~options cat q in
+    if plan_repr served.Plancache.plan <> plan_repr cold.Opt.plan then
+      QCheck2.Test.fail_reportf "%s served@.%s@.a cold optimization picks@.%s" name
+        (plan_repr served.Plancache.plan) (plan_repr cold.Opt.plan);
+    if not (Plancache.optimize ~options pc cat q).Plancache.cached then
+      QCheck2.Test.fail_reportf "%s: a repeated lookup missed" name
+  in
+  let step = function
+    | Lookup f ->
+      let options =
+        match f with
+        | 0 -> Options.default
+        | 1 -> Options.with_feedback tables_a Options.default
+        | 2 -> Options.with_feedback tables_b Options.default
+        | _ -> Options.with_feedback (feedback ()) Options.default
+      in
+      List.iter (lookup options) qs
+    | Set_distinct (i, v) ->
+      let cls, field = step_stats.(i) in
+      let n =
+        if v > 0 then distinct_values.(v - 1)
+        else Option.value ~default:50 (Catalog.distinct cat ~cls ~field)
+      in
+      Catalog.set_distinct cat ~cls ~field n
+    | Set_size v ->
+      let cls = "Task" and field = "team_members" in
+      Catalog.set_avg_set_size cat ~cls ~field
+        (if v > 0 then set_sizes.(v - 1) else Catalog.avg_set_size cat ~cls ~field)
+    | Toggle_index i ->
+      let ix = List.nth standard_indexes i in
+      if List.mem ix (Catalog.indexes cat) then Catalog.drop_index cat ix.Catalog.ix_name
+      else Catalog.add_index cat ix
+    | Bump_epoch -> Catalog.bump_epoch cat
+  in
+  List.iter step steps;
+  true
+
+let test_served_equals_cold =
+  QCheck2.Test.make ~name:"served plans equal cold ones under catalog and feedback writes"
+    ~count:60 ~print:show_case gen_case run_case
 
 (* ------------------------------------------------------------------ *)
 (* Multi-query optimization                                            *)
@@ -473,7 +650,10 @@ let () =
           Alcotest.test_case "hit on no-op, miss after epoch bump" `Quick
             test_hit_then_epoch_miss;
           Alcotest.test_case "eviction falls back to re-optimization" `Quick
-            test_lru_eviction_reoptimizes ] );
+            test_lru_eviction_reoptimizes;
+          Alcotest.test_case "feedback tables split entries" `Quick
+            test_feedback_splits_entries;
+          QCheck_alcotest.to_alcotest test_served_equals_cold ] );
       ( "mqo",
         [ Alcotest.test_case "optimize_all returns the same rows" `Slow
             test_optimize_all_rows;

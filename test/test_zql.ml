@@ -221,6 +221,51 @@ let test_repeated_output_column () =
   | Ok _ -> ()
   | Error m -> Alcotest.failf "one path under two names must compile: %s" m
 
+(* A set operation over SELECT lists compiled to a Union of
+   projections, which the typing hook rejected inside
+   [Optimizer.optimize] with an uncaught exception; the simplifier
+   reports it at the first SELECT item, in either branch. Its other
+   set-operation errors carry a location too. *)
+let test_setop_errors () =
+  let err_ast q =
+    match Zql.Simplify.query_ordered cat q with
+    | Error m -> m
+    | Ok _ -> Alcotest.failf "expected error: %a" Zql.Ast.pp_query q
+  in
+  let parse s =
+    match Zql.Parser.parse s with Ok q -> q | Error m -> Alcotest.failf "%s: %s" s m
+  in
+  let err s = err_ast (parse s) in
+  let select_list = "a set operation takes SELECT * branches, not a SELECT list" in
+  List.iter
+    (fun op ->
+      Alcotest.(check string) (op ^ " over SELECT lists")
+        ("line 1, column 8: " ^ select_list)
+        (err (Printf.sprintf "SELECT e FROM e IN Employees %s SELECT e FROM e IN Employees" op)))
+    [ "UNION"; "EXCEPT"; "INTERSECT" ];
+  Alcotest.(check string) "a SELECT list in the second branch"
+    ("line 1, column 43: " ^ select_list)
+    (err "SELECT * FROM e IN Employees UNION SELECT e.name FROM e IN Employees");
+  Alcotest.(check string) "ORDER BY"
+    "line 1, column 39: ORDER BY cannot be combined with set operations"
+    (err "SELECT * FROM e IN Employees ORDER BY e.name UNION SELECT * FROM e IN Employees");
+  Alcotest.(check string) "different scopes"
+    "line 1, column 50: set-operation branches deliver different scopes (e vs p)"
+    (err "SELECT * FROM e IN Employees UNION SELECT * FROM p IN Persons");
+  (* the parser never nests branches; a built AST can *)
+  let q = parse "SELECT * FROM e IN Employees UNION SELECT * FROM e IN Employees" in
+  let nested =
+    { q with
+      Zql.Ast.q_setops =
+        List.map (fun (op, rhs) -> (op, { rhs with Zql.Ast.q_setops = q.Zql.Ast.q_setops }))
+          q.Zql.Ast.q_setops }
+  in
+  Alcotest.(check string) "nested branches"
+    "line 1, column 50: nested set-operation branches are not supported" (err_ast nested);
+  match Zql.Simplify.compile cat "SELECT * FROM e IN Employees UNION SELECT * FROM e IN Employees" with
+  | Ok t -> ignore (Open_oodb.Optimizer.plan_exn (Open_oodb.Optimizer.optimize cat t))
+  | Error m -> Alcotest.failf "SELECT * branches must compile: %s" m
+
 let test_parse_errors () =
   let bad s =
     match Zql.Parser.parse s with
@@ -410,6 +455,7 @@ let () =
           Alcotest.test_case "error reporting" `Quick test_simplify_errors;
           Alcotest.test_case "located errors" `Quick test_located_errors;
           Alcotest.test_case "repeated output column" `Quick test_repeated_output_column;
+          Alcotest.test_case "set-operation errors" `Quick test_setop_errors;
           Alcotest.test_case "ORDER BY" `Quick test_order_by;
           Alcotest.test_case "ORDER BY executes sorted" `Quick test_order_by_executes_sorted;
           Alcotest.test_case "compile-optimize-execute" `Quick test_compile_optimize_execute ] )
