@@ -103,7 +103,8 @@ let load_file t path =
          keeps the name and not the contents. *)
       let names_scope =
         match Json.member "epoch" j, Json.member "digest" j with
-        | Some (Json.Int e), Some (Json.String d) -> e = t.fb_epoch && String.equal d t.fb_digest
+        | Some (Json.Int e), Some (Json.String d) ->
+          e = t.fb_epoch && String.equal d t.fb_digest
         | _ -> false
       in
       if names_scope then begin

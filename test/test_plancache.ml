@@ -120,7 +120,8 @@ let test_fingerprint_sensitivity () =
 (* The key names no catalog; the entry's read set decides. A
    [bump_epoch], a write to a statistic the plan read (of an equal
    value too, or of one that was absent) and a lookup under another
-   catalog each miss; a write to a statistic it did not read hits. *)
+   catalog each miss; a write to a statistic it did not read hits. An
+   optimization that raises ends its recording. *)
 let test_fingerprint_epoch () =
   let cat = OC.catalog_with_indexes () in
   let pc = Plancache.create () in
@@ -143,7 +144,11 @@ let test_fingerprint_epoch () =
   ignore (cached Q.q4);
   Alcotest.(check bool) "q4 hits" true (cached Q.q4);
   Catalog.set_distinct cat ~cls:"Employee" ~field:"name" 100;
-  Alcotest.(check bool) "setting an absent statistic it read misses" false (cached Q.q4)
+  Alcotest.(check bool) "setting an absent statistic it read misses" false (cached Q.q4);
+  (match Plancache.optimize pc cat (Logical.get ~coll:"Nope" ~binding:"x") with
+  | _ -> Alcotest.fail "an ill-formed query must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "a raising optimization ends its recording" false (cached Q.q1)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: pinned keys                                           *)
